@@ -8,7 +8,7 @@ from twodist import TwoDistParams, best_upper_bound, d2_bound, dd_refine, lp_bou
 from twodist.bounds import gray_rankin_bound, sphere_bound
 
 # The full linear programming bound restricted to two distances: a
-# two-variable LP solved exactly by vertex enumeration.  These cells are
+# two-variable LP solved exactly in integer arithmetic.  These cells are
 # classics of the trade: the second one certifies that 154 binary words
 # of length 18 with distances {2, 4} are the most possible.
 for q, n, d, delta in [(2, 11, 2, 2), (2, 18, 2, 2), (3, 10, 3, 3)]:

@@ -1,7 +1,8 @@
 """Upper bounds for the size of two-distance codes.
 
 All methods are exact: the restricted Delsarte linear program is solved
-by 2-variable vertex enumeration over rationals, the closed-form bounds
+in integer arithmetic by walking the boundary of its 2-variable feasible
+polygon from the origin to the optimal vertex, the closed-form bounds
 are evaluated as fractions and floored at the very end.  Identical input
 always produces a bit-identical report.
 
@@ -24,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import BoundStatus, TwoDistParams
-from .krawtchouk import kraw_eval
+from .krawtchouk import kraw_column, kraw_eval
 from . import feasibility
 
 
@@ -34,28 +35,28 @@ class LpUnboundedError(RuntimeError):
 
 def _lp_constraints(params: TwoDistParams):
     """Rows (a, b, c) meaning a*A_d + b*A_e + c >= 0, plus the two axes."""
-    n, q, d, e = params.n, params.q, params.d, params.d2
-    rows = [(1, 0, 0), (0, 1, 0)]
-    for i in range(1, n + 1):
-        rows.append((kraw_eval(n, q, i, d), kraw_eval(n, q, i, e), kraw_eval(n, q, i, 0)))
-    return rows
+    n, q = params.n, params.q
+    k_d, k_e, k_0 = (kraw_column(n, q, z) for z in (params.d, params.d2, 0))
+    return [(1, 0, 0), (0, 1, 0), *zip(k_d[1:], k_e[1:], k_0[1:])]
 
 
 def _lp_is_unbounded(rows) -> bool:
     """Check for a recession direction (u, v) >= 0, u+v > 0 in the cone."""
-    # directions (1, t), t >= 0
-    lo, hi = Fraction(0), None
+    # directions (1, t) need lo <= t <= hi, each kept as (num, den) with
+    # den > 0, except hi = 1/0, which stands for +infinity
+    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 0
     family_dead = False
     for a, b, _ in rows[2:]:
         if b > 0:
-            lo = max(lo, Fraction(-a, b))
+            if -a * lo_den > lo_num * b:
+                lo_num, lo_den = -a, b
         elif b < 0:
-            bound = Fraction(-a, b)
-            hi = bound if hi is None else min(hi, bound)
+            if a * hi_den < hi_num * -b:
+                hi_num, hi_den = a, -b
         elif a < 0:
             family_dead = True
             break
-    if not family_dead and (hi is None or lo <= hi):
+    if not family_dead and lo_num * hi_den <= hi_num * lo_den:
         return True
     # direction (0, 1)
     return all(b >= 0 for a, b, _ in rows[2:])
@@ -66,30 +67,85 @@ def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fractio
 
     Returns the optimum and the attaining vertex (A_d, A_e).  Raises
     LpUnboundedError when the feasible region is unbounded; degenerate
-    inputs can trigger this, in-range table queries never do.
+    inputs can trigger this, in-range table queries never do.  Below the
+    two axes every row has c = K_i(0) = (q-1)^i C(n, i) > 0, as
+    `_lp_solve` requires.
     """
     rows = _lp_constraints(params)
     if _lp_is_unbounded(rows):
         raise LpUnboundedError(f"restricted LP unbounded for {params}")
-    best = Fraction(1)
-    best_pt = (Fraction(0), Fraction(0))
-    m = len(rows)
-    for i in range(m):
-        a1, b1, c1 = rows[i]
-        for j in range(i + 1, m):
-            a2, b2, c2 = rows[j]
-            det = a1 * b2 - a2 * b1
-            if det == 0:
+    return _lp_solve(rows)
+
+
+def _lp_meet(r1, r2) -> tuple[int, int, int]:
+    """Crossing (X/det, Y/det) of two row lines as integers (X, Y, det), det > 0."""
+    a1, b1, c1 = r1
+    a2, b2, c2 = r2
+    det = a1 * b2 - a2 * b1
+    x = c2 * b1 - c1 * b2
+    y = a2 * c1 - a1 * c2
+    return (x, y, det) if det > 0 else (-x, -y, -det)
+
+
+def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Maximise 1 + x + y over a bounded region whose rows 2.. have c > 0.
+
+    Every vertex is kept as integer numerators (X, Y) over a determinant
+    det > 0, and every comparison is an integer cross-multiplication; no
+    Fraction is built until the result is returned.
+
+    The origin is a vertex where only the axes are tight.  From it the
+    walk follows the boundary counterclockwise, starting along the x-axis:
+    on the line of row (a, b, c) it moves in direction (b, -a), and the
+    rows with the least ratio slack / rate stop it, slack = aX + bY + c*det
+    and rate the speed at which that slack falls.  The next edge runs along
+    the stopping row whose direction stays inside the half-planes of the
+    other stopping rows.  The objective rises along an edge by b - a; the
+    walk ends at the first vertex whose next edge does not rise, and an
+    edge with b = a joins a second optimal vertex.
+
+    The result equals that of enumerating every pair of rows (i, j),
+    i < j, in order and keeping the first feasible vertex that strictly
+    beats the best so far: of the optimal vertices (one, or the two ends
+    of an optimal edge) it is the one whose first pair of tight,
+    non-parallel rows comes first.
+    """
+    r, (x, y, det) = 1, (0, 0, 1)
+    level = None  # start of an edge of constant objective
+    while True:
+        ux, uy = rows[r][1], -rows[r][0]
+        # the region is bounded, so some row stops every edge
+        stops, stop_slack, stop_rate = [], 0, 1
+        for k, (a, b, c) in enumerate(rows):
+            rate = -(a * ux + b * uy)
+            if rate <= 0:
                 continue
-            x = Fraction(-c1 * b2 + c2 * b1, det)
-            y = Fraction(-a1 * c2 + a2 * c1, det)
-            if x < 0 or y < 0:
-                continue
-            if all(a * x + b * y + c >= 0 for a, b, c in rows):
-                obj = 1 + x + y
-                if obj > best:
-                    best, best_pt = obj, (x, y)
-    return best, best_pt
+            slack = a * x + b * y + c * det
+            if not stops or slack * stop_rate < stop_slack * rate:
+                stops, stop_slack, stop_rate = [k], slack, rate
+            elif slack * stop_rate == stop_slack * rate:
+                stops.append(k)
+        x, y, det = _lp_meet(rows[r], rows[stops[0]])
+        r = next(
+            k for k in stops
+            if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
+        )
+        rise = rows[r][1] - rows[r][0]
+        if rise < 0:
+            break
+        level = (x, y, det) if rise == 0 else None
+
+    def first_pair(vertex):
+        x, y, det = vertex
+        tight = [k for k, (a, b, c) in enumerate(rows) if a * x + b * y + c * det == 0]
+        for p, i in enumerate(tight):
+            for j in tight[p + 1:]:
+                if rows[i][0] * rows[j][1] != rows[j][0] * rows[i][1]:
+                    return i, j
+
+    ends = [(x, y, det)] if level is None else [level, (x, y, det)]
+    x, y, det = min(ends, key=first_pair)
+    return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
 
 
 def lp_bound(params: TwoDistParams) -> int:

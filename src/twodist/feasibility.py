@@ -401,8 +401,12 @@ def gcd_screen(lp: LinearParams, delta: int | None = None) -> GcdScreen:
     code must satisfy, clause by clause:
 
       (i)   s = 1, k >= 4: gcd(q,d) = gcd(q,delta) and gcd(q,d_c) = gcd(q,delta);
-      (ii)  s = 1, k = 3: both gcd equalities, provided
-            gcd(d,q)^2 <= q*gcd(n(n-1),q) or gcd(d+delta,q)^2 > q*gcd(n_c(n_c-1),q);
+      (ii)  s = 1, k = 3: gcd(q,d) = gcd(q,delta) or gcd(q,d_c) = gcd(q,delta),
+            provided gcd(d,q)^2 <= q*gcd(n(n-1),q) or
+            gcd(d+delta,q)^2 > q*gcd(n_c(n_c-1),q).  Like (iii) the
+            condition is a disjunction, symmetric under complementation:
+            the hyperoval [6,3,{4,6}]_4 and its complement [15,3,{10,12}]_4
+            each satisfy only one of the two equalities;
       (iii) s = 1, k >= 2: gamma_d = gamma_delta or gamma_c = gamma_delta;
       (iv)  s >= 1, k >= 3: same disjunction as (iii).
 
@@ -452,7 +456,7 @@ def gcd_screen(lp: LinearParams, delta: int | None = None) -> GcdScreen:
             cond1 = gd * gd <= q * math.gcd(n * (n - 1), q)
             cond2 = math.gcd(q, d + delta) ** 2 > q * math.gcd(n_c * (n_c - 1), q)
             if cond1 or cond2:
-                ok = gd == gdel and gdc == gdel
+                ok = gd == gdel or gdc == gdel
                 fired = "first" if cond1 else "second"
                 clauses.append(ClauseVerdict("ii", True, ok, f"{fired} condition fired"))
             else:

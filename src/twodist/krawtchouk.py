@@ -36,6 +36,28 @@ def kraw_eval(n: int, q: int, i: int, z: int) -> int:
     return total
 
 
+def kraw_column(n: int, q: int, z: int) -> list[int]:
+    """[K_0(z), ..., K_n(z)] for the (n, q) Hamming scheme, exact.
+
+    One pass of the three-term recurrence
+
+        (i+1) K_{i+1}(z) = ((n-i)(q-1) + i - qz) K_i(z) - (q-1)(n-i+1) K_{i-1}(z),
+
+    whose right-hand side is always divisible by i+1.
+    """
+    if not (0 <= z <= n):
+        raise ValueError(f"point z={z} outside 0..{n}")
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    col = [1]
+    prev, cur = 0, 1
+    for i in range(n):
+        nxt = ((n - i) * (q - 1) + i - q * z) * cur - (q - 1) * (n - i + 1) * prev
+        prev, cur = cur, nxt // (i + 1)
+        col.append(cur)
+    return col
+
+
 def kraw_norm(n: int, q: int, i: int, z: int) -> Fraction:
     """Normalized value Q_i(z) = K_i(z) / ((q-1)^i C(n,i))."""
     return Fraction(kraw_eval(n, q, i, z), (q - 1) ** i * math.comb(n, i))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from twodist.bounds import (
     ExternalBounds,
     ExternalBoundsError,
+    LpUnboundedError,
+    _lp_constraints,
     _lp_is_unbounded,
+    _lp_solve,
     best_upper_bound,
     d2_bound,
     dd_refine,
@@ -17,10 +21,86 @@ from twodist.bounds import (
     sphere_linear_dim_limit,
 )
 from twodist.core import TwoDistParams
+from twodist.krawtchouk import kraw_eval
 
 
 def P(q, n, d, delta):
     return TwoDistParams(q, n, d, delta)
+
+
+def reference_rows(params):
+    """LP rows from separate kraw_eval calls, plus the two axes."""
+    n, q, d, e = params.n, params.q, params.d, params.d2
+    rows = [(1, 0, 0), (0, 1, 0)]
+    for i in range(1, n + 1):
+        rows.append((kraw_eval(n, q, i, d), kraw_eval(n, q, i, e), kraw_eval(n, q, i, 0)))
+    return rows
+
+
+def reference_is_unbounded(rows):
+    """Recession-direction test over Fractions."""
+    lo, hi = Fraction(0), None
+    family_dead = False
+    for a, b, _ in rows[2:]:
+        if b > 0:
+            lo = max(lo, Fraction(-a, b))
+        elif b < 0:
+            bound = Fraction(-a, b)
+            hi = bound if hi is None else min(hi, bound)
+        elif a < 0:
+            family_dead = True
+            break
+    if not family_dead and (hi is None or lo <= hi):
+        return True
+    return all(b >= 0 for a, b, _ in rows[2:])
+
+
+def reference_lp(rows):
+    """Fraction vertex enumeration: every pair of rows in order, strict improvement."""
+    if reference_is_unbounded(rows):
+        raise LpUnboundedError("unbounded")
+    best = Fraction(1)
+    best_pt = (Fraction(0), Fraction(0))
+    m = len(rows)
+    for i in range(m):
+        a1, b1, c1 = rows[i]
+        for j in range(i + 1, m):
+            a2, b2, c2 = rows[j]
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            x = Fraction(-c1 * b2 + c2 * b1, det)
+            y = Fraction(-a1 * c2 + a2 * c1, det)
+            if x < 0 or y < 0:
+                continue
+            if all(a * x + b * y + c >= 0 for a, b, c in rows):
+                obj = 1 + x + y
+                if obj > best:
+                    best, best_pt = obj, (x, y)
+    return best, best_pt
+
+
+# every table cell of q in {2,3,4,5,7,8,9}, delta 1..6, n <= 39
+SWEEP = [
+    P(q, n, d, delta)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for delta in range(1, 7)
+    for n in range(delta + 1, 40)
+    for d in range(1, n - delta + 1)
+]
+
+
+def random_rows(rng):
+    """Small-integer rows with c > 0: many ties, parallel and concurrent lines."""
+    bound = rng.randint(1, 4)
+    rows = [(1, 0, 0), (0, 1, 0)]
+    for _ in range(rng.randint(1, 8)):
+        a = rng.randint(-bound, bound)
+        b = rng.choice([a, a, rng.randint(-bound, bound)])  # b = a: an edge of equal objective
+        rows.append((a, b, rng.randint(1, 2 * bound)))
+    if rng.random() < 0.3:
+        rows.insert(rng.randrange(2, len(rows) + 1), rng.choice(rows[2:]))
+    return rows
 
 
 class TestLpBound:
@@ -52,6 +132,35 @@ class TestLpBound:
         assert _lp_is_unbounded(rows)
         rows = [(1, 0, 0), (0, 1, 0), (-1, -1, 5)]
         assert not _lp_is_unbounded(rows)
+        # b == 0 and a < 0 rule out every direction (1, t) ...
+        rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 5), (0, -1, 5)]
+        assert not _lp_is_unbounded(rows)
+        # ... leaving (0, 1), the only unbounded direction here
+        rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 5), (-1, 2, 3)]
+        assert _lp_is_unbounded(rows)
+
+    def test_matches_reference_on_short_lengths(self):
+        for params in SWEEP:
+            if params.n <= 16:
+                assert lp_optimum(params) == reference_lp(reference_rows(params)), params
+
+    def test_matches_reference_on_sweep_sample(self):
+        for params in SWEEP[::50]:
+            rows = reference_rows(params)
+            assert _lp_constraints(params) == rows, params
+            assert lp_optimum(params) == reference_lp(rows), params
+
+    def test_matches_reference_on_degenerate_rows(self):
+        rng = random.Random(7)
+        bounded = 0
+        for _ in range(3000):
+            rows = random_rows(rng)
+            unbounded = reference_is_unbounded(rows)
+            assert _lp_is_unbounded(rows) == unbounded, rows
+            if not unbounded:
+                bounded += 1
+                assert _lp_solve(rows) == reference_lp(rows), rows
+        assert bounded > 2000
 
 
 class TestPlotkin:

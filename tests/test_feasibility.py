@@ -5,6 +5,7 @@ import pytest
 from twodist.constructions import (
     arc_code,
     column_multiplicity,
+    complementary_code,
     dm_code,
     su1_code,
     su2_code,
@@ -289,6 +290,7 @@ class TestScreensOnConstructions:
         (su1_code(2, 4, 2, 1, 1), LinearParams(2, 4, 12, 6, 8, s=1)),
         (su1_code(3, 3, 2, 1, 1), LinearParams(3, 3, 9, 6, 9, s=1)),
         (arc_code(4), LinearParams(4, 3, 6, 4, 6, s=1)),
+        (complementary_code(arc_code(4)), LinearParams(4, 3, 15, 10, 12, s=1)),
     ]
 
     def test_all_screens_pass(self):

@@ -7,6 +7,7 @@ import pytest
 from twodist.krawtchouk import (
     KrawtchoukCoeffs,
     RationalPoly,
+    kraw_column,
     kraw_eval,
     kraw_expand,
     kraw_norm,
@@ -48,6 +49,16 @@ class TestEval:
             kraw_eval(5, 2, 6, 0)
         with pytest.raises(ValueError):
             kraw_eval(5, 2, 2, 6)
+        with pytest.raises(ValueError):
+            kraw_column(5, 2, 6)
+        with pytest.raises(ValueError):
+            kraw_column(5, 1, 0)
+
+    @pytest.mark.parametrize("q", range(2, 10))
+    def test_column_matches_eval(self, q):
+        for n in range(1, 41):
+            for z in range(n + 1):
+                assert kraw_column(n, q, z) == [kraw_eval(n, q, i, z) for i in range(n + 1)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
