@@ -13,7 +13,7 @@ from .core import (
     verify_two_distance,
     write_code,
 )
-from .krawtchouk import KrawtchoukCoeffs, RationalPoly, kraw_column, kraw_eval, kraw_expand
+from .krawtchouk import kraw_column, kraw_eval
 from .bounds import (
     BoundReport,
     ExternalBounds,

@@ -1,21 +1,51 @@
 """Codes over small alphabets and their distance statistics.
 
-Everything here is exact: distance distributions and moments are computed
-with `fractions.Fraction`, never floats.  All types are immutable after
-construction and all operations are pure functions, so values can be
-shared freely between threads.
+Everything here is exact: pair-distance counts are integers, and distance
+distributions and moments are `fractions.Fraction`s, never floats.  Every
+word-pair distance in the library comes from one blocked numpy kernel,
+`distance_blocks`.  All types are immutable after construction and all
+operations are pure functions, so values can be shared freely between
+threads.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from functools import cached_property
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .krawtchouk import kraw_eval
 
 MAX_ALPHABET = 9  # the text file format stores one base-q digit per symbol
+BLOCK_DISTANCES = 1 << 16  # distances held by one block of `distance_blocks`
+
+
+def distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, D) with D[i, j] = Hamming distance of a[start + i] and b[j].
+
+    `a` and `b` are 2-D symbol arrays with equal row length n.  Each block
+    covers whole rows of `a` and holds at most BLOCK_DISTANCES distances,
+    or a single row when `b` alone is longer.  Distances accumulate one
+    coordinate at a time in the smallest unsigned dtype that holds n.
+    """
+    n = a.shape[1]
+    rows = max(1, BLOCK_DISTANCES // max(1, len(b)))
+    a_cols, b_cols = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    dtype = np.min_scalar_type(n)
+    for start in range(0, len(a), rows):
+        stop = min(len(a), start + rows)
+        dist = np.zeros((stop - start, len(b)), dtype=dtype)
+        for k in range(n):
+            dist += a_cols[k, start:stop, None] != b_cols[k]
+        yield start, dist
+
+
+def _word_array(code: "Code") -> np.ndarray:
+    """The code's words as a (size, n) array of the smallest fitting dtype."""
+    return np.array(code.words, dtype=np.min_scalar_type(code.q - 1))
 
 
 class CodeFormatError(ValueError):
@@ -50,6 +80,15 @@ class Code:
     @property
     def size(self) -> int:
         return len(self.words)
+
+    @cached_property
+    def distance_counts(self) -> tuple[int, ...]:
+        """cnt[j] = number of ordered word pairs (x, y) at distance j, x = y included."""
+        words = _word_array(self)
+        cnt = np.zeros(self.n + 1, dtype=np.int64)
+        for _, dist in distance_blocks(words, words):
+            cnt += np.bincount(dist.ravel(), minlength=self.n + 1)
+        return tuple(int(c) for c in cnt)
 
     @staticmethod
     def from_words(q: int, words: Iterable[Iterable[int]]) -> "Code":
@@ -141,24 +180,9 @@ class TwoDistReport:
     distribution: DistanceDistribution
 
 
-def hamming(x: tuple[int, ...], y: tuple[int, ...]) -> int:
-    return sum(a != b for a, b in zip(x, y))
-
-
-def pair_distance_counts(code: Code) -> list[int]:
-    """cnt[j] = number of ordered word pairs (x, y) at distance j, x = y included."""
-    cnt = [0] * (code.n + 1)
-    cnt[0] = code.size
-    words = code.words
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            cnt[hamming(words[i], words[j])] += 2
-    return cnt
-
-
 def distance_distribution(code: Code) -> DistanceDistribution:
     """Distance distribution A_j; A_0 = 1 and sum(A_j) = |C|."""
-    cnt = pair_distance_counts(code)
+    cnt = code.distance_counts
     return DistanceDistribution(
         code.n, code.size, tuple(Fraction(c, code.size) for c in cnt)
     )
@@ -185,41 +209,28 @@ def verify_two_distance(code: Code, params: TwoDistParams) -> TwoDistReport:
 def strength(code: Code) -> int:
     """Largest t such that every t-column projection hits every tuple equally often.
 
-    Returns 0 when even single columns are unbalanced.  Strength t implies
-    strength t-1, so the search walks t upward until a projection fails.
+    Read off the dual distribution: by Delsarte's theorem a code is an
+    orthogonal array of strength t if and only if its moments 1..t all
+    vanish.  Returns 0 when even the first moment is nonzero.
     """
-    n, q, size = code.n, code.q, code.size
     t = 0
-    while t < n:
-        t_next = t + 1
-        if size % (q**t_next):
-            break
-        lam = size // (q**t_next)
-        ok = True
-        for cols in itertools.combinations(range(n), t_next):
-            seen: dict[tuple[int, ...], int] = {}
-            for w in code.words:
-                key = tuple(w[c] for c in cols)
-                seen[key] = seen.get(key, 0) + 1
-            if len(seen) != q**t_next or any(v != lam for v in seen.values()):
-                ok = False
-                break
-        if not ok:
-            break
-        t = t_next
+    while t < code.n and moments(code, t + 1) == 0:
+        t += 1
     return t
 
 
 def moments(code: Code, i: int) -> Fraction:
     """i-th Krawtchouk moment: sum over ordered pairs of K_i(d(x,y)) / r_i.
 
-    Always an exact rational.  Nonnegative for every code (positive
-    semidefiniteness of the kernel), and zero for 1 <= i <= strength.
+    Always an exact rational, equal to |C|^2 B_i / r_i for the dual
+    distribution B_i = (1/|C|) sum_j A_j K_i(j).  Nonnegative for every
+    code (positive semidefiniteness of the kernel).  By Delsarte's theorem
+    the code is an orthogonal array of strength t if and only if the
+    moments 1..t are all zero.
     """
     if i < 0 or i > code.n:
         raise ValueError(f"moment index {i} outside 0..{code.n}")
-    cnt = pair_distance_counts(code)
-    total = sum(c * kraw_eval(code.n, code.q, i, j) for j, c in enumerate(cnt))
+    total = sum(c * kraw_eval(code.n, code.q, i, j) for j, c in enumerate(code.distance_counts))
     r_i = (code.q - 1) ** i * math.comb(code.n, i)
     return Fraction(total, r_i)
 
@@ -228,18 +239,15 @@ def is_antipodal(code: Code) -> bool:
     """True iff the words split into groups of q words pairwise at distance n."""
     if code.size % code.q:
         return False
-    words = code.words
-    groups: dict[tuple[int, ...], frozenset] = {}
-    for w in words:
-        far = frozenset(v for v in words if v == w or hamming(v, w) == code.n)
-        if len(far) != code.q:
-            return False
-        groups[w] = far
-    for w, g in groups.items():
-        for v in g:
-            if groups[v] != g:
+    words = _word_array(code)
+    groups: list[frozenset[int]] = []
+    for start, dist in distance_blocks(words, words):
+        for i, far in enumerate(dist == code.n, start):
+            group = frozenset(np.flatnonzero(far).tolist()) | {i}
+            if len(group) != code.q:
                 return False
-    return True
+            groups.append(group)
+    return all(groups[v] == g for g in groups for v in g)
 
 
 def translate(code: Code, word: tuple[int, ...]) -> Code:

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BoundStatus, TwoDistParams
+import numpy as np
+
+from .core import BoundStatus, TwoDistParams, distance_blocks
 from .fields import prime_power
 
 
@@ -567,30 +569,28 @@ class SrgEmpirical:
 def srg_empirical(code, w1: int) -> SrgEmpirical:
     """Build the graph on codewords adjacent at distance w1 and measure it.
 
-    Checks regularity and common-neighbor counts directly, then computes
+    The graph comes from the shared distance kernel and the common-neighbor
+    counts from one integer matrix product; the check then computes
     the eigenvalue multiplicities exactly as kernel dimensions of A - rho*I
     over the rationals (the candidate eigenvalues come from degree and the
     two common-neighbor counts).  Everything is exact integer/rational
     arithmetic.
     """
-    from .core import hamming  # local import to keep module deps one-way
-
-    words = code.words
+    words = np.array(code.words)
     size = len(words)
-    adj = [[0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            if hamming(words[i], words[j]) == w1:
-                adj[i][j] = adj[j][i] = 1
-    degrees = {sum(row) for row in adj}
+    adj = np.empty((size, size), dtype=np.int64)
+    for start, dist in distance_blocks(words, words):
+        adj[start : start + len(dist)] = dist == w1
+    np.fill_diagonal(adj, 0)
+    degrees = set(adj.sum(axis=1).tolist())
     if len(degrees) != 1:
         return SrgEmpirical((size, -1, -1, -1), False, ())
     k = degrees.pop()
-    lam_set, mu_set = set(), set()
-    for i in range(size):
-        for j in range(i + 1, size):
-            common = sum(adj[i][t] and adj[j][t] for t in range(size))
-            (lam_set if adj[i][j] else mu_set).add(common)
+    common = adj @ adj
+    upper = np.triu_indices(size, 1)
+    adjacent = adj[upper] == 1
+    lam_set = set(common[upper][adjacent].tolist())
+    mu_set = set(common[upper][~adjacent].tolist())
     if len(lam_set) > 1 or len(mu_set) > 1:
         return SrgEmpirical((size, k, -1, -1), False, ())
     lam = lam_set.pop() if lam_set else 0
@@ -599,7 +599,7 @@ def srg_empirical(code, w1: int) -> SrgEmpirical:
     mults = []
     if disc is not None:
         for rho in (Fraction(lam - mu + disc, 2), Fraction(lam - mu - disc, 2)):
-            mults.append((rho, _kernel_dimension(adj, rho)))
+            mults.append((rho, _kernel_dimension(adj.tolist(), rho)))
     return SrgEmpirical((size, k, lam, mu), True, tuple(mults))
 
 

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Code, DistanceDistribution, TwoDistParams, TwoDistReport, verify_two_distance
+from .core import (
+    Code,
+    DistanceDistribution,
+    TwoDistParams,
+    TwoDistReport,
+    distance_blocks,
+    verify_two_distance,
+)
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -102,19 +109,16 @@ def candidate_words(params: TwoDistParams) -> np.ndarray:
 
 
 def _distances_to(cands: np.ndarray, word: np.ndarray) -> np.ndarray:
-    return (cands != word).sum(axis=1)
+    return np.concatenate([dist[:, 0] for _, dist in distance_blocks(cands, word[None])])
 
 
 def _adjacency(cands: np.ndarray, good: set[int]) -> np.ndarray:
-    """Boolean matrix: candidate pair at a distance in `good` (blocked)."""
+    """Boolean matrix: candidate pair at a distance in `good`."""
     m = len(cands)
-    adj = np.zeros((m, m), dtype=bool)
-    block = max(1, (1 << 24) // max(1, m * cands.shape[1]))
+    adj = np.empty((m, m), dtype=bool)
     good_arr = np.array(sorted(good))
-    for start in range(0, m, block):
-        stop = min(m, start + block)
-        dist = (cands[start:stop, None, :] != cands[None, :, :]).sum(axis=2)
-        adj[start:stop] = np.isin(dist, good_arr)
+    for start, dist in distance_blocks(cands, cands):
+        adj[start : start + len(dist)] = np.isin(dist, good_arr)
     np.fill_diagonal(adj, False)
     return adj
 

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodist.constructions import dm_code, seed_code
+from twodist import constructions
+from twodist.constructions import GeneratorMatrix, dm_code, seed_code
 from twodist.core import (
     Code,
     CodeFormatError,
     TwoDistParams,
     distance_distribution,
-    hamming,
     is_antipodal,
     moments,
     read_code,
@@ -20,6 +20,70 @@ from twodist.core import (
     verify_two_distance,
     write_code,
 )
+
+
+# references: the pure-Python pair loop, column-subset strength and
+# pairwise antipodality that the distance kernel and Delsarte's theorem replace
+
+
+def hamming(x, y):
+    return sum(a != b for a, b in zip(x, y))
+
+
+def reference_counts(code):
+    cnt = [0] * (code.n + 1)
+    cnt[0] = code.size
+    words = code.words
+    for i in range(len(words)):
+        for j in range(i + 1, len(words)):
+            cnt[hamming(words[i], words[j])] += 2
+    return tuple(cnt)
+
+
+def reference_strength(code):
+    n, q, size = code.n, code.q, code.size
+    t = 0
+    while t < n:
+        t_next = t + 1
+        if size % (q**t_next):
+            break
+        lam = size // (q**t_next)
+        ok = True
+        for cols in itertools.combinations(range(n), t_next):
+            seen = {}
+            for w in code.words:
+                key = tuple(w[c] for c in cols)
+                seen[key] = seen.get(key, 0) + 1
+            if len(seen) != q**t_next or any(v != lam for v in seen.values()):
+                ok = False
+                break
+        if not ok:
+            break
+        t = t_next
+    return t
+
+
+def reference_antipodal(code):
+    if code.size % code.q:
+        return False
+    words = code.words
+    groups = {}
+    for w in words:
+        far = frozenset(v for v in words if v == w or hamming(v, w) == code.n)
+        if len(far) != code.q:
+            return False
+        groups[w] = far
+    for w, g in groups.items():
+        for v in g:
+            if groups[v] != g:
+                return False
+    return True
+
+
+def assert_matches_reference(code):
+    assert code.distance_counts == reference_counts(code)
+    assert strength(code) == reference_strength(code)
+    assert is_antipodal(code) == reference_antipodal(code)
 
 
 def bits(*strings):
@@ -234,3 +298,87 @@ def test_moments_nonnegative_and_vanish_up_to_strength(code):
         assert m >= 0
         if 1 <= i <= t:
             assert m == 0
+
+
+# the kernel against the references -----------------------------------------
+
+# every catalog family the benchmark's verify workload builds:
+# (constructions function, *args); a tuple argument is built first
+CATALOG_BUILDS = (
+    *(("dm_code", p, ell, h) for p, ell, h in [
+        (2, 1, 2), (2, 1, 3), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 3, 1),
+        (3, 1, 2), (5, 1, 1), (7, 1, 1), (2, 1, 4), (3, 2, 1)]),
+    *(("seed_code", "simplex", q, m) for q, m in [(2, 5), (3, 4), (4, 3), (5, 3)]),
+    *(("seed_code", "mds2", q, r) for q, r in [(7, 5), (9, 7), (8, 6)]),
+    ("su1_code", 2, 4, 2, 1, 1, "remove"), ("su1_code", 2, 6, 3, 1, 1, "remove"),
+    ("su1_code", 3, 4, 2, 1, 1, "remove"), ("su1_code", 2, 4, 2, 1, 1, "union"),
+    ("su1_code", 3, 4, 2, 1, 1, "union"),
+    *(("su2_code", p, m, r) for p, m, r in [(2, 2, 3), (2, 3, 4), (3, 2, 4), (2, 4, 5), (5, 2, 3)]),
+    ("arc_code", 4), ("arc_code", 8),
+    ("pencil_code", 7, 3), ("pencil_code", 9, 2), ("pencil_code", 8, 4),
+    ("complementary_code", ("su2_code", 2, 2, 3)), ("complementary_code", ("su2_code", 2, 3, 4)),
+    ("complementary_code", ("su2_code", 3, 2, 3)), ("complementary_code", ("seed_code", "mds2", 9, 6)),
+    ("small_family_code", "weight2", 12, 2, None, None),
+    ("small_family_code", "bin-2-2d", 20, 2, None, 4),
+    ("small_family_code", "disjoint", 30, 2, 2, None),
+)
+
+
+def construct(build):
+    fn, *args = build
+    args = [construct(a) if isinstance(a, tuple) else a for a in args]
+    return getattr(constructions, fn)(*args)
+
+
+@pytest.mark.parametrize("build", CATALOG_BUILDS, ids=lambda b: "-".join(map(str, b)))
+def test_catalog_codes_match_reference(build):
+    made = construct(build)
+    assert_matches_reference(made.span() if isinstance(made, GeneratorMatrix) else made)
+
+
+@st.composite
+def linear_spans(draw):
+    """Spans of random generator matrices over GF(2) and GF(3), repeats dropped."""
+    q = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    words = {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % q for j in range(n))
+        for coeffs in itertools.product(range(q), repeat=k)
+    }
+    return Code(q, n, tuple(sorted(words)))
+
+
+@given(st.one_of(small_codes(), linear_spans()))
+@settings(max_examples=150, deadline=None)
+def test_random_codes_match_reference(code):
+    assert_matches_reference(code)
+
+
+class TestKernelEdgeCases:
+    def test_one_word(self):
+        assert_matches_reference(Code(3, 4, ((1, 2, 0, 1),)))
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_length_one(self, q):
+        assert_matches_reference(Code(q, 1, tuple((s,) for s in range(q))))
+        assert_matches_reference(Code(q, 1, ((q - 1,),)))
+        assert is_antipodal(Code(q, 1, tuple((s,) for s in range(q))))
+
+    def test_symbols_up_to_26(self):
+        assert_matches_reference(seed_code("mds2", 27, 4).span())
+        assert_matches_reference(Code(27, 3, ((0, 13, 26), (26, 26, 26), (5, 0, 26))))
+
+    def test_non_transitive_far_relation(self):
+        # every far set has q = 3 words, but the far graph is a 6-cycle
+        code = Code(3, 2, bits("00", "11", "02", "10", "01", "12"))
+        assert not reference_antipodal(code)
+        assert_matches_reference(code)
+
+    def test_complementary_words_of_length_300(self):
+        # n >= 256 needs a wider accumulator than uint8
+        code = Code(2, 300, ((0,) * 300, (1,) * 300))
+        assert code.distance_counts[300] == 2
+        assert_matches_reference(code)

@@ -1,9 +1,12 @@
+import numpy as np
 import pytest
 
 from twodist.core import TwoDistParams
 from twodist.search import (
     SearchConfig,
     SplitMix64,
+    _adjacency,
+    _distances_to,
     candidate_count,
     candidate_words,
     exhaustive_maximum,
@@ -101,3 +104,35 @@ class TestOracle:
     def test_size_limit_enforced(self):
         with pytest.raises(ValueError, match="limit"):
             exhaustive_maximum(P(2, 16, 10, 2), max_vertices=100)
+
+
+# references: the broadcast distance code the shared kernel replaced
+
+
+def reference_adjacency(cands, good):
+    m = len(cands)
+    adj = np.zeros((m, m), dtype=bool)
+    block = max(1, (1 << 24) // max(1, m * cands.shape[1]))
+    good_arr = np.array(sorted(good))
+    for start in range(0, m, block):
+        stop = min(m, start + block)
+        dist = (cands[start:stop, None, :] != cands[None, :, :]).sum(axis=2)
+        adj[start:stop] = np.isin(dist, good_arr)
+    np.fill_diagonal(adj, False)
+    return adj
+
+
+class TestKernel:
+    @pytest.mark.parametrize(
+        "q,n,d,delta", [(2, 8, 4, 2), (2, 10, 4, 4), (2, 13, 2, 2), (3, 6, 4, 2), (4, 6, 4, 2)]
+    )
+    def test_adjacency_matches_reference(self, q, n, d, delta):
+        cands = candidate_words(P(q, n, d, delta))
+        good = {d, d + delta}
+        assert np.array_equal(_adjacency(cands, good), reference_adjacency(cands, good))
+
+    def test_streaming_distances_match_reference(self):
+        cands = candidate_words(P(2, 16, 8, 4))
+        for pick in (0, 1, len(cands) // 2, len(cands) - 1):
+            word = cands[pick]
+            assert np.array_equal(_distances_to(cands, word), (cands != word).sum(axis=1))
