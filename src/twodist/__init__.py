@@ -25,7 +25,6 @@ from .bounds import (
     lp_bound,
     plotkin_bound,
     sphere_bound,
-    sphere_linear_dim_limit,
 )
 from .feasibility import (
     LinearParams,
@@ -42,7 +41,6 @@ from .constructions import (
     GeneratorMatrix,
     arc_code,
     complementary_code,
-    concatenate,
     difference_matrix,
     dm_code,
     pencil_code,

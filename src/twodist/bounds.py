@@ -288,21 +288,6 @@ def sphere_bound(params: TwoDistParams) -> SphereBound:
     return SphereBound(applicable, m2 + 1 if applicable else None, r, s)
 
 
-def sphere_linear_dim_limit(params: TwoDistParams) -> int | None:
-    """Largest k with q^k <= 2(q-1)n + 1; no linear code of larger dimension.
-
-    None when the spherical bound itself is inapplicable.
-    """
-    sb = sphere_bound(params)
-    if not sb.applicable:
-        return None
-    cap = sb.value
-    k = 0
-    while params.q ** (k + 1) <= cap:
-        k += 1
-    return k
-
-
 class ExternalBoundsError(ValueError):
     """Raised for malformed external bound tables."""
 

@@ -13,6 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import Code, TwoDistParams
 from .fields import GF, prime_power
 
@@ -63,39 +65,42 @@ class GeneratorMatrix:
                 break
         return rank
 
-    def codeword(self, message: tuple[int, ...]) -> tuple[int, ...]:
-        field = GF(self.q)
-        word = [0] * self.n
-        for coeff, row in zip(message, self.rows):
-            if coeff:
-                for i, x in enumerate(row):
-                    if x:
-                        word[i] = field.add(word[i], field.mul(coeff, x))
-        return tuple(word)
-
-    def messages(self):
-        """All q^k messages; index i maps to the base-q digits of i, low first."""
-        q, k = self.q, self.k
-        for i in range(q**k):
-            yield tuple((i // q**j) % q for j in range(k))
-
     def span(self) -> Code:
-        """The full code; raises when the matrix is rank deficient."""
-        words = [self.codeword(m) for m in self.messages()]
+        """The full code; word i has the base-q digits of i, low first, as row coefficients.
+
+        Raises when the matrix is rank deficient.
+        """
+        words = tuple(map(tuple, _span(self).tolist()))
         if len(set(words)) != len(words):
             raise ValueError("generator matrix is rank deficient; span has repeats")
-        return Code(self.q, self.n, tuple(words))
+        return Code(self.q, self.n, words)
 
     def weight_distribution(self) -> dict[int, int]:
         """Weight -> count over all nonzero messages (works when rank < k too)."""
-        out: Counter[int] = Counter()
-        for m in self.messages():
-            if any(m):
-                out[sum(1 for s in self.codeword(m) if s)] += 1
-        return dict(out)
+        return dict(Counter(np.count_nonzero(_span(self)[1:], axis=1).tolist()))
 
     def columns(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(r[i] for r in self.rows) for i in range(self.n))
+
+
+def _span(g: GeneratorMatrix) -> np.ndarray:
+    """All q^k codewords as a (q^k, n) array, rank deficient or not.
+
+    Row i is the word whose message takes the base-q digits of i, low
+    first, as the coefficients of the generator rows.  The rows are built
+    one generator row at a time from numpy copies of the field's tables:
+    every multiple c * row is added to every word so far, with c as the
+    next, more significant message digit.
+    """
+    field = GF(g.q)
+    dtype = np.min_scalar_type(g.q - 1)
+    add = np.array(field.add_table, dtype=dtype)
+    mul = np.array(field.mul_table, dtype=dtype)
+    words = np.zeros((1, g.n), dtype=dtype)
+    for row in g.rows:
+        multiples = mul[:, list(row)]
+        words = add[multiples[:, None, :], words[None, :, :]].reshape(-1, g.n)
+    return words
 
 
 def projective_points(q: int, k: int) -> tuple[tuple[int, ...], ...]:
@@ -132,29 +137,6 @@ def matrix_from_columns(q: int, cols) -> GeneratorMatrix:
 
 
 # ---------------------------------------------------------------------------
-# concatenation
-
-
-def concatenate(outer: Code, inner: Code) -> Code:
-    """Replace each outer symbol i by the i-th inner codeword.
-
-    Needs exactly one inner codeword per outer symbol and an inner
-    alphabet no larger than the outer one; the result is over the inner
-    alphabet with n = n_outer * n_inner and the outer cardinality.
-    """
-    if inner.size != outer.q:
-        raise ValueError(
-            f"inner code has {inner.size} words but outer alphabet has {outer.q} symbols"
-        )
-    if inner.q > outer.q:
-        raise ValueError("inner alphabet must embed in the outer alphabet")
-    words = tuple(
-        tuple(s for sym in w for s in inner.words[sym]) for w in outer.words
-    )
-    return Code(inner.q, outer.n * inner.n, words)
-
-
-# ---------------------------------------------------------------------------
 # difference matrices and their codes
 
 
@@ -170,23 +152,12 @@ class DifferenceMatrix:
         return self.q * self.mu
 
 
-def _group_sub(p: int, ell: int, a: int, b: int) -> int:
-    """Difference in the elementary abelian group of order p^ell (digit-wise)."""
-    out = 0
-    mult = 1
-    for _ in range(ell):
-        out += ((a % p - b % p) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
-
-
 def is_difference_matrix(dm: DifferenceMatrix, p: int, ell: int) -> bool:
+    field = GF(p**ell)
     rows = dm.entries
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            diff = Counter(_group_sub(p, ell, a, b) for a, b in zip(rows[i], rows[j]))
+            diff = Counter(field.sub(a, b) for a, b in zip(rows[i], rows[j]))
             if len(diff) != dm.q or any(v != dm.mu for v in diff.values()):
                 return False
     return True
@@ -195,10 +166,11 @@ def is_difference_matrix(dm: DifferenceMatrix, p: int, ell: int) -> bool:
 def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
     """D(p^ell, p^h): rows/columns indexed by GF(p^(ell+h)), entry phi(x*y).
 
-    phi keeps the first ell base-p digits of the product, a surjective
-    additive map onto the elementary abelian group of order p^ell; the
-    difference property then follows from field multiplication being a
-    bijection per row pair.  Validity is still checked by definition.
+    phi(z) = z mod p^ell keeps the low ell base-p digits of z, a surjective
+    additive map onto the additive group of GF(p^ell) (the elementary
+    abelian group of order p^ell, same digit encoding); the difference
+    property then follows from field multiplication being a bijection per
+    row pair.  Validity is still checked by definition.
     """
     if prime_power(p) != (p, 1):
         raise ValueError(f"p={p} must be prime")
@@ -207,14 +179,8 @@ def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
     field = GF(p ** (ell + h))
     q, mu = p**ell, p**h
     size = q * mu
-    entries = []
-    for x in range(size):
-        row = []
-        for y in range(size):
-            prod = field.mul(x, y)
-            row.append(field.from_digits(field.digits(prod)[:ell]))
-        entries.append(tuple(row))
-    dm = DifferenceMatrix(q=q, mu=mu, entries=tuple(entries))
+    entries = tuple(tuple(field.mul(x, y) % q for y in range(size)) for x in range(size))
+    dm = DifferenceMatrix(q=q, mu=mu, entries=entries)
     if not is_difference_matrix(dm, p, ell):
         raise AssertionError("constructed matrix violates the difference property")
     return dm
@@ -223,29 +189,17 @@ def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
 def dm_code(p: int, ell: int, h: int) -> Code:
     """Two-distance code from a difference matrix: all rows plus constants.
 
-    The words row + c*(1,...,1) over the group alphabet form an
-    (q*mu, q^2*mu, {(q-1)*mu, q*mu}) antipodal code: distinct rows differ
-    in all but exactly mu places regardless of the added constants, and
-    same-row translates differ everywhere.
+    The words row + c*(1,...,1), added in GF(p^ell) (whose additive group
+    is the matrix's alphabet), form an (q*mu, q^2*mu, {(q-1)*mu, q*mu})
+    antipodal code: distinct rows differ in all but exactly mu places
+    regardless of the added constants, and same-row translates differ
+    everywhere.
     """
     dm = difference_matrix(p, ell, h)
     q = dm.q
-    words = []
-    for row in dm.entries:
-        for c in range(q):
-            words.append(tuple(_group_add(p, ell, s, c) for s in row))
-    return Code(q, dm.order(), tuple(words))
-
-
-def _group_add(p: int, ell: int, a: int, b: int) -> int:
-    out = 0
-    mult = 1
-    for _ in range(ell):
-        out += ((a % p + b % p) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
+    field = GF(q)
+    words = tuple(tuple(field.add(s, c) for s in row) for row in dm.entries for c in range(q))
+    return Code(q, dm.order(), words)
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +279,10 @@ def su2_code(p: int, m: int, r: int) -> GeneratorMatrix:
     if not (2 <= r <= q + 1):
         raise ValueError("needs 2 <= r <= q+1")
     outer = seed_code("mds2", q, r)
-    inner = seed_code("simplex", p, m)
+    # row a of the simplex span is the inner word for the symbol a: both
+    # read the base-p digits of a, low first, as coefficients
+    inner_words = _span(seed_code("simplex", p, m))
     field = GF(q)
-    inner_words = {a: inner.codeword(field.digits(a)) for a in range(q)}
-
-    def image(word_q: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(s for sym in word_q for s in inner_words[sym])
 
     # powers of the element with digit vector (0, 1, 0, ...), i.e. integer p,
     # an F_p-basis multiplier set for GF(p^m)
@@ -340,8 +292,8 @@ def su2_code(p: int, m: int, r: int) -> GeneratorMatrix:
     rows = []
     for g_row in outer.rows:
         for t in range(m):
-            scaled = tuple(field.mul(powers[t], sym) for sym in g_row)
-            rows.append(image(scaled))
+            scaled = [field.mul(powers[t], sym) for sym in g_row]
+            rows.append(tuple(inner_words[scaled].ravel().tolist()))
     return GeneratorMatrix(p, tuple(rows))
 
 
@@ -462,13 +414,9 @@ def complementary_code(g: GeneratorMatrix) -> GeneratorMatrix:
         raise ValueError("complementary code is empty (all points already used)")
     comp = matrix_from_columns(g.q, sorted(complement))
     if g.q**g.k <= 4096:
-        target = s * g.q ** (g.k - 1)
         joint = GeneratorMatrix(g.q, tuple(a + b for a, b in zip(g.rows, comp.rows)))
-        for msg in joint.messages():
-            if any(msg):
-                w = sum(1 for x in joint.codeword(msg) if x)
-                if w != target:
-                    raise AssertionError("joint code is not equidistant")
+        if set(joint.weight_distribution()) != {s * g.q ** (g.k - 1)}:
+            raise AssertionError("joint code is not equidistant")
     return comp
 
 

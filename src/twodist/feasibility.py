@@ -334,6 +334,13 @@ class ComplementaryParams:
     degenerate: bool  # d_c = 0 or n_c = 0: complementary collapses
 
 
+def _column_multiplicities(lp: LinearParams) -> list[int]:
+    """Candidate column multiplicities s: lp.s when given, else 1..ceil(n(q-1)/(q^k-1)) + 1."""
+    if lp.s is not None:
+        return [lp.s]
+    return list(range(1, -(-lp.n * (lp.q - 1) // (lp.q**lp.k - 1)) + 2))
+
+
 def complementary_params(lp: LinearParams, delta: int | None = None) -> tuple[ComplementaryParams, ...]:
     """Length and minimum distance of the complementary two-weight code.
 
@@ -347,12 +354,8 @@ def complementary_params(lp: LinearParams, delta: int | None = None) -> tuple[Co
         raise ValueError("delta inconsistent with w2 - w1")
     q, k, n, d = lp.q, lp.k, lp.n, lp.w1
     points = (q**k - 1) // (q - 1)
-    if lp.s is not None:
-        s_values = [lp.s]
-    else:
-        s_values = list(range(1, -(-n * (q - 1) // (q**k - 1)) + 2))
     out = []
-    for s in s_values:
+    for s in _column_multiplicities(lp):
         n_c = s * points - n
         d_c = s * q ** (k - 1) - d - delta
         if n_c < 0 or d_c < 0:
@@ -423,12 +426,8 @@ def gcd_screen(lp: LinearParams, delta: int | None = None) -> GcdScreen:
         raise ValueError("gcd screen needs k >= 2")
     q, k, n, d, p = lp.q, lp.k, lp.n, lp.w1, lp.p
     points = (q**k - 1) // (q - 1)
-    if lp.s is not None:
-        s_values = [lp.s]
-    else:
-        s_values = list(range(1, -(-n * (q - 1) // (q**k - 1)) + 2))
     verdicts = []
-    for s in s_values:
+    for s in _column_multiplicities(lp):
         n_c = s * points - n
         d_c = s * q ** (k - 1) - d - delta
         vals = Valuations(

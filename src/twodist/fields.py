@@ -2,9 +2,10 @@
 
 Field elements are the integers 0..q-1.  An element a stands for the
 polynomial sum(a_i * x^i) over GF(p), where a_0, a_1, ... are the base-p
-digits of a (least significant first).  Addition is therefore digit-wise
-mod p, and multiplication reduces modulo a fixed monic irreducible
-polynomial.
+digits of a (least significant first).  Addition is digit-wise mod p, and
+multiplication reduces modulo a fixed monic irreducible polynomial.  Both
+operations are computed once, into a q x q addition table and a q x q
+multiplication table; `add`, `neg`, `sub` and `mul` are lookups in them.
 
 The reducing polynomial is the lexicographically smallest monic
 irreducible of degree m over GF(p) (smallest when read as the tuple of
@@ -15,7 +16,7 @@ this gives the conventional choices:
     GF(8):  x^3 + x + 1
     GF(9):  x^2 + 1
 
-Tables are cached per field so all callers share one instance.
+Fields are cached per q so all callers share one set of tables.
 """
 from __future__ import annotations
 
@@ -98,7 +99,7 @@ def _irreducible(p: int, m: int) -> list[int]:
 
 
 class Field:
-    """GF(q) with precomputed multiplication and inverse tables."""
+    """GF(q) with precomputed addition, multiplication and inverse tables."""
 
     def __init__(self, q: int):
         pm = prime_power(q)
@@ -107,52 +108,36 @@ class Field:
         self.q = q
         self.p, self.m = pm
         self.modulus = _irreducible(self.p, self.m)
-        self._mul = [[0] * q for _ in range(q)]
+        p = self.p
+        digits = [_digits(a, p, self.m) for a in range(q)]
+        self.add_table = [
+            [_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits]
+            for da in digits
+        ]
+        self.mul_table = [[0] * q for _ in range(q)]
         for a in range(q):
-            da = _digits(a, self.p, self.m)
             for b in range(a, q):
-                db = _digits(b, self.p, self.m)
-                prod = _poly_mod(_poly_mul(da, db, self.p), self.modulus, self.p)
-                v = _undigits(prod, self.p)
-                self._mul[a][b] = v
-                self._mul[b][a] = v
-        self._inv = [0] * q
-        for a in range(1, q):
-            for b in range(1, q):
-                if self._mul[a][b] == 1:
-                    self._inv[a] = b
-                    break
+                prod = _poly_mod(_poly_mul(digits[a], digits[b], p), self.modulus, p)
+                self.mul_table[a][b] = self.mul_table[b][a] = _undigits(prod, p)
+        self._neg = [row.index(0) for row in self.add_table]
+        self._inv = [0] + [row.index(1) for row in self.mul_table[1:]]
 
     def add(self, a: int, b: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (a + b) % p
-        da, db = _digits(a, p, m), _digits(b, p, m)
-        return _undigits([(x + y) % p for x, y in zip(da, db)], p)
+        return self.add_table[a][b]
 
     def neg(self, a: int) -> int:
-        p, m = self.p, self.m
-        if m == 1:
-            return (-a) % p
-        return _undigits([(-x) % p for x in _digits(a, p, m)], p)
+        return self._neg[a]
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        return self.add_table[a][self._neg[b]]
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        return self.mul_table[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self._inv[a]
-
-    def digits(self, a: int) -> tuple[int, ...]:
-        """Base-p digit vector of an element (low digit first)."""
-        return tuple(_digits(a, self.p, self.m))
-
-    def from_digits(self, ds) -> int:
-        return _undigits(list(ds), self.p)
 
     def elements(self) -> range:
         return range(self.q)

@@ -103,22 +103,20 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
     catalog = constructions.two_distance_lower_bounds(params)
     if catalog and catalog[0].size > lower:
         lower, lower_tag = catalog[0].size, "construction"
-    if options.search_cfg is not None:
+    total = search.candidate_count(params)
+    # cells beyond a cap keep their other bounds instead of failing the table
+    if options.search_cfg is not None and total <= options.search_cfg.max_candidates:
         result = search.random_greedy(params, options.search_cfg)
         if result.report.ok and result.size > lower:
             lower, lower_tag = result.size, "search"
-    if options.oracle_max_vertices:
-        total = search.candidate_count(params)
-        if total <= options.oracle_max_vertices:
-            exact = search.exhaustive_maximum(params, options.oracle_max_vertices)
-            if exact > upper:
-                raise AssertionError(
-                    f"oracle value {exact} exceeds upper bound {upper} for {params}"
-                )
-            return TableCell(
-                params, "value", CellBound(exact, "exact"), CellBound(exact, "exact"),
-                methods=methods,
-            )
+    if options.oracle_max_vertices and total <= options.oracle_max_vertices:
+        exact = search.exhaustive_maximum(params, options.oracle_max_vertices)
+        if exact > upper:
+            raise AssertionError(f"oracle value {exact} exceeds upper bound {upper} for {params}")
+        return TableCell(
+            params, "value", CellBound(exact, "exact"), CellBound(exact, "exact"),
+            methods=methods,
+        )
 
     eq_size = None
     eq_entry = constructions.equidistant_lower_bound(params.q, params.n, params.d)

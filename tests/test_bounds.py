@@ -18,7 +18,6 @@ from twodist.bounds import (
     lp_optimum,
     plotkin_bound,
     sphere_bound,
-    sphere_linear_dim_limit,
 )
 from twodist.core import TwoDistParams
 from twodist.krawtchouk import kraw_eval
@@ -275,16 +274,6 @@ class TestSphere:
         # d/(d+delta) = 2/3 applies only while (2r+1)^2 > 2(q-1)n
         assert sphere_bound(P(2, 12, 4, 2)).applicable
         assert not sphere_bound(P(2, 13, 4, 2)).applicable
-
-    @pytest.mark.parametrize(
-        "params,expected",
-        [(P(2, 11, 4, 2), 4), (P(2, 15, 6, 2), 4), (P(2, 12, 4, 2), 4)],
-    )
-    def test_linear_dimension_limit(self, params, expected):
-        assert sphere_linear_dim_limit(params) == expected
-
-    def test_dimension_limit_follows_applicability(self):
-        assert sphere_linear_dim_limit(P(3, 9, 3, 3)) is None
 
 
 class TestAggregator:

@@ -52,6 +52,50 @@ def test_multiplicative_group_cyclic(q):
     assert max(orders) == q - 1  # a generator exists
 
 
+# reference: the digit-wise addition and negation that the addition table replaces
+
+
+def _digits(a, p, m):
+    out = []
+    for _ in range(m):
+        out.append(a % p)
+        a //= p
+    return out
+
+
+def _undigits(ds, p):
+    val = 0
+    for d in reversed(ds):
+        val = val * p + d
+    return val
+
+
+def reference_add(f, a, b):
+    p, m = f.p, f.m
+    if m == 1:
+        return (a + b) % p
+    da, db = _digits(a, p, m), _digits(b, p, m)
+    return _undigits([(x + y) % p for x, y in zip(da, db)], p)
+
+
+def reference_neg(f, a):
+    p, m = f.p, f.m
+    if m == 1:
+        return (-a) % p
+    return _undigits([(-x) % p for x in _digits(a, p, m)], p)
+
+
+# every field the benchmark's verify workload warms up
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
+def test_tables_match_digitwise_reference(q):
+    f = GF(q)
+    for a in f.elements():
+        assert f.neg(a) == reference_neg(f, a)
+        for b in f.elements():
+            assert f.add(a, b) == reference_add(f, a, b)
+            assert f.sub(a, b) == reference_add(f, a, reference_neg(f, b))
+
+
 def test_rejects_non_prime_power():
     with pytest.raises(ValueError):
         GF(6)

@@ -53,6 +53,13 @@ class TestComputeCell:
         )
         assert cell.status == "value" and cell.lower.value == 16
 
+    def test_search_skipped_above_candidate_cap(self):
+        # 71 candidates against a cap of 10: the cell keeps its other bounds
+        capped = SearchConfig(seed=1, restarts=5, max_candidates=10)
+        cell = compute_cell(P(2, 8, 4, 4), CellOptions(search_cfg=capped))
+        assert cell == compute_cell(P(2, 8, 4, 4))
+        assert cell.lower.tag != "search"
+
     def test_equidistant_annotation(self):
         cell = compute_cell(P(2, 16, 8, 6))
         assert cell.equidistant_size == 16
@@ -171,6 +178,16 @@ class TestCli:
         ])
         assert rc == 0
         assert "2,9,4,2,16" in capsys.readouterr().out
+
+    def test_table_with_search_skips_capped_cells(self, capsys):
+        # every cell here has more than 200000 candidate words
+        rc = main([
+            "--format", "csv", "table", "--q", "2", "--delta", "2", "--n-min", "20",
+            "--n-max", "21", "--d-min", "8", "--d-max", "9", "--search-restarts", "2",
+        ])
+        assert rc == 0
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert len(rows) == 4 and not any(",search," in r for r in rows)
 
     def test_construct_and_check_roundtrip(self, tmp_path, capsys):
         out = tmp_path / "code.txt"
