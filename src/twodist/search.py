@@ -8,9 +8,15 @@ maximal.  Restart r draws from its own SplitMix64 stream derived from
 (seed, r), so the outcome depends only on (seed, restarts), not on
 scheduling.
 
-The oracle computes A_q(n, {d, d+delta}) exactly as 1 plus the maximum
-clique of the compatibility graph on the candidate words, found by
-branch and bound with greedy-coloring upper bounds.
+The oracle computes A_q(n, {d, d+delta}) exactly: a code holding the
+zero word is the zero word plus a clique of the compatibility graph on
+the candidate words.  Coordinate permutations and per-coordinate symbol
+permutations fixing 0 keep the zero word and all distances and act
+transitively on each weight class, so some maximum clique contains
+u = 1^d 0^(n-d), the greedy's start word, or has only weight-(d+delta)
+words and contains the first of them, v.  The oracle fixes the same two
+words as the greedy (0 and u), or 0 and v, and runs branch and bound
+with greedy-coloring upper bounds on those two neighbourhoods only.
 """
 from __future__ import annotations
 
@@ -75,6 +81,10 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.time_budget_ms is not None and self.time_budget_ms < 0:
+            raise ValueError("time budget must not be negative")
+        if self.max_candidates < 0:
+            raise ValueError("candidate cap must not be negative")
 
 
 @dataclass(frozen=True)
@@ -95,31 +105,46 @@ def candidate_count(params: TwoDistParams) -> int:
 
 
 def candidate_words(params: TwoDistParams) -> np.ndarray:
-    """All words of weight d or d+delta, in a fixed lexicographic order."""
+    """All words of weight d or d+delta, in a fixed lexicographic order.
+
+    Weight d comes first; within a weight, supports in combinations order,
+    then nonzero values in product order.  The dtype is the smallest
+    unsigned one that holds q - 1.
+    """
     q, n = params.q, params.n
-    rows = []
-    for w in sorted({params.d, params.d2}):
-        for support in itertools.combinations(range(n), w):
-            for values in itertools.product(range(1, q), repeat=w):
-                word = [0] * n
-                for pos, val in zip(support, values):
-                    word[pos] = val
-                rows.append(word)
-    return np.array(rows, dtype=np.uint8)
+    dtype = np.min_scalar_type(q - 1)
+    blocks = []
+    for w in (params.d, params.d2):
+        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
+        values = np.array(list(itertools.product(range(1, q), repeat=w)), dtype=dtype)
+        block = np.zeros((len(supports), len(values), n), dtype=dtype)
+        rows = np.arange(len(supports))[:, None, None]
+        cols = np.arange(len(values))[None, :, None]
+        block[rows, cols, supports[:, None, :]] = values[None, :, :]
+        blocks.append(block.reshape(-1, n))
+    return np.concatenate(blocks)
+
+
+def _good_distances(params: TwoDistParams) -> np.ndarray:
+    """Lookup table over distances 0..n: True exactly at d and d+delta.
+
+    It is False at 0, so no word counts as compatible with itself.
+    """
+    good = np.zeros(params.n + 1, dtype=bool)
+    good[[params.d, params.d2]] = True
+    return good
 
 
 def _distances_to(cands: np.ndarray, word: np.ndarray) -> np.ndarray:
     return np.concatenate([dist[:, 0] for _, dist in distance_blocks(cands, word[None])])
 
 
-def _adjacency(cands: np.ndarray, good: set[int]) -> np.ndarray:
-    """Boolean matrix: candidate pair at a distance in `good`."""
+def _adjacency(cands: np.ndarray, good: np.ndarray) -> np.ndarray:
+    """Boolean matrix: candidate pair at a distance where `good` is True."""
     m = len(cands)
     adj = np.empty((m, m), dtype=bool)
-    good_arr = np.array(sorted(good))
     for start, dist in distance_blocks(cands, cands):
-        adj[start : start + len(dist)] = np.isin(dist, good_arr)
-    np.fill_diagonal(adj, False)
+        adj[start : start + len(dist)] = good[dist]
     return adj
 
 
@@ -138,15 +163,10 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     cands = candidate_words(params)
     if len(cands) == 0:
         raise ValueError("candidate space is empty")
-    good = {params.d, params.d2}
-    good_arr = np.array(sorted(good))
+    good = _good_distances(params)
     n = params.n
-    start_word = np.zeros(n, dtype=np.uint8)
-    start_word[: params.d] = 1
-    base_ok = _distances_to(cands, start_word)
-    base_mask = np.isin(base_ok, good_arr)
-    # the start word itself sits in the candidate list; drop it
-    base_mask &= base_ok > 0
+    start_word = cands[0]  # 1^d 0^(n-d); good[0] is False, so it drops out
+    base_mask = good[_distances_to(cands, start_word)]
 
     use_matrix = len(cands) <= 8192
     adj = _adjacency(cands, good) if use_matrix else None
@@ -172,9 +192,7 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
             if use_matrix:
                 compat &= adj[pick]
             else:
-                dist = _distances_to(cands, cands[pick])
-                compat &= np.isin(dist, good_arr)
-                compat[pick] = False
+                compat &= good[_distances_to(cands, cands[pick])]
         words = [tuple([0] * n), tuple(int(x) for x in start_word)]
         words += [tuple(int(x) for x in cands[i]) for i in chosen]
         words.sort()
@@ -223,38 +241,48 @@ def _greedy_color_order(p_mask: int, adj: list[int]) -> tuple[list[int], list[in
     return order, bounds
 
 
-def _max_clique(adj: list[int]) -> tuple[int, list[int]]:
-    n = len(adj)
-    best_size = 0
-    best: list[int] = []
+def _max_clique(adj_bool: np.ndarray) -> int:
+    """Clique number of the graph with boolean adjacency matrix `adj_bool`."""
+    adj = [
+        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        for row in adj_bool
+    ]
+    best = 0
 
-    def expand(current: list[int], p_mask: int):
-        nonlocal best_size, best
+    def expand(size: int, p_mask: int):
+        nonlocal best
         if not p_mask:
-            if len(current) > best_size:
-                best_size = len(current)
-                best = current[:]
+            best = max(best, size)
             return
         order, bounds = _greedy_color_order(p_mask, adj)
         for idx in range(len(order) - 1, -1, -1):
-            if len(current) + bounds[idx] <= best_size:
+            if size + bounds[idx] <= best:
                 return
             v = order[idx]
-            current.append(v)
-            expand(current, p_mask & adj[v])
-            current.pop()
+            expand(size + 1, p_mask & adj[v])
             p_mask &= ~(1 << v)
 
-    expand([], (1 << n) - 1)
-    return best_size, sorted(best)
+    expand(0, (1 << len(adj)) - 1)
+    return best
 
 
 def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
     """Exact A_q(n, {d, d+delta}) for small candidate spaces.
 
-    Fixing the zero word is without loss of generality (translation), so
-    the answer is 1 plus the maximum clique of the compatibility graph on
-    all words of weight d or d+delta.
+    Translate a maximum code to hold the zero word; its other words form a
+    clique of the compatibility graph G on the words of weight d or
+    d+delta.  The monomial maps (coordinate permutations and symbol
+    permutations fixing 0 in each coordinate) fix the zero word, keep
+    Hamming distances and act transitively on each weight class.  So if
+    the clique has a weight-d word it may be taken to contain u =
+    1^d 0^(n-d); otherwise it lies in the weight-(d+delta) class W and
+    may be taken to contain v, the first word of W.  Hence
+
+        A = 2 + max(w(G[N(u)]), w(G[N(v) & W]))
+
+    with w the clique number (the empty clique counts, as {0, u} is always
+    a code), and only those two induced subgraphs are searched.
+    `max_vertices` caps the whole candidate space.
     """
     total = candidate_count(params)
     if total > max_vertices:
@@ -262,12 +290,13 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
             f"candidate space has {total} words, above the limit {max_vertices}"
         )
     cands = candidate_words(params)
-    good = sorted({params.d, params.d2})
-    m = len(cands)
-    adj_bool = _adjacency(cands, set(good))
-    adj = [
-        int.from_bytes(np.packbits(adj_bool[i], bitorder="little").tobytes(), "little")
-        for i in range(m)
-    ]
-    size, _ = _max_clique(adj)
-    return 1 + size
+    good = _good_distances(params)
+    first_heavy = math.comb(params.n, params.d) * (params.q - 1) ** params.d
+    u, v = cands[0], cands[first_heavy]
+    near_u = good[_distances_to(cands, u)]
+    near_v = good[_distances_to(cands, v)]
+    near_v[:first_heavy] = False
+    return 2 + max(
+        _max_clique(_adjacency(cands[near_u], good)),
+        _max_clique(_adjacency(cands[near_v], good)),
+    )

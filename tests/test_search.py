@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from twodist.search import (
     SplitMix64,
     _adjacency,
     _distances_to,
+    _good_distances,
+    _max_clique,
     candidate_count,
     candidate_words,
     exhaustive_maximum,
@@ -17,6 +21,18 @@ from twodist.search import (
 
 def P(q, n, d, delta):
     return TwoDistParams(q, n, d, delta)
+
+
+def small_instances(qs, n_max, max_candidates):
+    """Every valid (q, n, d, delta) with at most `max_candidates` candidates."""
+    return [
+        (q, n, d, delta)
+        for q in qs
+        for n in range(2, n_max + 1)
+        for d in range(1, n)
+        for delta in range(1, n - d + 1)
+        if candidate_count(P(q, n, d, delta)) <= max_candidates
+    ]
 
 
 class TestPrng:
@@ -44,7 +60,35 @@ class TestPrng:
         assert a != b
 
 
+# reference: the per-word loop the numpy enumeration replaced
+
+
+def reference_candidate_words(params):
+    q, n = params.q, params.n
+    rows = []
+    for w in sorted({params.d, params.d2}):
+        for support in itertools.combinations(range(n), w):
+            for values in itertools.product(range(1, q), repeat=w):
+                word = [0] * n
+                for pos, val in zip(support, values):
+                    word[pos] = val
+                rows.append(word)
+    return np.array(rows, dtype=np.uint8)
+
+
 class TestCandidates:
+    @pytest.mark.parametrize("q,n,d,delta", small_instances((2, 3, 4, 5, 7), 6, 2000))
+    def test_matches_reference_loop(self, q, n, d, delta):
+        params = P(q, n, d, delta)
+        words, ref = candidate_words(params), reference_candidate_words(params)
+        assert words.dtype == ref.dtype and words.shape == ref.shape
+        assert words.tobytes() == ref.tobytes()
+
+    def test_alphabet_above_256(self):
+        words = candidate_words(P(257, 2, 1, 1))
+        assert words.dtype == np.uint16 and int(words.max()) == 256
+        assert len(np.unique(words, axis=0)) == len(words) == 257**2 - 1
+
     def test_count_matches_enumeration(self):
         params = P(3, 5, 2, 1)
         assert candidate_count(params) == len(candidate_words(params))
@@ -53,6 +97,16 @@ class TestCandidates:
         # d == d+delta impossible, but d and d2 may coincide in weight sets
         params = P(2, 6, 2, 2)
         assert candidate_count(params) == 15 + 15
+
+
+class TestConfig:
+    def test_negative_time_budget_refused(self):
+        with pytest.raises(ValueError, match="time budget"):
+            SearchConfig(seed=1, time_budget_ms=-5)
+
+    def test_negative_candidate_cap_refused(self):
+        with pytest.raises(ValueError, match="candidate cap"):
+            SearchConfig(seed=1, max_candidates=-1)
 
 
 class TestGreedy:
@@ -83,7 +137,28 @@ class TestGreedy:
         assert res.restarts_run < 10_000
 
 
+# reference: the clique search on the whole compatibility graph, which the
+# symmetry-broken oracle replaced
+
+
+def reference_exhaustive_maximum(params):
+    cands = reference_candidate_words(params)
+    return 1 + _max_clique(reference_adjacency(cands, {params.d, params.d2}))
+
+
 class TestOracle:
+    # the whole-graph reference stays fast up to about 160 candidates
+    @pytest.mark.parametrize("q,n,d,delta", small_instances((2, 3, 4), 10, 160))
+    def test_matches_whole_graph_reference(self, q, n, d, delta):
+        params = P(q, n, d, delta)
+        assert exhaustive_maximum(params) == reference_exhaustive_maximum(params)
+
+    @pytest.mark.parametrize(
+        "params,value", [((2, 11, 6, 4), 12), ((2, 10, 2, 4), 10), ((4, 6, 4, 2), 64)]
+    )
+    def test_recorded_values(self, params, value):
+        assert exhaustive_maximum(P(*params)) == value
+
     def test_small_exact_values(self):
         assert exhaustive_maximum(P(2, 4, 2, 2)) == 8
         assert exhaustive_maximum(P(2, 5, 2, 2)) == 16
@@ -127,9 +202,11 @@ class TestKernel:
         "q,n,d,delta", [(2, 8, 4, 2), (2, 10, 4, 4), (2, 13, 2, 2), (3, 6, 4, 2), (4, 6, 4, 2)]
     )
     def test_adjacency_matches_reference(self, q, n, d, delta):
-        cands = candidate_words(P(q, n, d, delta))
-        good = {d, d + delta}
-        assert np.array_equal(_adjacency(cands, good), reference_adjacency(cands, good))
+        params = P(q, n, d, delta)
+        cands = candidate_words(params)
+        assert np.array_equal(
+            _adjacency(cands, _good_distances(params)), reference_adjacency(cands, {d, d + delta})
+        )
 
     def test_streaming_distances_match_reference(self):
         cands = candidate_words(P(2, 16, 8, 4))

@@ -225,6 +225,14 @@ class TestCli:
         assert "best 16 words" in capsys.readouterr().out
         assert read_code(out.read_text()).size == 16
 
+    def test_search_negative_time_budget_is_usage_error(self, capsys):
+        rc = main([
+            "search", "--q", "2", "--n", "8", "--d", "4", "--delta", "4",
+            "--restarts", "1", "--time-budget-ms", "-5",
+        ])
+        assert rc == 1
+        assert "error: time budget must not be negative" in capsys.readouterr().err
+
     def test_oracle(self, capsys):
         assert main(["oracle", "--q", "2", "--n", "5", "--d", "2", "--delta", "2"]) == 0
         assert "= 16" in capsys.readouterr().out
