@@ -4,9 +4,11 @@ The greedy search fixes the zero word and the word 1^d 0^(n-d), which is
 without loss of generality (translation plus coordinate and symbol
 relabelings).  Candidates are all words of weight d or d+delta; each
 restart grows the code by uniformly random compatible candidates until
-maximal.  Restart r draws from its own SplitMix64 stream derived from
-(seed, r), so the outcome depends only on (seed, restarts), not on
-scheduling.
+maximal.  A restart keeps only the rows still compatible with every pick
+and filters them against each new pick, so its work shrinks with the live
+set; there is no adjacency matrix.  Restart r draws from its own
+SplitMix64 stream derived from (seed, r), so the outcome depends only on
+(seed, restarts), not on scheduling.
 
 The oracle computes A_q(n, {d, d+delta}) exactly: a code holding the
 zero word is the zero word plus a clique of the compatibility graph on
@@ -81,6 +83,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
+        if self.stop_at is not None and self.stop_at < 1:
+            raise ValueError("stop_at must be at least 1")
         if self.time_budget_ms is not None and self.time_budget_ms < 0:
             raise ValueError("time budget must not be negative")
         if self.max_candidates < 0:
@@ -113,10 +117,16 @@ def candidate_words(params: TwoDistParams) -> np.ndarray:
     """
     q, n = params.q, params.n
     dtype = np.min_scalar_type(q - 1)
+    chain = itertools.chain.from_iterable
     blocks = []
     for w in (params.d, params.d2):
-        supports = np.array(list(itertools.combinations(range(n), w)), dtype=np.intp)
-        values = np.array(list(itertools.product(range(1, q), repeat=w)), dtype=dtype)
+        n_supports, n_values = math.comb(n, w), (q - 1) ** w
+        supports = np.fromiter(
+            chain(itertools.combinations(range(n), w)), np.intp, count=n_supports * w
+        ).reshape(n_supports, w)
+        values = np.fromiter(
+            chain(itertools.product(range(1, q), repeat=w)), dtype, count=n_values * w
+        ).reshape(n_values, w)
         block = np.zeros((len(supports), len(values), n), dtype=dtype)
         rows = np.arange(len(supports))[:, None, None]
         cols = np.arange(len(values))[None, :, None]
@@ -136,7 +146,8 @@ def _good_distances(params: TwoDistParams) -> np.ndarray:
 
 
 def _distances_to(cands: np.ndarray, word: np.ndarray) -> np.ndarray:
-    return np.concatenate([dist[:, 0] for _, dist in distance_blocks(cands, word[None])])
+    """Hamming distance from each row of `cands` to one word."""
+    return (cands != word).sum(axis=1)
 
 
 def _adjacency(cands: np.ndarray, good: np.ndarray) -> np.ndarray:
@@ -151,6 +162,10 @@ def _adjacency(cands: np.ndarray, good: np.ndarray) -> np.ndarray:
 def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     """Best maximal code over independent random greedy restarts.
 
+    Each restart starts from the candidates compatible with the start word
+    and, after each uniformly random pick among them, keeps only the rows
+    compatible with that pick too.  Boolean filtering keeps candidate
+    order, so a pick depends only on the live set and the restart's stream.
     Ties between restarts break toward the lexicographically smallest
     sorted word list, so the result is a pure function of (seed,
     restarts, stop_at, time budget).  The returned code is re-verified.
@@ -166,10 +181,7 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     good = _good_distances(params)
     n = params.n
     start_word = cands[0]  # 1^d 0^(n-d); good[0] is False, so it drops out
-    base_mask = good[_distances_to(cands, start_word)]
-
-    use_matrix = len(cands) <= 8192
-    adj = _adjacency(cands, good) if use_matrix else None
+    base_rows = cands[good[_distances_to(cands, start_word)]]
 
     deadline = None
     if cfg.time_budget_ms is not None:
@@ -181,20 +193,13 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         restarts_run = restart + 1
         rng = restart_stream(cfg.seed, restart)
-        chosen = []
-        compat = base_mask.copy()
-        while True:
-            idxs = np.flatnonzero(compat)
-            if len(idxs) == 0:
-                break
-            pick = int(idxs[rng.randbelow(len(idxs))])
-            chosen.append(pick)
-            if use_matrix:
-                compat &= adj[pick]
-            else:
-                compat &= good[_distances_to(cands, cands[pick])]
-        words = [tuple([0] * n), tuple(int(x) for x in start_word)]
-        words += [tuple(int(x) for x in cands[i]) for i in chosen]
+        chosen = [start_word]
+        rows = base_rows
+        while len(rows):
+            word = rows[rng.randbelow(len(rows))]
+            chosen.append(word)
+            rows = rows[good[_distances_to(rows, word)]]
+        words = [(0,) * n, *map(tuple, np.array(chosen).tolist())]
         words.sort()
         if best_words is None or len(words) > len(best_words) or (
             len(words) == len(best_words) and words < best_words

@@ -67,8 +67,12 @@ class TableSpec:
     def __post_init__(self):
         if not (2 <= self.q <= 9):
             raise ValueError("supported alphabets are 2..9")
-        if not (1 <= self.n_min <= self.n_max <= 64):
+        if self.n_min > self.n_max:
+            raise ValueError(f"n_min {self.n_min} is above n_max {self.n_max}")
+        if not (1 <= self.n_min and self.n_max <= 64):
             raise ValueError("supported lengths are 1..64")
+        if self.d_max is not None and self.d_max < self.d_min:
+            raise ValueError(f"d_max {self.d_max} is below d_min {self.d_min}")
         if self.delta < 1:
             raise ValueError("delta must be positive")
         if self.fmt not in ("csv", "markdown", "latex", "json"):

@@ -1,9 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
-from twodist.core import TwoDistParams
+from twodist.core import TwoDistParams, distance_blocks
 from twodist.search import (
     SearchConfig,
     SplitMix64,
@@ -108,6 +109,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="candidate cap"):
             SearchConfig(seed=1, max_candidates=-1)
 
+    @pytest.mark.parametrize("stop_at", [0, -3])
+    def test_stop_at_below_one_refused(self, stop_at):
+        with pytest.raises(ValueError, match="stop_at must be at least 1"):
+            SearchConfig(seed=1, stop_at=stop_at)
+
 
 class TestGreedy:
     def test_reaches_known_optimum_quickly(self):
@@ -135,6 +141,97 @@ class TestGreedy:
             P(2, 8, 4, 4), SearchConfig(seed=1, restarts=10_000, stop_at=16)
         )
         assert res.restarts_run < 10_000
+
+
+# reference: the greedy loop the live-row filter replaced.  Each restart
+# keeps a mask over all candidates and ANDs in a row of the adjacency
+# matrix, or above 8192 candidates a full distance pass, per pick.
+
+
+def reference_random_greedy(params, cfgs):
+    """(sorted words, restart_index, restarts_run) of the best restart, per config."""
+    cands = reference_candidate_words(params)
+    good = {params.d, params.d2}
+    good_arr = np.array(sorted(good))
+    n = params.n
+    base_mask = np.isin((cands != cands[0]).sum(axis=1), good_arr)
+    use_matrix = len(cands) <= 8192
+    adj = reference_adjacency(cands, good) if use_matrix else None
+    results = []
+    for cfg in cfgs:
+        deadline = None
+        if cfg.time_budget_ms is not None:
+            deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
+        best_words, best_restart, restarts_run = None, 0, 0
+        for restart in range(cfg.restarts):
+            restarts_run = restart + 1
+            rng = restart_stream(cfg.seed, restart)
+            chosen = []
+            compat = base_mask.copy()
+            while True:
+                idxs = np.flatnonzero(compat)
+                if len(idxs) == 0:
+                    break
+                pick = int(idxs[rng.randbelow(len(idxs))])
+                chosen.append(pick)
+                if use_matrix:
+                    compat &= adj[pick]
+                else:
+                    compat &= np.isin((cands != cands[pick]).sum(axis=1), good_arr)
+            words = [tuple([0] * n), tuple(int(x) for x in cands[0])]
+            words += [tuple(int(x) for x in cands[i]) for i in chosen]
+            words.sort()
+            if best_words is None or len(words) > len(best_words) or (
+                len(words) == len(best_words) and words < best_words
+            ):
+                best_words, best_restart = words, restart
+            if cfg.stop_at is not None and len(best_words) >= cfg.stop_at:
+                break
+            if deadline is not None and time.monotonic() > deadline:
+                break
+        results.append((tuple(best_words), best_restart, restarts_run))
+    return results
+
+
+def assert_greedy_matches_reference(params, *cfgs):
+    results = [random_greedy(params, cfg) for cfg in cfgs]
+    assert [
+        (res.code.words, res.restart_index, res.restarts_run) for res in results
+    ] == reference_random_greedy(params, cfgs)
+    return results
+
+
+class TestGreedyReference:
+    # the five benchmark greedy cases with fewer restarts, seeds 1 and 2
+    # sharing one reference adjacency matrix
+    @pytest.mark.parametrize(
+        "q,n,d,delta,restarts",
+        [(3, 9, 6, 3, 5), (4, 6, 4, 2, 10), (2, 16, 8, 4, 3), (2, 16, 6, 4, 3), (3, 10, 6, 3, 2)],
+    )
+    def test_workload_cases(self, q, n, d, delta, restarts):
+        assert_greedy_matches_reference(
+            P(q, n, d, delta), *(SearchConfig(seed=s, restarts=restarts) for s in (1, 2))
+        )
+
+    def test_large_candidate_space(self):
+        # 62,322 candidates
+        assert_greedy_matches_reference(P(2, 18, 8, 4), SearchConfig(seed=1, restarts=1))
+
+    @pytest.mark.parametrize("q,n,d,delta", small_instances((2, 3, 4), 7, 150))
+    def test_small_sweep(self, q, n, d, delta):
+        assert_greedy_matches_reference(P(q, n, d, delta), SearchConfig(seed=q + n, restarts=30))
+
+    def test_stop_at(self):
+        [res] = assert_greedy_matches_reference(
+            P(2, 8, 4, 4), SearchConfig(seed=3, restarts=500, stop_at=16)
+        )
+        assert res.size == 16 and res.restarts_run < 500
+
+    def test_zero_time_budget(self):
+        [res] = assert_greedy_matches_reference(
+            P(2, 8, 4, 4), SearchConfig(seed=4, restarts=50, time_budget_ms=0)
+        )
+        assert res.restarts_run == 1
 
 
 # reference: the clique search on the whole compatibility graph, which the
@@ -212,4 +309,5 @@ class TestKernel:
         cands = candidate_words(P(2, 16, 8, 4))
         for pick in (0, 1, len(cands) // 2, len(cands) - 1):
             word = cands[pick]
-            assert np.array_equal(_distances_to(cands, word), (cands != word).sum(axis=1))
+            column = np.concatenate([dist[:, 0] for _, dist in distance_blocks(cands, word[None])])
+            assert np.array_equal(_distances_to(cands, word), column)

@@ -93,7 +93,8 @@ class TestRender:
         assert cells_from_json(cells_to_json(cells)) == cells
 
     def test_empty_d_range(self):
-        spec = TableSpec(q=2, delta=2, n_min=7, n_max=8, d_min=9, d_max=4, fmt="markdown")
+        # d_min is above n - delta for every length, so no cell is computed
+        spec = TableSpec(q=2, delta=2, n_min=7, n_max=8, d_min=9, fmt="markdown")
         out = render_table(spec)
         assert out.splitlines()[0].startswith("|")
 
@@ -104,6 +105,14 @@ class TestRender:
             TableSpec(q=2, delta=2, n_min=7, n_max=80)
         with pytest.raises(ValueError):
             TableSpec(q=2, delta=2, n_min=7, n_max=8, fmt="html")
+
+    def test_reversed_length_range_refused(self):
+        with pytest.raises(ValueError, match="n_min 5 is above n_max 4"):
+            TableSpec(q=2, delta=2, n_min=5, n_max=4)
+
+    def test_reversed_distance_range_refused(self):
+        with pytest.raises(ValueError, match="d_max 3 is below d_min 5"):
+            TableSpec(q=2, delta=2, n_min=8, n_max=9, d_min=5, d_max=3)
 
 
 class TestReferenceSweep:
@@ -232,6 +241,24 @@ class TestCli:
         ])
         assert rc == 1
         assert "error: time budget must not be negative" in capsys.readouterr().err
+
+    def test_search_stop_at_below_one_is_usage_error(self, capsys):
+        rc = main([
+            "search", "--q", "2", "--n", "8", "--d", "4", "--delta", "4", "--stop-at", "0",
+        ])
+        assert rc == 1
+        assert "error: stop_at must be at least 1" in capsys.readouterr().err
+
+    def test_table_reversed_ranges_are_usage_errors(self, capsys):
+        rc = main(["table", "--q", "2", "--delta", "2", "--n-min", "5", "--n-max", "4"])
+        assert rc == 1
+        assert "error: n_min 5 is above n_max 4" in capsys.readouterr().err
+        rc = main([
+            "table", "--q", "2", "--delta", "2", "--n-min", "8", "--n-max", "9",
+            "--d-min", "5", "--d-max", "3",
+        ])
+        assert rc == 1
+        assert "error: d_max 3 is below d_min 5" in capsys.readouterr().err
 
     def test_oracle(self, capsys):
         assert main(["oracle", "--q", "2", "--n", "5", "--d", "2", "--delta", "2"]) == 0
