@@ -117,15 +117,18 @@ def candidate_words(params: TwoDistParams) -> np.ndarray:
     """
     q, n = params.q, params.n
     dtype = np.min_scalar_type(q - 1)
-    chain = itertools.chain.from_iterable
     blocks = []
     for w in (params.d, params.d2):
         n_supports, n_values = math.comb(n, w), (q - 1) ** w
         supports = np.fromiter(
-            chain(itertools.combinations(range(n), w)), np.intp, count=n_supports * w
+            itertools.chain.from_iterable(itertools.combinations(range(n), w)),
+            np.intp,
+            count=n_supports * w,
         ).reshape(n_supports, w)
         values = np.fromiter(
-            chain(itertools.product(range(1, q), repeat=w)), dtype, count=n_values * w
+            itertools.chain.from_iterable(itertools.product(range(1, q), repeat=w)),
+            dtype,
+            count=n_values * w,
         ).reshape(n_values, w)
         block = np.zeros((len(supports), len(values), n), dtype=dtype)
         rows = np.arange(len(supports))[:, None, None]
