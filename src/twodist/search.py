@@ -10,15 +10,22 @@ set; there is no adjacency matrix.  Restart r draws from its own
 SplitMix64 stream derived from (seed, r), so the outcome depends only on
 (seed, restarts), not on scheduling.
 
-The oracle computes A_q(n, {d, d+delta}) exactly: a code holding the
-zero word is the zero word plus a clique of the compatibility graph on
-the candidate words.  Coordinate permutations and per-coordinate symbol
-permutations fixing 0 keep the zero word and all distances and act
-transitively on each weight class, so some maximum clique contains
-u = 1^d 0^(n-d), the greedy's start word, or has only weight-(d+delta)
-words and contains the first of them, v.  The oracle fixes the same two
-words as the greedy (0 and u), or 0 and v, and runs branch and bound
-with greedy-coloring upper bounds on those two neighbourhoods only.
+The oracle computes A_q(n, {d, d+delta}) exactly, counting every code
+whose distances lie in {d, d+delta}, one-distance codes included: a code
+holding the zero word is the zero word plus a clique of the
+compatibility graph on the candidate words.  Coordinate permutations and
+per-coordinate symbol permutations fixing 0 keep the zero word and all
+distances and act transitively on each weight class, so some maximum
+clique contains u = 1^d 0^(n-d), the greedy's start word, or has only
+weight-(d+delta) words and contains the first of them, v.  The oracle
+fixes the same two words as the greedy (0 and u), or 0 and v, and runs
+branch and bound with greedy-coloring upper bounds on those two
+neighbourhoods only.  Within a neighbourhood it branches on one third
+word per orbit of the maps fixing 0 and u (or v), then deletes that
+orbit: the maps carry any clique through the orbit onto one through the
+chosen word.  It stops once a code reaches the `range` upper bound of
+`bounds.best_upper_bound`; `exact` and `not_well_defined` statuses count
+only codes with both distances, so they never stop it.
 """
 from __future__ import annotations
 
@@ -29,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds as bounds_mod
 from .core import (
     Code,
     DistanceDistribution,
@@ -249,13 +257,19 @@ def _greedy_color_order(p_mask: int, adj: list[int]) -> tuple[list[int], list[in
     return order, bounds
 
 
-def _max_clique(adj_bool: np.ndarray) -> int:
-    """Clique number of the graph with boolean adjacency matrix `adj_bool`."""
-    adj = [
+def _pack(adj_bool: np.ndarray) -> list[int]:
+    """Rows of a boolean matrix as int bitsets (bit j = column j)."""
+    return [
         int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
         for row in adj_bool
     ]
-    best = 0
+
+
+def _max_clique(adj: list[int], p_mask: int, best: int, stop: float) -> int:
+    """Clique number of the subgraph on p_mask if above `best`, else `best`.
+
+    The search returns as soon as it has a clique of size `stop`.
+    """
 
     def expand(size: int, p_mask: int):
         nonlocal best
@@ -264,18 +278,93 @@ def _max_clique(adj_bool: np.ndarray) -> int:
             return
         order, bounds = _greedy_color_order(p_mask, adj)
         for idx in range(len(order) - 1, -1, -1):
-            if size + bounds[idx] <= best:
+            if size + bounds[idx] <= best or best >= stop:
                 return
             v = order[idx]
             expand(size + 1, p_mask & adj[v])
             p_mask &= ~(1 << v)
 
-    expand(0, (1 << len(adj)) - 1)
+    expand(0, p_mask)
     return best
+
+
+def _orbit_keys(words: np.ndarray, centre: np.ndarray) -> np.ndarray:
+    """Orbit of each word under the stabiliser of the zero word and `centre`.
+
+    `centre` is 1 on its support and 0 elsewhere.  The stabiliser permutes
+    the support and the rest among themselves and permutes the symbols of
+    each coordinate fixing 0 (and 1 on the support), so a word's orbit is
+    fixed by (#support coordinates equal to 1, #support coordinates equal
+    to 0, #nonzero coordinates off the support), here read in base n + 1.
+    """
+    on = centre != 0
+    base = len(centre) + 1
+    ones = (words[:, on] == 1).sum(axis=1)
+    zeros = (words[:, on] == 0).sum(axis=1)
+    off = (words[:, ~on] != 0).sum(axis=1)
+    return (ones * base + zeros) * base + off
+
+
+def _orbits(near: np.ndarray, adj_bool: np.ndarray, centre: np.ndarray) -> list[tuple[int, int]]:
+    """(first word, member bitset) per orbit of the stabiliser of {0, centre}.
+
+    Orbits come largest neighbourhood first, ties in key order: a large
+    neighbourhood tends to hold a large clique, which prunes the rest or
+    reaches the bound early.
+    """
+    _, reps, orbit = np.unique(_orbit_keys(near, centre), return_index=True, return_inverse=True)
+    members = _pack(orbit[None, :] == np.arange(len(reps))[:, None])
+    degree = adj_bool[reps].sum(axis=1)
+    order = sorted(range(len(reps)), key=lambda k: -degree[k])
+    return [(int(reps[k]), members[k]) for k in order]
+
+
+def _orbit_clique(
+    words: np.ndarray, good: np.ndarray, centre: np.ndarray, best: int, stop: float
+) -> int:
+    """Clique number of G[N(centre) among `words`] if above `best`, else `best`.
+
+    `words` is invariant under the stabiliser H of {0, centre}.  For each
+    orbit of H on the neighbourhood in turn, search the cliques through
+    the orbit's first word among the words still alive, then delete the
+    orbit.  A maximum clique meets some first orbit, and an element of H
+    maps it onto a clique through that orbit's first word that still
+    avoids every earlier orbit, so nothing is lost.  The search ends once
+    a clique reaches `stop`.
+    """
+    near = words[good[_distances_to(words, centre)]]
+    adj_bool = _adjacency(near, good)
+    adj = _pack(adj_bool)
+    alive = (1 << len(near)) - 1
+    for rep, members in _orbits(near, adj_bool, centre):
+        if best >= stop:
+            break
+        best = 1 + _max_clique(adj, adj[rep] & alive, best - 1, stop - 1)
+        alive &= ~members
+    return best
+
+
+def _proven_bound(params: TwoDistParams) -> float:
+    """The aggregated upper bound when it is a range, else infinity.
+
+    Exact and not-well-defined statuses describe codes that realise both
+    distances, while the oracle also counts one-distance codes, so only a
+    range bound (LP, Plotkin, d2, dd, sc) bounds what the oracle counts.
+    """
+    try:
+        status = bounds_mod.best_upper_bound(params).status
+    except bounds_mod.LpUnboundedError:
+        return math.inf
+    return status.hi if status.kind == "range" else math.inf
 
 
 def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
     """Exact A_q(n, {d, d+delta}) for small candidate spaces.
+
+    This counts codes whose distances all lie in {d, d+delta}, so codes
+    with one distance count too; `special_values` gives exact values only
+    for codes realising both distances, which can be smaller.  For example
+    (2,10,3,3) is 6 here, from an equidistant code, but exact 4 there.
 
     Translate a maximum code to hold the zero word; its other words form a
     clique of the compatibility graph G on the words of weight d or
@@ -289,22 +378,25 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
         A = 2 + max(w(G[N(u)]), w(G[N(v) & W]))
 
     with w the clique number (the empty clique counts, as {0, u} is always
-    a code), and only those two induced subgraphs are searched.
-    `max_vertices` caps the whole candidate space.
+    a code), and only those two induced subgraphs are searched.  Each is
+    split again by a third word, one per orbit of the stabiliser of the
+    zero word and v (or u); see `_orbit_clique`.  The graph on N(v) & W,
+    usually the smaller, goes first, and the search on N(u) only looks
+    for cliques larger than its clique number.  Both stop once the code
+    reaches a range upper bound of `bounds.best_upper_bound` (see
+    `_proven_bound`), which is then the value.  `max_vertices` caps the
+    whole candidate space.
     """
+    if max_vertices < 0:
+        raise ValueError("oracle cap must not be negative")
     total = candidate_count(params)
     if total > max_vertices:
         raise ValueError(
             f"candidate space has {total} words, above the limit {max_vertices}"
         )
+    stop = _proven_bound(params) - 2
     cands = candidate_words(params)
     good = _good_distances(params)
-    first_heavy = math.comb(params.n, params.d) * (params.q - 1) ** params.d
-    u, v = cands[0], cands[first_heavy]
-    near_u = good[_distances_to(cands, u)]
-    near_v = good[_distances_to(cands, v)]
-    near_v[:first_heavy] = False
-    return 2 + max(
-        _max_clique(_adjacency(cands[near_u], good)),
-        _max_clique(_adjacency(cands[near_v], good)),
-    )
+    heavy = cands[math.comb(params.n, params.d) * (params.q - 1) ** params.d :]
+    best = _orbit_clique(heavy, good, heavy[0], 0, stop)
+    return 2 + _orbit_clique(cands, good, cands[0], best, stop)

@@ -85,6 +85,10 @@ class CellOptions:
     search_cfg: search.SearchConfig | None = None
     oracle_max_vertices: int = 0
 
+    def __post_init__(self):
+        if self.oracle_max_vertices < 0:
+            raise ValueError("oracle cap must not be negative")
+
 
 def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) -> TableCell:
     """One table cell: feasibility screens, bound aggregation, lower bounds."""

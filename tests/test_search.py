@@ -1,9 +1,12 @@
 import itertools
+import math
 import time
 
 import numpy as np
 import pytest
 
+from twodist import search
+from twodist.bounds import LpUnboundedError, best_upper_bound
 from twodist.core import TwoDistParams, distance_blocks
 from twodist.search import (
     SearchConfig,
@@ -12,6 +15,9 @@ from twodist.search import (
     _distances_to,
     _good_distances,
     _max_clique,
+    _orbit_keys,
+    _orbits,
+    _pack,
     candidate_count,
     candidate_words,
     exhaustive_maximum,
@@ -240,7 +246,8 @@ class TestGreedyReference:
 
 def reference_exhaustive_maximum(params):
     cands = reference_candidate_words(params)
-    return 1 + _max_clique(reference_adjacency(cands, {params.d, params.d2}))
+    adj = _pack(reference_adjacency(cands, {params.d, params.d2}))
+    return 1 + _max_clique(adj, (1 << len(adj)) - 1, 0, math.inf)
 
 
 class TestOracle:
@@ -251,10 +258,35 @@ class TestOracle:
         assert exhaustive_maximum(params) == reference_exhaustive_maximum(params)
 
     @pytest.mark.parametrize(
-        "params,value", [((2, 11, 6, 4), 12), ((2, 10, 2, 4), 10), ((4, 6, 4, 2), 64)]
+        "params,value",
+        [
+            ((2, 11, 6, 4), 12),
+            ((2, 10, 2, 4), 10),
+            ((4, 6, 4, 2), 64),
+            ((2, 9, 4, 2), 16),
+            ((2, 10, 4, 2), 16),
+            ((4, 5, 3, 1), 16),
+            ((3, 7, 4, 2), 19),
+        ],
     )
     def test_recorded_values(self, params, value):
         assert exhaustive_maximum(P(*params)) == value
+
+    def test_counts_one_distance_codes(self):
+        # exact values of special_values count codes realising both
+        # distances; the oracle also counts codes with one of them
+        equidistant = np.array(
+            [[int(c) for c in w] for w in (
+                "0000000000", "1111110000", "1110001110",
+                "1001101101", "0101011011", "0010110111",
+            )]
+        )
+        dist = (equidistant[:, None, :] != equidistant[None, :, :]).sum(axis=2)
+        assert set(dist[np.triu_indices(6, 1)]) == {6}
+        for params, exact, value in (((2, 10, 3, 3), 4, 6), ((3, 4, 1, 2), 6, 9)):
+            status = best_upper_bound(P(*params)).status
+            assert (status.kind, status.hi) == ("exact", exact)
+            assert exhaustive_maximum(P(*params)) == value
 
     def test_small_exact_values(self):
         assert exhaustive_maximum(P(2, 4, 2, 2)) == 8
@@ -276,6 +308,181 @@ class TestOracle:
     def test_size_limit_enforced(self):
         with pytest.raises(ValueError, match="limit"):
             exhaustive_maximum(P(2, 16, 10, 2), max_vertices=100)
+
+    def test_negative_limit_refused(self):
+        with pytest.raises(ValueError, match="must not be negative"):
+            exhaustive_maximum(P(2, 5, 2, 2), max_vertices=-1)
+
+
+def trace_oracle(monkeypatch, params):
+    """Oracle value plus (best in, stop, best out) of each neighbourhood search."""
+    calls = []
+    inner = search._orbit_clique
+
+    def recording(words, good, centre, best, stop):
+        out = inner(words, good, centre, best, stop)
+        calls.append((best, stop, out))
+        return out
+
+    monkeypatch.setattr(search, "_orbit_clique", recording)
+    return exhaustive_maximum(params), calls
+
+
+class TestOracleStop:
+    """The oracle stops once a code reaches a range upper bound, and only then."""
+
+    # the weight-(d+delta) neighbourhood of v is searched first, then N(u)
+
+    def test_stop_in_first_neighbourhood(self, monkeypatch):
+        value, calls = trace_oracle(monkeypatch, P(2, 10, 4, 2))
+        assert best_upper_bound(P(2, 10, 4, 2)).status.kind == "range"
+        assert value == 16 == best_upper_bound(P(2, 10, 4, 2)).best
+        (_, stop, first), (best, _, second) = calls
+        assert first == stop == 14 and best == second == 14
+
+    def test_stop_in_second_neighbourhood(self, monkeypatch):
+        value, calls = trace_oracle(monkeypatch, P(2, 9, 4, 2))
+        assert value == 16 == best_upper_bound(P(2, 9, 4, 2)).best
+        (_, stop, first), (best, _, second) = calls
+        assert first < stop and best == first and second == stop == 14
+
+    def test_no_stop_below_the_bound(self, monkeypatch):
+        value, calls = trace_oracle(monkeypatch, P(2, 8, 4, 2))
+        assert value == 10 < best_upper_bound(P(2, 8, 4, 2)).best
+        assert [stop for _, stop, _ in calls] == [10, 10]
+        assert calls[1][0] == calls[0][2] < calls[1][2] == 8
+
+    @pytest.mark.parametrize(
+        "params,kind,value",
+        [
+            ((2, 10, 3, 3), "exact", 6),
+            ((3, 4, 1, 2), "exact", 9),
+            ((2, 7, 4, 3), "not_well_defined", 8),  # the [7,3,4] simplex code
+        ],
+    )
+    def test_no_stop_without_range_bound(self, monkeypatch, params, kind, value):
+        assert best_upper_bound(P(*params)).status.kind == kind
+        got, calls = trace_oracle(monkeypatch, P(*params))
+        assert got == value == reference_exhaustive_maximum(P(*params))
+        assert [stop for _, stop, _ in calls] == [math.inf, math.inf]
+
+    def test_no_stop_when_lp_unbounded(self, monkeypatch):
+        def unbounded(params, external=None):
+            raise LpUnboundedError("no applicable upper bound")
+
+        monkeypatch.setattr(search.bounds_mod, "best_upper_bound", unbounded)
+        value, calls = trace_oracle(monkeypatch, P(2, 9, 4, 2))
+        assert value == 16
+        assert [stop for _, stop, _ in calls] == [math.inf, math.inf]
+
+
+def stabiliser_map(words, perm, symbols):
+    """Apply a monomial map: coordinate i of the image is symbols[i][word[perm[i]]]."""
+    return np.stack([symbols[i][words[:, perm[i]]] for i in range(len(perm))], axis=1)
+
+
+def random_stabiliser(rng, q, n, w):
+    """A random monomial map fixing 0 and 1^w 0^(n-w)."""
+    perm = np.concatenate([rng.permutation(w), w + rng.permutation(n - w)])
+    symbols = []
+    for i in range(n):
+        fixed = 2 if i < w else 1  # 0 always, and 1 on the support
+        symbols.append(np.concatenate([np.arange(fixed), fixed + rng.permutation(q - fixed)]))
+    return perm, symbols
+
+
+def map_onto(word, target, q, w):
+    """A monomial map fixing 0 and 1^w 0^(n-w) that sends `word` to `target`.
+
+    Coordinates of the same class (on the support: 1, 0, other; off it:
+    0, nonzero) are matched in order, and the symbols of a matched pair
+    swapped, which fixes 0 and, on the support, 1.
+    """
+    n = len(word)
+    perm = np.empty(n, dtype=int)
+    symbols = [np.arange(q) for _ in range(n)]
+    on_support = (lambda x: x == 1, lambda x: x == 0, lambda x: x > 1)
+    off_support = (lambda x: x == 0, lambda x: x > 0)
+    for lo, hi, classes in ((0, w, on_support), (w, n, off_support)):
+        for in_class in classes:
+            src = [i for i in range(lo, hi) if in_class(word[i])]
+            dst = [i for i in range(lo, hi) if in_class(target[i])]
+            assert len(src) == len(dst)
+            for i, j in zip(dst, src):
+                perm[i] = j
+                a, b = word[j], target[i]
+                symbols[i][[a, b]] = symbols[i][[b, a]]
+    return perm, symbols
+
+
+class TestOrbits:
+    @pytest.mark.parametrize("q,n,d,delta", [(2, 9, 4, 2), (3, 6, 4, 2), (4, 5, 3, 1), (3, 7, 2, 3)])
+    def test_stabiliser_keeps_keys_and_neighbourhood(self, q, n, d, delta):
+        params = P(q, n, d, delta)
+        cands = candidate_words(params)
+        good = _good_distances(params)
+        rng = np.random.default_rng(7)
+        for centre in (cands[0], cands[math.comb(n, d) * (q - 1) ** d]):  # u and v
+            w = int((centre != 0).sum())
+            keys = _orbit_keys(cands, centre)
+            near = {tuple(r) for r in cands[good[_distances_to(cands, centre)]]}
+            for _ in range(20):
+                perm, symbols = random_stabiliser(rng, q, n, w)
+                image = stabiliser_map(cands, perm, symbols)
+                assert np.array_equal(stabiliser_map(centre[None], perm, symbols)[0], centre)
+                assert np.array_equal(_orbit_keys(image, centre), keys)
+                assert {tuple(r) for r in image[good[_distances_to(image, centre)]]} == near
+
+    @pytest.mark.parametrize("q,n,d,delta", [(2, 9, 4, 2), (3, 6, 4, 2), (4, 5, 3, 1)])
+    def test_each_key_is_one_orbit(self, q, n, d, delta):
+        params = P(q, n, d, delta)
+        cands = candidate_words(params)
+        heavy = cands[math.comb(n, d) * (q - 1) ** d :]
+        good = _good_distances(params)
+        for words, centre in ((cands, cands[0]), (heavy, heavy[0])):
+            w = int((centre != 0).sum())
+            near = words[good[_distances_to(words, centre)]]
+            adj_bool = _adjacency(near, good)
+            orbits = _orbits(near, adj_bool, centre)
+            union = 0
+            for _, members in orbits:
+                assert not union & members
+                union |= members
+            assert union == (1 << len(near)) - 1
+            degrees = [adj_bool[rep].sum() for rep, _ in orbits]
+            assert degrees == sorted(degrees, reverse=True)
+            for rep, members in orbits:
+                for i in range(len(near)):
+                    if members >> i & 1:
+                        perm, symbols = map_onto(near[i], near[rep], q, w)
+                        image = stabiliser_map(np.stack([near[i], centre]), perm, symbols)
+                        assert np.array_equal(image, np.stack([near[rep], centre]))
+
+    def test_searched_orbits_stay_deleted(self, monkeypatch):
+        params = P(2, 8, 4, 2)
+        cands = candidate_words(params)
+        good = _good_distances(params)
+        centre = cands[0]
+        masks = []
+        inner = search._max_clique
+
+        def recording(adj, p_mask, best, stop):
+            masks.append(p_mask)
+            return inner(adj, p_mask, best, stop)
+
+        monkeypatch.setattr(search, "_max_clique", recording)
+        assert search._orbit_clique(cands, good, centre, 0, math.inf) == 8
+        near = cands[good[_distances_to(cands, centre)]]
+        adj_bool = _adjacency(near, good)
+        adj = _pack(adj_bool)
+        orbits = _orbits(near, adj_bool, centre)
+        searched = 0
+        assert len(orbits) > 2
+        assert len(masks) == len(orbits)  # no stop, so every orbit is searched
+        for (rep, members), mask in zip(orbits, masks):
+            assert mask == adj[rep] & ~searched
+            searched |= members
+        assert any(adj[rep] & ~mask for (rep, _), mask in zip(orbits, masks))
 
 
 # references: the broadcast distance code the shared kernel replaced

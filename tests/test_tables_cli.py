@@ -46,6 +46,10 @@ class TestComputeCell:
         cell = compute_cell(P(2, 7, 2, 2), CellOptions(oracle_max_vertices=100))
         assert cell.status == "value" and cell.upper.value == 22
 
+    def test_negative_oracle_cap_refused(self):
+        with pytest.raises(ValueError, match="must not be negative"):
+            CellOptions(oracle_max_vertices=-3)
+
     def test_search_cell(self):
         cell = compute_cell(
             P(2, 8, 4, 4),
@@ -263,6 +267,21 @@ class TestCli:
     def test_oracle(self, capsys):
         assert main(["oracle", "--q", "2", "--n", "5", "--d", "2", "--delta", "2"]) == 0
         assert "= 16" in capsys.readouterr().out
+
+    def test_negative_oracle_caps_are_usage_errors(self, capsys):
+        rc = main([
+            "oracle", "--q", "2", "--n", "5", "--d", "2", "--delta", "2", "--max-vertices", "-1",
+        ])
+        assert rc == 1
+        assert "error: oracle cap must not be negative" in capsys.readouterr().err
+        rc = main([
+            "table", "--q", "2", "--delta", "2", "--n-min", "6", "--n-max", "7",
+            "--oracle-max", "-3",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "error: oracle cap must not be negative" in captured.err
+        assert captured.out == ""
 
     def test_feasible_pass(self, capsys):
         rc = main([
