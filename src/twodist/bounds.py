@@ -40,41 +40,17 @@ def _lp_constraints(params: TwoDistParams):
     return [(1, 0, 0), (0, 1, 0), *zip(k_d[1:], k_e[1:], k_0[1:])]
 
 
-def _lp_is_unbounded(rows) -> bool:
-    """Check for a recession direction (u, v) >= 0, u+v > 0 in the cone."""
-    # directions (1, t) need lo <= t <= hi, each kept as (num, den) with
-    # den > 0, except hi = 1/0, which stands for +infinity
-    lo_num, lo_den, hi_num, hi_den = 0, 1, 1, 0
-    family_dead = False
-    for a, b, _ in rows[2:]:
-        if b > 0:
-            if -a * lo_den > lo_num * b:
-                lo_num, lo_den = -a, b
-        elif b < 0:
-            if a * hi_den < hi_num * -b:
-                hi_num, hi_den = a, -b
-        elif a < 0:
-            family_dead = True
-            break
-    if not family_dead and lo_num * hi_den <= hi_num * lo_den:
-        return True
-    # direction (0, 1)
-    return all(b >= 0 for a, b, _ in rows[2:])
-
-
 def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """Exact optimum of max 1 + A_d + A_e over the restricted Delsarte LP.
 
     Returns the optimum and the attaining vertex (A_d, A_e).  Raises
-    LpUnboundedError when the feasible region is unbounded; degenerate
-    inputs can trigger this, in-range table queries never do.  Below the
-    two axes every row has c = K_i(0) = (q-1)^i C(n, i) > 0, as
-    `_lp_solve` requires.
+    LpUnboundedError when the feasible region is unbounded, which the
+    boundary walk of `_lp_solve` finds on its way; degenerate inputs can
+    trigger this, in-range table queries never do.  Below the two axes
+    every row has c = K_i(0) = (q-1)^i C(n, i) > 0, as `_lp_solve`
+    requires.
     """
-    rows = _lp_constraints(params)
-    if _lp_is_unbounded(rows):
-        raise LpUnboundedError(f"restricted LP unbounded for {params}")
-    return _lp_solve(rows)
+    return _lp_solve(_lp_constraints(params))
 
 
 def _lp_meet(r1, r2) -> tuple[int, int, int]:
@@ -88,7 +64,7 @@ def _lp_meet(r1, r2) -> tuple[int, int, int]:
 
 
 def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Maximise 1 + x + y over a bounded region whose rows 2.. have c > 0.
+    """Maximise 1 + x + y over the region of `rows`; rows 2.. have c > 0.
 
     Every vertex is kept as integer numerators (X, Y) over a determinant
     det > 0, and every comparison is an integer cross-multiplication; no
@@ -104,6 +80,12 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     walk ends at the first vertex whose next edge does not rise, and an
     edge with b = a joins a second optimal vertex.
 
+    An edge that no row stops is a ray, and the walk raises
+    LpUnboundedError there.  It always reaches that ray when the region
+    is unbounded: x, y >= 0 puts every recession direction in the first
+    quadrant, the edge directions turn counterclockwise from (1, 0) up to
+    the ray's, and x + y rises along every one of them.
+
     The result equals that of enumerating every pair of rows (i, j),
     i < j, in order and keeping the first feasible vertex that strictly
     beats the best so far: of the optimal vertices (one, or the two ends
@@ -114,7 +96,6 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     level = None  # start of an edge of constant objective
     while True:
         ux, uy = rows[r][1], -rows[r][0]
-        # the region is bounded, so some row stops every edge
         stops, stop_slack, stop_rate = [], 0, 1
         for k, (a, b, c) in enumerate(rows):
             rate = -(a * ux + b * uy)
@@ -125,6 +106,8 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
                 stops, stop_slack, stop_rate = [k], slack, rate
             elif slack * stop_rate == stop_slack * rate:
                 stops.append(k)
+        if not stops:
+            raise LpUnboundedError(f"restricted LP unbounded along row {rows[r]}")
         x, y, det = _lp_meet(rows[r], rows[stops[0]])
         r = next(
             k for k in stops

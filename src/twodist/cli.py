@@ -16,7 +16,6 @@ from . import bounds as bounds_mod
 from . import constructions, feasibility, search, tables
 from .core import (
     Code,
-    CodeFormatError,
     TwoDistParams,
     distance_distribution,
     is_antipodal,
@@ -196,11 +195,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    try:
-        code = read_code(Path(args.file).read_text())
-    except (OSError, CodeFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return FAIL
+    code = read_code(Path(args.file).read_text())
     dist = distance_distribution(code)
     observed = dist.support()
     print(f"q={code.q} n={code.n} words={code.size}")
@@ -382,7 +377,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ValueError, bounds_mod.LpUnboundedError, CodeFormatError) as exc:
+    # CodeFormatError and ExternalBoundsError are ValueErrors; OSError covers
+    # unreadable inputs and unwritable outputs
+    except (OSError, ValueError, bounds_mod.LpUnboundedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

@@ -18,6 +18,9 @@ import numpy as np
 from .core import Code, TwoDistParams
 from .fields import GF, prime_power
 
+# largest space q^k that projective_points enumerates and the catalog considers
+_MAX_SPACE = 1 << 20
+
 
 @dataclass(frozen=True)
 class GeneratorMatrix:
@@ -104,7 +107,12 @@ def _span(g: GeneratorMatrix) -> np.ndarray:
 
 
 def projective_points(q: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical representatives (first nonzero entry 1), lexicographic."""
+    """Canonical representatives (first nonzero entry 1), lexicographic.
+
+    Refuses q^k > 2^20 up front rather than enumerate that many vectors.
+    """
+    if q**k > _MAX_SPACE:
+        raise ValueError(f"q^k = {q}^{k} exceeds the enumeration limit 2^20")
     pts = []
     for vec in itertools.product(range(q), repeat=k):
         nz = next((s for s in vec if s), None)
@@ -405,24 +413,18 @@ def complementary_code(g: GeneratorMatrix) -> GeneratorMatrix:
     """
     if g.rank() != g.k:
         raise ValueError("generator matrix must have full rank")
-    counts = Counter(normalize_column(g.q, c) for c in g.columns())
-    s = max(counts.values())
-    complement = []
-    for pt in projective_points(g.q, g.k):
-        complement.extend([pt] * (s - counts.get(pt, 0)))
+    s = column_multiplicity(g)
+    missing = Counter(dict.fromkeys(projective_points(g.q, g.k), s))
+    missing.subtract(normalize_column(g.q, c) for c in g.columns())
+    complement = list(missing.elements())
     if not complement:
         raise ValueError("complementary code is empty (all points already used)")
-    comp = matrix_from_columns(g.q, sorted(complement))
+    comp = matrix_from_columns(g.q, complement)
     if g.q**g.k <= 4096:
         joint = GeneratorMatrix(g.q, tuple(a + b for a, b in zip(g.rows, comp.rows)))
         if set(joint.weight_distribution()) != {s * g.q ** (g.k - 1)}:
             raise AssertionError("joint code is not equidistant")
     return comp
-
-
-def griesmer_bound(q: int, k: int, d: int) -> int:
-    """Minimal length of a linear [n, k, d]_q code by the Griesmer sum."""
-    return sum(-(-d // q**i) for i in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +479,7 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
             entries.append(CatalogEntry(q**3, "arc", f"hyperoval code [{q + 2}, 3]", q + 2))
         # su1 removal / union
         for m in range(3, 22):
-            if q**m > 1 << 20:
+            if q**m > _MAX_SPACE:
                 break
             for r in range(2, m):
                 base = q ** (r - 1)

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -90,13 +90,6 @@ class Code:
             cnt += np.bincount(dist.ravel(), minlength=self.n + 1)
         return tuple(int(c) for c in cnt)
 
-    @staticmethod
-    def from_words(q: int, words: Iterable[Iterable[int]]) -> "Code":
-        ws = tuple(tuple(w) for w in words)
-        if not ws:
-            raise ValueError("a code needs at least one word")
-        return Code(q, len(ws[0]), ws)
-
 
 @dataclass(frozen=True)
 class TwoDistParams:
@@ -139,14 +132,14 @@ class DistanceDistribution:
 class BoundStatus:
     """Outcome of a bound query: exact value, range, or a degenerate case."""
 
-    kind: str  # "exact" | "range" | "not_well_defined" | "infeasible"
+    kind: str  # "exact" | "range" | "not_well_defined"
     lo: int | None = None
     hi: int | None = None
     methods: tuple[str, ...] = ()
     note: str = ""
 
     def __post_init__(self):
-        if self.kind not in ("exact", "range", "not_well_defined", "infeasible"):
+        if self.kind not in ("exact", "range", "not_well_defined"):
             raise ValueError(f"bad status kind {self.kind!r}")
         if self.kind == "range" and (self.lo is None or self.hi is None or self.lo > self.hi):
             raise ValueError("range needs lo <= hi")
@@ -164,10 +157,6 @@ class BoundStatus:
     @staticmethod
     def not_well_defined(note="") -> "BoundStatus":
         return BoundStatus("not_well_defined", note=note)
-
-    @staticmethod
-    def infeasible(note="") -> "BoundStatus":
-        return BoundStatus("infeasible", note=note)
 
 
 @dataclass(frozen=True)
@@ -248,15 +237,6 @@ def is_antipodal(code: Code) -> bool:
                 return False
             groups.append(group)
     return all(groups[v] == g for g in groups for v in g)
-
-
-def translate(code: Code, word: tuple[int, ...]) -> Code:
-    """Subtract a fixed word coordinate-wise mod q (distance preserving)."""
-    if len(word) != code.n:
-        raise ValueError("translation word has wrong length")
-    q = code.q
-    moved = tuple(tuple((a - b) % q for a, b in zip(w, word)) for w in code.words)
-    return Code(code.q, code.n, moved)
 
 
 # ---------------------------------------------------------------------------

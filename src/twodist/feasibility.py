@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .core import BoundStatus, TwoDistParams, distance_blocks
+from .core import BoundStatus, TwoDistParams
 from .fields import prime_power
 
 
@@ -62,19 +60,6 @@ class LinearParams:
     @property
     def size(self) -> int:
         return self.q**self.k
-
-
-@dataclass(frozen=True)
-class Valuations:
-    """p-adic valuations of d, delta and the complementary distance d_c.
-
-    None encodes an infinite valuation (the argument was 0).
-    """
-
-    p: int
-    gamma_d: int | None
-    gamma_delta: int | None
-    gamma_c: int | None
 
 
 def p_adic_valuation(p: int, a: int) -> int | None:
@@ -334,14 +319,23 @@ class ComplementaryParams:
     degenerate: bool  # d_c = 0 or n_c = 0: complementary collapses
 
 
-def _column_multiplicities(lp: LinearParams) -> list[int]:
-    """Candidate column multiplicities s: lp.s when given, else 1..ceil(n(q-1)/(q^k-1)) + 1."""
+def _complements(lp: LinearParams):
+    """(s, n_c, d_c) for each candidate column multiplicity s.
+
+    s is lp.s when given, else 1..ceil(n(q-1)/(q^k-1)) + 1;
+    n_c = s(q^k-1)/(q-1) - n and d_c = s q^(k-1) - w2.
+    """
+    q, k = lp.q, lp.k
+    points = (q**k - 1) // (q - 1)
     if lp.s is not None:
-        return [lp.s]
-    return list(range(1, -(-lp.n * (lp.q - 1) // (lp.q**lp.k - 1)) + 2))
+        candidates = [lp.s]
+    else:
+        candidates = range(1, -(-lp.n * (q - 1) // (q**k - 1)) + 2)
+    for s in candidates:
+        yield s, s * points - lp.n, s * q ** (k - 1) - lp.w2
 
 
-def complementary_params(lp: LinearParams, delta: int | None = None) -> tuple[ComplementaryParams, ...]:
+def complementary_params(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
     """Length and minimum distance of the complementary two-weight code.
 
     For each admissible column multiplicity s:
@@ -349,21 +343,14 @@ def complementary_params(lp: LinearParams, delta: int | None = None) -> tuple[Co
     weight multiplicities swapped between the two codes.  Raises when no
     s in range yields nonnegative n_c and d_c.
     """
-    delta = lp.delta if delta is None else delta
-    if delta != lp.delta:
-        raise ValueError("delta inconsistent with w2 - w1")
-    q, k, n, d = lp.q, lp.k, lp.n, lp.w1
-    points = (q**k - 1) // (q - 1)
-    out = []
-    for s in _column_multiplicities(lp):
-        n_c = s * points - n
-        d_c = s * q ** (k - 1) - d - delta
-        if n_c < 0 or d_c < 0:
-            continue
-        out.append(ComplementaryParams(s=s, n_c=n_c, d_c=d_c, degenerate=n_c == 0 or d_c == 0))
+    out = tuple(
+        ComplementaryParams(s=s, n_c=n_c, d_c=d_c, degenerate=n_c == 0 or d_c == 0)
+        for s, n_c, d_c in _complements(lp)
+        if n_c >= 0 and d_c >= 0
+    )
     if not out:
         raise ValueError("no column multiplicity s gives nonnegative n_c and d_c")
-    return tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +370,6 @@ class GcdVerdict:
     s: int
     n_c: int
     d_c: int
-    valuations: Valuations
     clauses: tuple[ClauseVerdict, ...]
     verdict: str  # "pass" | "fail" | "abstain" | "invalid"
 
@@ -399,7 +385,7 @@ class GcdScreen:
         return any(v.verdict in ("pass", "abstain") for v in self.per_s)
 
 
-def gcd_screen(lp: LinearParams, delta: int | None = None) -> GcdScreen:
+def gcd_screen(lp: LinearParams) -> GcdScreen:
     """Divisibility conditions linking d, delta and the complementary d_c.
 
     With gamma_* the p-adic valuations, a nontrivial linear two-weight
@@ -419,35 +405,23 @@ def gcd_screen(lp: LinearParams, delta: int | None = None) -> GcdScreen:
     for every delta there.  When s is unknown, all candidate values are
     reported; parameters are refuted only if every candidate s fails.
     """
-    delta = lp.delta if delta is None else delta
-    if delta != lp.delta:
-        raise ValueError("delta inconsistent with w2 - w1")
     if lp.k < 2:
         raise ValueError("gcd screen needs k >= 2")
-    q, k, n, d, p = lp.q, lp.k, lp.n, lp.w1, lp.p
-    points = (q**k - 1) // (q - 1)
+    q, k, n, d, delta, p = lp.q, lp.k, lp.n, lp.w1, lp.delta, lp.p
+    gamma_d, gamma_delta = p_adic_valuation(p, d), p_adic_valuation(p, delta)
     verdicts = []
-    for s in _column_multiplicities(lp):
-        n_c = s * points - n
-        d_c = s * q ** (k - 1) - d - delta
-        vals = Valuations(
-            p=p,
-            gamma_d=p_adic_valuation(p, d),
-            gamma_delta=p_adic_valuation(p, delta),
-            gamma_c=p_adic_valuation(p, d_c) if d_c >= 0 else None,
-        )
+    for s, n_c, d_c in _complements(lp):
         if n_c < 0 or d_c < 0:
-            verdicts.append(GcdVerdict(s, n_c, d_c, vals, (), "invalid"))
+            verdicts.append(GcdVerdict(s, n_c, d_c, (), "invalid"))
             continue
         if k == 2 and s > 1:
             clause = ClauseVerdict("abstain", True, None, "k = 2 with repeated columns")
-            verdicts.append(GcdVerdict(s, n_c, d_c, vals, (clause,), "abstain"))
+            verdicts.append(GcdVerdict(s, n_c, d_c, (clause,), "abstain"))
             continue
         clauses = []
         gd, gdel, gdc = math.gcd(q, d), math.gcd(q, delta), math.gcd(q, d_c)
-        val_disjunction = (
-            vals.gamma_d == vals.gamma_delta or vals.gamma_c == vals.gamma_delta
-        )
+        gamma_c = p_adic_valuation(p, d_c)
+        val_disjunction = gamma_d == gamma_delta or gamma_c == gamma_delta
         if s == 1 and k >= 4:
             ok = gd == gdel and gdc == gdel
             clauses.append(
@@ -468,7 +442,7 @@ def gcd_screen(lp: LinearParams, delta: int | None = None) -> GcdScreen:
                     "iii",
                     True,
                     val_disjunction,
-                    f"gamma_d={vals.gamma_d}, gamma_delta={vals.gamma_delta}, gamma_c={vals.gamma_c}",
+                    f"gamma_d={gamma_d}, gamma_delta={gamma_delta}, gamma_c={gamma_c}",
                 )
             )
         if k >= 3:
@@ -480,7 +454,7 @@ def gcd_screen(lp: LinearParams, delta: int | None = None) -> GcdScreen:
             verdict = "pass"
         else:
             verdict = "fail"
-        verdicts.append(GcdVerdict(s, n_c, d_c, vals, tuple(clauses), verdict))
+        verdicts.append(GcdVerdict(s, n_c, d_c, tuple(clauses), verdict))
     return GcdScreen(lp, tuple(verdicts))
 
 
@@ -554,73 +528,6 @@ def special_values(params: TwoDistParams) -> SpecialValues:
             conjecture_note="weight-(delta+2) block construction; conjectured optimal",
         )
     return SpecialValues(None)
-
-
-@dataclass(frozen=True)
-class SrgEmpirical:
-    """Measured parameters of the distance-w1 graph on an actual code."""
-
-    params: tuple[int, int, int, int]
-    strongly_regular: bool
-    multiplicities: tuple[tuple[Fraction, int], ...]  # (eigenvalue, multiplicity)
-
-
-def srg_empirical(code, w1: int) -> SrgEmpirical:
-    """Build the graph on codewords adjacent at distance w1 and measure it.
-
-    The graph comes from the shared distance kernel and the common-neighbor
-    counts from one integer matrix product; the check then computes
-    the eigenvalue multiplicities exactly as kernel dimensions of A - rho*I
-    over the rationals (the candidate eigenvalues come from degree and the
-    two common-neighbor counts).  Everything is exact integer/rational
-    arithmetic.
-    """
-    words = np.array(code.words)
-    size = len(words)
-    adj = np.empty((size, size), dtype=np.int64)
-    for start, dist in distance_blocks(words, words):
-        adj[start : start + len(dist)] = dist == w1
-    np.fill_diagonal(adj, 0)
-    degrees = set(adj.sum(axis=1).tolist())
-    if len(degrees) != 1:
-        return SrgEmpirical((size, -1, -1, -1), False, ())
-    k = degrees.pop()
-    common = adj @ adj
-    upper = np.triu_indices(size, 1)
-    adjacent = adj[upper] == 1
-    lam_set = set(common[upper][adjacent].tolist())
-    mu_set = set(common[upper][~adjacent].tolist())
-    if len(lam_set) > 1 or len(mu_set) > 1:
-        return SrgEmpirical((size, k, -1, -1), False, ())
-    lam = lam_set.pop() if lam_set else 0
-    mu = mu_set.pop() if mu_set else 0
-    disc = _fraction_sqrt(Fraction((lam - mu) ** 2 + 4 * (k - mu)))
-    mults = []
-    if disc is not None:
-        for rho in (Fraction(lam - mu + disc, 2), Fraction(lam - mu - disc, 2)):
-            mults.append((rho, _kernel_dimension(adj.tolist(), rho)))
-    return SrgEmpirical((size, k, lam, mu), True, tuple(mults))
-
-
-def _kernel_dimension(adj, rho: Fraction) -> int:
-    size = len(adj)
-    mat = [[Fraction(adj[i][j]) - (rho if i == j else 0) for j in range(size)] for i in range(size)]
-    rank = 0
-    for col in range(size):
-        pivot = next((r for r in range(rank, size) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = 1 / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(size):
-            if r != rank and mat[r][col] != 0:
-                c = mat[r][col]
-                mat[r] = [x - c * y for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == size:
-            break
-    return size - rank
 
 
 def two_distance_realizable(params: TwoDistParams) -> bool:

@@ -49,10 +49,6 @@ class TableCell:
         ):
             raise ValueError("exact cells need lower = upper")
 
-    @property
-    def equidistant(self) -> bool:
-        return self.equidistant_size is not None
-
 
 @dataclass(frozen=True)
 class TableSpec:
@@ -152,22 +148,25 @@ def table_cells(spec: TableSpec, options: CellOptions = CellOptions()) -> list[T
     return cells
 
 
-def cell_text(cell: TableCell) -> str:
-    """Compact rendering like the printed tables: '12-19^dd', '56^lp', '--'."""
+def cell_text(cell: TableCell, sup: str = "^{}") -> str:
+    """Compact rendering like the printed tables: '12-19^dd', '56^lp', '--'.
+
+    `sup` formats each superscript tag; latex passes '$^{{{}}}$'.
+    """
     if cell.status == "not_well_defined":
         return "--"
     if cell.status == "value":
         tag = cell.upper.tag
-        return f"{cell.upper.value}" + (f"^{tag}" if tag and tag != "exact" else "")
+        return f"{cell.upper.value}" + (sup.format(tag) if tag and tag != "exact" else "")
     if cell.equidistant_size == cell.upper.value:
         # an equidistant catalog code meets the two-distance upper bound
-        return f"{cell.upper.value}^e,{cell.upper.tag}"
+        return f"{cell.upper.value}" + sup.format(f"e,{cell.upper.tag}")
     lo = (
-        f"{cell.equidistant_size}^e"
+        f"{cell.equidistant_size}" + sup.format("e")
         if cell.equidistant_size is not None
         else str(cell.lower.value)
     )
-    return f"{lo}-{cell.upper.value}^{cell.upper.tag}"
+    return f"{lo}-{cell.upper.value}" + sup.format(cell.upper.tag)
 
 
 def render_table(spec: TableSpec, options: CellOptions = CellOptions()) -> str:
@@ -188,12 +187,13 @@ def render_table(spec: TableSpec, options: CellOptions = CellOptions()) -> str:
     by_pos = {(c.params.n, c.params.d): c for c in cells}
     d_values = sorted({c.params.d for c in cells})
     n_values = list(range(spec.n_min, spec.n_max + 1))
+    sup = "$^{{{}}}$" if spec.fmt == "latex" else "^{}"
     grid = []
     for n in n_values:
         row = []
         for d in d_values:
             c = by_pos.get((n, d))
-            row.append(cell_text(c) if c is not None else "")
+            row.append(cell_text(c, sup) if c is not None else "")
         grid.append(row)
 
     if spec.fmt == "markdown":
@@ -210,25 +210,9 @@ def render_table(spec: TableSpec, options: CellOptions = CellOptions()) -> str:
         " & ".join(["$n|d$"] + [str(d) for d in d_values]) + " \\\\ \\hline"
     )
     for n, row in zip(n_values, grid):
-        rendered = [_latex_cell(c) for c in row]
-        lines.append(" & ".join([str(n)] + rendered) + " \\\\ \\hline")
+        lines.append(" & ".join([str(n)] + row) + " \\\\ \\hline")
     lines.append("\\end{tabular}")
     return "\n".join(lines) + "\n"
-
-
-def _latex_cell(text: str) -> str:
-    if "^" not in text:
-        return text
-    parts = text.split("^")
-    out = parts[0]
-    for extra in parts[1:]:
-        # a tag runs until the next '-' that starts the upper half
-        if "-" in extra:
-            tag, rest = extra.split("-", 1)
-            out += f"$^{{{tag}}}$-{rest}" if tag else "-" + rest
-        else:
-            out += f"$^{{{extra}}}$"
-    return out
 
 
 def cells_to_json(cells) -> str:

@@ -27,11 +27,12 @@ from twodist.feasibility import (
     macwilliams_mu,
     special_values,
     srg_analysis,
-    srg_empirical,
     two_distance_realizable,
 )
 from twodist.search import SearchConfig, exhaustive_maximum, random_greedy
 from twodist.tables import compute_cell
+
+from test_feasibility import srg_empirical
 
 
 def P(q, n, d, delta):

@@ -8,7 +8,6 @@ from twodist.bounds import (
     ExternalBoundsError,
     LpUnboundedError,
     _lp_constraints,
-    _lp_is_unbounded,
     _lp_solve,
     best_upper_bound,
     d2_bound,
@@ -128,15 +127,19 @@ class TestLpBound:
 
     def test_unbounded_detector_on_synthetic_cone(self):
         rows = [(1, 0, 0), (0, 1, 0), (2, 3, 5), (1, 1, 0)]
-        assert _lp_is_unbounded(rows)
+        assert reference_is_unbounded(rows)
+        with pytest.raises(LpUnboundedError):
+            _lp_solve(rows)
         rows = [(1, 0, 0), (0, 1, 0), (-1, -1, 5)]
-        assert not _lp_is_unbounded(rows)
+        assert _lp_solve(rows) == reference_lp(rows)
         # b == 0 and a < 0 rule out every direction (1, t) ...
         rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 5), (0, -1, 5)]
-        assert not _lp_is_unbounded(rows)
+        assert _lp_solve(rows) == reference_lp(rows)
         # ... leaving (0, 1), the only unbounded direction here
         rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 5), (-1, 2, 3)]
-        assert _lp_is_unbounded(rows)
+        assert reference_is_unbounded(rows)
+        with pytest.raises(LpUnboundedError):
+            _lp_solve(rows)
 
     def test_matches_reference_on_short_lengths(self):
         for params in SWEEP:
@@ -154,12 +157,13 @@ class TestLpBound:
         bounded = 0
         for _ in range(3000):
             rows = random_rows(rng)
-            unbounded = reference_is_unbounded(rows)
-            assert _lp_is_unbounded(rows) == unbounded, rows
-            if not unbounded:
+            if reference_is_unbounded(rows):
+                with pytest.raises(LpUnboundedError):
+                    _lp_solve(rows)
+            else:
                 bounded += 1
                 assert _lp_solve(rows) == reference_lp(rows), rows
-        assert bounded > 2000
+        assert 2000 < bounded < 3000
 
 
 class TestPlotkin:

@@ -15,7 +15,6 @@ from twodist.constructions import (
     difference_matrix,
     dm_code,
     equidistant_lower_bound,
-    griesmer_bound,
     is_difference_matrix,
     pencil_code,
     projective_points,
@@ -49,6 +48,12 @@ class TestGeneratorMatrix:
         assert len(projective_points(2, 4)) == 15
         assert len(projective_points(3, 3)) == 13
         assert len(projective_points(4, 2)) == 5
+
+    def test_projective_points_refuses_oversized_space(self):
+        with pytest.raises(ValueError, match="exceeds"):
+            projective_points(2, 21)
+        with pytest.raises(ValueError, match="exceeds"):
+            seed_code("simplex", 2, 40)
 
 
 # references: the per-message loop that the table-driven span replaces
@@ -237,6 +242,10 @@ class TestSu1:
             assert set(weights(g)) == {d, d + delta}
 
     def test_griesmer_optimal_when_h_small(self):
+        def griesmer_bound(q, k, d):
+            """Minimal length of a linear [n, k, d]_q code by the Griesmer sum."""
+            return sum(-(-d // q**i) for i in range(k))
+
         for (q, m, r, s, h) in [(2, 4, 2, 1, 1), (2, 3, 2, 1, 1), (3, 3, 2, 2, 2)]:
             if h <= q - 1:
                 g = su1_code(q, m, r, s, h)

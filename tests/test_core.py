@@ -16,7 +16,6 @@ from twodist.core import (
     moments,
     read_code,
     strength,
-    translate,
     verify_two_distance,
     write_code,
 )
@@ -28,6 +27,12 @@ from twodist.core import (
 
 def hamming(x, y):
     return sum(a != b for a, b in zip(x, y))
+
+
+def translate(code, word):
+    """Subtract a fixed word coordinate-wise mod q (distance preserving)."""
+    moved = tuple(tuple((a - b) % code.q for a, b in zip(w, word)) for w in code.words)
+    return Code(code.q, code.n, moved)
 
 
 def reference_counts(code):

@@ -1,5 +1,8 @@
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from twodist.constructions import (
@@ -21,13 +24,74 @@ from twodist.feasibility import (
     p_adic_valuation,
     special_values,
     srg_analysis,
-    srg_empirical,
     two_distance_realizable,
 )
 
 
 def P(q, n, d, delta):
     return TwoDistParams(q, n, d, delta)
+
+
+@dataclass(frozen=True)
+class SrgEmpirical:
+    """Measured parameters of the distance-w1 graph on an actual code."""
+
+    params: tuple[int, int, int, int]
+    strongly_regular: bool
+    multiplicities: tuple[tuple[Fraction, int], ...]  # (eigenvalue, multiplicity)
+
+
+def srg_empirical(code, w1: int) -> SrgEmpirical:
+    """Reference for `srg_analysis`: build the distance-w1 graph and measure it.
+
+    The eigenvalue multiplicities are kernel dimensions of A - rho*I over
+    the rationals, for the two eigenvalues that degree and the two
+    common-neighbour counts give.  Everything is exact.
+    """
+    words = np.array(code.words)
+    size = len(words)
+    adj = ((words[:, None, :] != words[None, :, :]).sum(axis=2) == w1).astype(np.int64)
+    degrees = set(adj.sum(axis=1).tolist())
+    if len(degrees) != 1:
+        return SrgEmpirical((size, -1, -1, -1), False, ())
+    k = degrees.pop()
+    common = adj @ adj
+    upper = np.triu_indices(size, 1)
+    adjacent = adj[upper] == 1
+    lam_set = set(common[upper][adjacent].tolist())
+    mu_set = set(common[upper][~adjacent].tolist())
+    if len(lam_set) > 1 or len(mu_set) > 1:
+        return SrgEmpirical((size, k, -1, -1), False, ())
+    lam = lam_set.pop() if lam_set else 0
+    mu = mu_set.pop() if mu_set else 0
+    disc = (lam - mu) ** 2 + 4 * (k - mu)
+    root = math.isqrt(max(disc, 0))
+    mults = []
+    if root * root == disc:
+        for rho in (Fraction(lam - mu + root, 2), Fraction(lam - mu - root, 2)):
+            mults.append((rho, _kernel_dimension(adj.tolist(), rho)))
+    return SrgEmpirical((size, k, lam, mu), True, tuple(mults))
+
+
+def _kernel_dimension(adj, rho: Fraction) -> int:
+    size = len(adj)
+    mat = [[Fraction(adj[i][j]) - (rho if i == j else 0) for j in range(size)] for i in range(size)]
+    rank = 0
+    for col in range(size):
+        pivot = next((r for r in range(rank, size) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = 1 / mat[rank][col]
+        mat[rank] = [x * inv for x in mat[rank]]
+        for r in range(size):
+            if r != rank and mat[r][col] != 0:
+                c = mat[r][col]
+                mat[r] = [x - c * y for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == size:
+            break
+    return size - rank
 
 
 class TestQuadratic:

@@ -322,3 +322,29 @@ class TestCli:
         ])
         assert rc == 0
         assert "best     4" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."])
+    def test_unreadable_external_bounds_is_tool_error(self, tmp_path, capsys, name):
+        rc = main([
+            "--external-bounds", str(tmp_path / name),
+            "bound", "--q", "2", "--n", "13", "--d", "8", "--delta", "2",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    def test_search_output_into_missing_directory_is_tool_error(self, tmp_path, capsys):
+        rc = main([
+            "search", "--q", "2", "--n", "8", "--d", "4", "--delta", "4",
+            "--restarts", "1", "-o", str(tmp_path / "no" / "such" / "x"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_check_missing_file_is_tool_error(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "missing.txt")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_construct_oversized_space_is_refused(self, capsys):
+        assert main(["construct", "simplex", "2", "40"]) == 1
+        assert "exceeds" in capsys.readouterr().err
