@@ -20,6 +20,7 @@ from .fields import GF, prime_power
 
 # largest space q^k that projective_points enumerates and the catalog considers
 _MAX_SPACE = 1 << 20
+BLOCK_DIFFERENCES = 1 << 13  # row-pair differences in one block of is_difference_matrix (64 KB of intp)
 
 
 @dataclass(frozen=True)
@@ -73,10 +74,10 @@ class GeneratorMatrix:
 
         Raises when the matrix is rank deficient.
         """
-        words = tuple(map(tuple, _span(self).tolist()))
-        if len(set(words)) != len(words):
-            raise ValueError("generator matrix is rank deficient; span has repeats")
-        return Code(self.q, self.n, words)
+        try:
+            return Code(self.q, self.n, _span(self))
+        except ValueError as exc:  # span words have length n and symbols < q: a repeat
+            raise ValueError("generator matrix is rank deficient; span has repeats") from exc
 
     def weight_distribution(self) -> dict[int, int]:
         """Weight -> count over all nonzero messages (works when rank < k too)."""
@@ -161,13 +162,24 @@ class DifferenceMatrix:
 
 
 def is_difference_matrix(dm: DifferenceMatrix, p: int, ell: int) -> bool:
+    """True iff every two distinct rows differ, entry by entry in GF(p^ell), in
+    exactly dm.q distinct values, each dm.mu times.
+
+    Every row pair is checked: one lookup in the subtraction table per
+    block of pairs, then one bincount of the block's differences.
+    """
     field = GF(p**ell)
-    rows = dm.entries
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            diff = Counter(field.sub(a, b) for a, b in zip(rows[i], rows[j]))
-            if len(diff) != dm.q or any(v != dm.mu for v in diff.values()):
-                return False
+    sub = np.array(field.add_table)[:, [field.neg(b) for b in field.elements()]]
+    rows = np.array(dm.entries, dtype=np.intp)
+    first, second = np.triu_indices(len(rows), 1)
+    step = max(1, BLOCK_DIFFERENCES // max(1, rows.shape[1]))
+    for start in range(0, len(first), step):
+        i, j = first[start : start + step], second[start : start + step]
+        diff = sub[rows[i], rows[j]] + field.q * np.arange(len(i))[:, None]
+        counts = np.bincount(diff.ravel(), minlength=len(i) * field.q).reshape(len(i), field.q)
+        present = counts > 0
+        if (present.sum(axis=1) != dm.q).any() or (counts[present] != dm.mu).any():
+            return False
     return True
 
 
@@ -186,9 +198,8 @@ def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
         raise ValueError("need ell >= 1 and h >= 0")
     field = GF(p ** (ell + h))
     q, mu = p**ell, p**h
-    size = q * mu
-    entries = tuple(tuple(field.mul(x, y) % q for y in range(size)) for x in range(size))
-    dm = DifferenceMatrix(q=q, mu=mu, entries=entries)
+    entries = np.array(field.mul_table) % q
+    dm = DifferenceMatrix(q=q, mu=mu, entries=tuple(map(tuple, entries.tolist())))
     if not is_difference_matrix(dm, p, ell):
         raise AssertionError("constructed matrix violates the difference property")
     return dm
@@ -205,9 +216,11 @@ def dm_code(p: int, ell: int, h: int) -> Code:
     """
     dm = difference_matrix(p, ell, h)
     q = dm.q
-    field = GF(q)
-    words = tuple(tuple(field.add(s, c) for s in row) for row in dm.entries for c in range(q))
-    return Code(q, dm.order(), words)
+    add = np.array(GF(q).add_table, dtype=np.min_scalar_type(q - 1))
+    rows = np.array(dm.entries, dtype=np.intp)
+    # word (row, c) is add[row, c]; rows vary slowest, as in the loop over rows then c
+    words = add[rows[:, None, :], np.arange(q)[None, :, None]]
+    return Code(q, dm.order(), words.reshape(-1, dm.order()))
 
 
 # ---------------------------------------------------------------------------

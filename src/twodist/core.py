@@ -1,9 +1,12 @@
 """Codes over small alphabets and their distance statistics.
 
 Everything here is exact: pair-distance counts are integers, and distance
-distributions and moments are `fractions.Fraction`s, never floats.  Every
-word-pair distance in the library comes from one blocked numpy kernel,
-`distance_blocks`.  All types are immutable after construction and all
+distributions and moments are `fractions.Fraction`s, never floats.  A
+`Code` validates its words once, in numpy, into one read-only word array,
+and every consumer reads that array: every word-pair distance in the
+library comes from one blocked numpy kernel, `distance_blocks`, and the
+text file format is written with one `tobytes()` and read with one
+`np.frombuffer`.  All types are immutable after construction and all
 operations are pure functions, so values can be shared freely between
 threads.
 """
@@ -43,18 +46,63 @@ def distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndar
         yield start, dist
 
 
-def _word_array(code: "Code") -> np.ndarray:
-    """The code's words as a (size, n) array of the smallest fitting dtype."""
-    return np.array(code.words, dtype=np.min_scalar_type(code.q - 1))
-
-
 class CodeFormatError(ValueError):
     """Raised for malformed code files."""
 
 
+def _first(mask: np.ndarray) -> int:
+    """Index of the first true entry of a 1-D mask, or its length when there is none."""
+    return int(mask.argmax()) if mask.any() else len(mask)
+
+
+def _checked_words(q: int, n: int, words) -> np.ndarray:
+    """The words as a (size, n) array of the smallest dtype that holds q - 1.
+
+    `words` is a sequence of words or a 2-D integer array.  Raises
+    ValueError naming the first word that has the wrong length, has a
+    symbol outside 0..q-1, or repeats an earlier word; a word-by-word scan
+    would stop at the same word with the same message.  Repeats are found
+    through each row's bytes.
+    """
+    if isinstance(words, np.ndarray):
+        stop = len(words) if words.shape[1:] == (n,) else 0
+        arr = words[:stop].reshape(stop, n)
+    else:
+        stop = _first(np.fromiter(map(len, words), dtype=np.intp, count=len(words)) != n)
+        try:
+            arr = np.array(words[:stop], dtype=np.int64).reshape(stop, n)
+        except OverflowError:  # a symbol beyond int64: convert the words before the first bad one
+            rows = next(i for i, w in enumerate(words) if any(not 0 <= s < q for s in w))
+            arr = np.array(words[:rows], dtype=np.int64).reshape(rows, n)
+    in_range = _first(((arr < 0) | (arr >= q)).any(axis=1))
+    array = arr[:in_range].astype(np.min_scalar_type(q - 1), order="C")
+    keys = array.view(np.dtype((np.void, array.itemsize * n))).ravel().tolist()
+    # the first repeat, else the first word out of range, else the first of wrong length
+    bad = len(keys)
+    if len(set(keys)) < len(keys):
+        seen: set[bytes] = set()
+        bad = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
+    if bad == len(words):
+        return array
+    w = words[bad]
+    w = tuple(w.tolist()) if isinstance(w, np.ndarray) else w
+    if bad < in_range:
+        raise ValueError(f"duplicate word {w}")
+    if bad < stop:
+        raise ValueError(f"word {w} has symbols outside 0..{q - 1}")
+    raise ValueError(f"word {w} does not have length {n}")
+
+
 @dataclass(frozen=True)
 class Code:
-    """A set of distinct words of fixed length over {0,...,q-1}."""
+    """A set of distinct words of fixed length over {0,...,q-1}.
+
+    `words` may also be given as a 2-D integer array; it is stored as a
+    tuple of tuples either way, and equality, hashing and repr read only
+    (q, n, words).  `array` holds the same words, validated once, as one
+    read-only (size, n) numpy array of the smallest dtype that holds
+    q - 1; every numpy consumer reads it.
+    """
 
     q: int
     n: int
@@ -65,17 +113,13 @@ class Code:
             raise ValueError("alphabet size must be at least 2")
         if self.n < 1:
             raise ValueError("length must be at least 1")
-        if not self.words:
+        if not len(self.words):
             raise ValueError("a code needs at least one word")
-        seen = set()
-        for w in self.words:
-            if len(w) != self.n:
-                raise ValueError(f"word {w} does not have length {self.n}")
-            if any(s < 0 or s >= self.q for s in w):
-                raise ValueError(f"word {w} has symbols outside 0..{self.q - 1}")
-            if w in seen:
-                raise ValueError(f"duplicate word {w}")
-            seen.add(w)
+        array = _checked_words(self.q, self.n, self.words)
+        if isinstance(self.words, np.ndarray):
+            object.__setattr__(self, "words", tuple(map(tuple, array.tolist())))
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
     @property
     def size(self) -> int:
@@ -84,9 +128,8 @@ class Code:
     @cached_property
     def distance_counts(self) -> tuple[int, ...]:
         """cnt[j] = number of ordered word pairs (x, y) at distance j, x = y included."""
-        words = _word_array(self)
         cnt = np.zeros(self.n + 1, dtype=np.int64)
-        for _, dist in distance_blocks(words, words):
+        for _, dist in distance_blocks(self.array, self.array):
             cnt += np.bincount(dist.ravel(), minlength=self.n + 1)
         return tuple(int(c) for c in cnt)
 
@@ -225,18 +268,24 @@ def moments(code: Code, i: int) -> Fraction:
 
 
 def is_antipodal(code: Code) -> bool:
-    """True iff the words split into groups of q words pairwise at distance n."""
+    """True iff the words split into groups of q words pairwise at distance n.
+
+    Each word must have exactly q - 1 words at distance n.  Then the groups
+    exist iff every word and its far words share the smallest index among
+    them: on a connected set of far pairs that index is one word m, and all
+    the set lies in m's group of q words.
+    """
     if code.size % code.q:
         return False
-    words = _word_array(code)
-    groups: list[frozenset[int]] = []
-    for start, dist in distance_blocks(words, words):
-        for i, far in enumerate(dist == code.n, start):
-            group = frozenset(np.flatnonzero(far).tolist()) | {i}
-            if len(group) != code.q:
-                return False
-            groups.append(group)
-    return all(groups[v] == g for g in groups for v in g)
+    far = []
+    for _, dist in distance_blocks(code.array, code.array):
+        is_far = dist == code.n
+        if (is_far.sum(axis=1) != code.q - 1).any():
+            return False
+        far.append(np.nonzero(is_far)[1].reshape(len(dist), code.q - 1))
+    far = np.concatenate(far)
+    lowest = np.minimum(np.arange(code.size), far.min(axis=1))
+    return bool((lowest[far] == lowest[:, None]).all())
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +296,21 @@ def is_antipodal(code: Code) -> bool:
 def write_code(code: Code) -> str:
     if code.q > MAX_ALPHABET:
         raise CodeFormatError(f"file format supports q <= {MAX_ALPHABET}")
-    lines = [f"q={code.q} n={code.n}"]
-    lines.extend("".join(str(s) for s in w) for w in code.words)
-    return "\n".join(lines) + "\n"
+    block = np.empty((code.size, code.n + 1), dtype=np.uint8)
+    block[:, :-1] = code.array + ord("0")
+    block[:, -1] = ord("\n")
+    return f"q={code.q} n={code.n}\n" + block.tobytes().decode("ascii")
 
 
 def read_code(text: str) -> Code:
+    """Parse the text file format; the header and the words take ASCII digits only.
+
+    Errors name the first bad line, as a line-by-line parse would.
+    """
     header = None
-    words: list[tuple[int, ...]] = []
+    lines: list[str] = []
+    linenos: list[int] = []
+    wrong_length = None
     q = n = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -264,6 +320,8 @@ def read_code(text: str) -> Code:
             parts = line.split()
             try:
                 kv = dict(p.split("=", 1) for p in parts)
+                if not (kv["q"].isascii() and kv["n"].isascii()):
+                    raise ValueError("q and n must be ASCII digits")
                 q, n = int(kv["q"]), int(kv["n"])
             except (ValueError, KeyError) as exc:
                 raise CodeFormatError(f"line {lineno}: bad header {line!r}") from exc
@@ -274,19 +332,26 @@ def read_code(text: str) -> Code:
             header = (q, n)
             continue
         if len(line) != n:
-            raise CodeFormatError(f"line {lineno}: expected {n} digits, got {len(line)}")
-        try:
-            w = tuple(int(c) for c in line)
-        except ValueError as exc:
-            raise CodeFormatError(f"line {lineno}: non-digit symbol in {line!r}") from exc
-        if any(s >= q for s in w):
-            raise CodeFormatError(f"line {lineno}: symbol out of range for q={q}")
-        words.append(w)
+            wrong_length = f"line {lineno}: expected {n} digits, got {len(line)}"
+            break
+        lines.append(line)
+        linenos.append(lineno)
     if header is None:
         raise CodeFormatError("missing header line 'q=<int> n=<int>'")
-    if not words:
+    # one code point per symbol; anything below '0' wraps to a large value
+    symbols = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    symbols = symbols.reshape(len(lines), n) - ord("0")
+    bad = (symbols >= q).any(axis=1)
+    if bad.any():
+        row = int(bad.argmax())
+        if (symbols[row] > 9).any():
+            raise CodeFormatError(f"line {linenos[row]}: non-digit symbol in {lines[row]!r}")
+        raise CodeFormatError(f"line {linenos[row]}: symbol out of range for q={q}")
+    if wrong_length is not None:
+        raise CodeFormatError(wrong_length)
+    if not lines:
         raise CodeFormatError("no codewords in file")
     try:
-        return Code(q, n, tuple(words))
+        return Code(q, n, symbols)
     except ValueError as exc:
         raise CodeFormatError(str(exc)) from exc

@@ -257,10 +257,13 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
     must have nonnegative lam, mu (raised otherwise), integral eigenvalue
     multiplicities, and satisfy K(K - lam - 1) = (N - K - 1) mu.
 
-    The multiplicities are also recomputed through the direct weight form
-    1/2 (q^k - 1 +- q^k (2n(q-1) - q(w1+w2)) / (q(w1-w2))); the two
-    computations disagree on some valid inputs, so `weight_form_agrees`
-    records whether they coincide here.
+    The multiplicities are also computed in weight form, as the weight
+    counts (A_w1, A_w2) that the parameters force: A_w1 + A_w2 = q^k - 1
+    and A_w1 w1 + A_w2 w2 = n(q-1)q^(k-1), so
+        A_w1 - A_w2 = ((w1+w2)(q^k-1) - 2n(q-1)q^(k-1)) / (w2-w1).
+    The graph's eigenvalue n(q-1) - q w has multiplicity A_w, so the two
+    forms agree whenever the parameters are consistent;
+    `weight_form_agrees` records that they do.
     """
     if lp.k < 2:
         raise ValueError("srg_analysis needs k >= 2")
@@ -283,7 +286,7 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
     ratio = Fraction(2 * big_k + (big_n - 1) * (lam - mu), sq)
     e1 = Fraction(big_n - 1 - ratio, 2)
     e2 = Fraction(big_n - 1 + ratio, 2)
-    wf = Fraction(big_n * (2 * n * (q - 1) - q * (w1 + w2)), q * (w1 - w2))
+    wf = Fraction((w1 + w2) * (big_n - 1) - 2 * n * (q - 1) * q ** (k - 1), w2 - w1)
     e1_wf = Fraction(big_n - 1 + wf, 2)
     e2_wf = Fraction(big_n - 1 - wf, 2)
     integral = all(e.denominator == 1 and e >= 0 for e in (e1, e2))

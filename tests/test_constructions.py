@@ -168,6 +168,72 @@ class TestDifferenceMatrix:
         assert not is_difference_matrix(bad, 2, 1)
 
 
+# the Python loops that the table lookups of difference_matrix, dm_code and
+# is_difference_matrix replace
+
+
+def reference_is_difference_matrix(dm, p, ell):
+    field = GF(p**ell)
+    rows = dm.entries
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            diff = Counter(field.sub(a, b) for a, b in zip(rows[i], rows[j]))
+            if len(diff) != dm.q or any(v != dm.mu for v in diff.values()):
+                return False
+    return True
+
+
+def reference_dm_code(p, ell, h):
+    """(entries, words) of the difference matrix D(p^ell, p^h) and its code."""
+    big, q = GF(p ** (ell + h)), p**ell
+    size = p ** (ell + h)
+    entries = tuple(tuple(big.mul(x, y) % q for y in range(size)) for x in range(size))
+    field = GF(q)
+    words = tuple(tuple(field.add(s, c) for s in row) for row in entries for c in range(q))
+    return entries, words
+
+
+DM_ARGS = [b[1:] for b in CATALOG_BUILDS if b[0] == "dm_code"] + [(2, 1, 0), (2, 1, 5)]
+
+
+@pytest.mark.parametrize("p,ell,h", DM_ARGS)
+def test_dm_code_matches_reference(p, ell, h):
+    entries, words = reference_dm_code(p, ell, h)
+    dm = difference_matrix(p, ell, h)
+    assert dm.entries == entries
+    assert reference_is_difference_matrix(dm, p, ell)
+    assert dm_code(p, ell, h).words == words
+
+
+@given(st.sampled_from(DM_ARGS[:7]), st.data())
+@settings(max_examples=300, deadline=None)
+def test_difference_check_matches_reference_on_mutations(args, data):
+    p, ell, h = args
+    dm = difference_matrix(p, ell, h)
+    q, mu, size = dm.q, dm.mu, dm.order()
+    rows = [list(r) for r in dm.entries]
+    index = st.integers(0, size - 1)
+    kind = data.draw(st.sampled_from(["entries", "swap", "copy row", "shift row", "columns", "q mu"]))
+    if kind == "entries":
+        for _ in range(data.draw(st.integers(1, 3))):
+            rows[data.draw(index)][data.draw(index)] = data.draw(st.integers(0, q - 1))
+    elif kind == "swap":  # keeps every row's symbol counts
+        r, a, b = data.draw(index), data.draw(index), data.draw(index)
+        rows[r][a], rows[r][b] = rows[r][b], rows[r][a]
+    elif kind == "copy row":
+        rows[data.draw(index)] = list(rows[data.draw(index)])
+    elif kind == "shift row":  # adding a constant to a row keeps the property
+        r, c = data.draw(index), data.draw(st.integers(0, q - 1))
+        rows[r] = [GF(q).add(s, c) for s in rows[r]]
+    elif kind == "columns":  # so does permuting the columns
+        perm = data.draw(st.permutations(range(size)))
+        rows = [[row[j] for j in perm] for row in rows]
+    else:
+        q, mu = data.draw(st.sampled_from([(q, 2 * mu), (q - 1, mu), (q + 1, mu), (q, mu)]))
+    mutated = DifferenceMatrix(q, mu, tuple(map(tuple, rows)))
+    assert is_difference_matrix(mutated, p, ell) == reference_is_difference_matrix(mutated, p, ell)
+
+
 class TestDmCode:
     @pytest.mark.parametrize(
         "p,ell,h,expect",

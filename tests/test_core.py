@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -362,6 +363,28 @@ def test_random_codes_match_reference(code):
     assert_matches_reference(code)
 
 
+@st.composite
+def near_antipodal_codes(draw):
+    """Unions of the q translates w + c(1,...,1) of random words, sometimes with one word changed."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 5))
+    word = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple)
+    bases = draw(st.lists(word, min_size=1, max_size=4))
+    words = sorted({tuple((s + c) % q for s in w) for w in bases for c in range(q)})
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, len(words) - 1)), draw(st.integers(0, n - 1))
+        changed = words[i][:j] + ((words[i][j] + 1) % q,) + words[i][j + 1 :]
+        if changed not in words:
+            words[i] = changed
+    return Code(q, n, tuple(words))
+
+
+@given(near_antipodal_codes())
+@settings(max_examples=200, deadline=None)
+def test_antipodal_matches_reference(code):
+    assert is_antipodal(code) == reference_antipodal(code)
+
+
 class TestKernelEdgeCases:
     def test_one_word(self):
         assert_matches_reference(Code(3, 4, ((1, 2, 0, 1),)))
@@ -387,3 +410,191 @@ class TestKernelEdgeCases:
         code = Code(2, 300, ((0,) * 300, (1,) * 300))
         assert code.distance_counts[300] == 2
         assert_matches_reference(code)
+
+
+# the array-backed Code and its file format against the word-by-word code
+# they replace: validation tuple by tuple, a writer that joins strings and a
+# reader that converts each symbol with int(c)
+
+
+def reference_check(q, n, words):
+    seen = set()
+    for w in words:
+        if len(w) != n:
+            raise ValueError(f"word {w} does not have length {n}")
+        if any(s < 0 or s >= q for s in w):
+            raise ValueError(f"word {w} has symbols outside 0..{q - 1}")
+        if w in seen:
+            raise ValueError(f"duplicate word {w}")
+        seen.add(w)
+
+
+def reference_write(code):
+    lines = [f"q={code.q} n={code.n}"]
+    lines.extend("".join(str(s) for s in w) for w in code.words)
+    return "\n".join(lines) + "\n"
+
+
+def reference_read(text):
+    """(q, n, words) as the int(c) reader parsed them; it also took non-ASCII digits."""
+    header = None
+    words = []
+    q = n = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if header is None:
+            try:
+                kv = dict(p.split("=", 1) for p in line.split())
+                q, n = int(kv["q"]), int(kv["n"])
+            except (ValueError, KeyError) as exc:
+                raise CodeFormatError(f"line {lineno}: bad header {line!r}") from exc
+            if q < 2 or q > 9:
+                raise CodeFormatError(f"line {lineno}: q must be in 2..9")
+            if n < 1:
+                raise CodeFormatError(f"line {lineno}: n must be positive")
+            header = (q, n)
+            continue
+        if len(line) != n:
+            raise CodeFormatError(f"line {lineno}: expected {n} digits, got {len(line)}")
+        try:
+            w = tuple(int(c) for c in line)
+        except ValueError as exc:
+            raise CodeFormatError(f"line {lineno}: non-digit symbol in {line!r}") from exc
+        if any(s >= q for s in w):
+            raise CodeFormatError(f"line {lineno}: symbol out of range for q={q}")
+        words.append(w)
+    if header is None:
+        raise CodeFormatError("missing header line 'q=<int> n=<int>'")
+    if not words:
+        raise CodeFormatError("no codewords in file")
+    try:
+        reference_check(q, n, words)
+    except ValueError as exc:
+        raise CodeFormatError(str(exc)) from exc
+    return q, n, tuple(words)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the ValueError it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def raw_words(draw):
+    """(q, n, words) where words may be ragged, out of range or repeated."""
+    q = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 4))
+    symbol = st.one_of(st.integers(0, q - 1), st.sampled_from([-1, q, q + 5, 2**70]))
+    length = st.one_of(st.just(n), st.integers(max(0, n - 1), n + 1))
+    word = length.flatmap(lambda k: st.lists(symbol, min_size=k, max_size=k).map(tuple))
+    pool = draw(st.lists(word, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        return q, n, tuple(pool)
+    return q, n, tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+
+
+@given(raw_words())
+@settings(max_examples=400, deadline=None)
+def test_validation_matches_reference(case):
+    q, n, words = case
+    expected = outcome(reference_check, q, n, words)
+    got = outcome(lambda: Code(q, n, words).words)
+    assert got == (words if expected is None else expected)
+    if all(len(w) == n for w in words) and all(abs(s) < 2**63 for w in words for s in w):
+        # the same words as one integer array: same verdict, same message
+        got = outcome(lambda: Code(q, n, np.array(words, dtype=np.int64).reshape(-1, n)).words)
+        assert got == (words if expected is None else expected)
+
+
+@st.composite
+def code_texts(draw):
+    """Code files whose digit lines may be short, long, out of range, repeated or not digits."""
+    q = draw(st.integers(2, 9))
+    n = draw(st.integers(1, 4))
+    good = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(
+        lambda w: "".join(map(str, w))
+    )
+    noisy = st.text(alphabet="0123456789x -", min_size=max(0, n - 1), max_size=n + 1)
+    comment = st.sampled_from(["", "  # note", "#"])
+    pool = draw(st.lists(st.tuples(st.one_of(good, good, noisy), comment).map("".join),
+                         min_size=1, max_size=5))
+    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    return "\n".join([f"q={q} n={n}", *lines]) + "\n"
+
+
+def parsed(text):
+    code = read_code(text)
+    return code.q, code.n, code.words
+
+
+@given(code_texts())
+@settings(max_examples=400, deadline=None)
+def test_reader_matches_reference(text):
+    assert outcome(parsed, text) == outcome(reference_read, text)
+
+
+@pytest.mark.parametrize("build", CATALOG_BUILDS, ids=lambda b: "-".join(map(str, b)))
+def test_catalog_file_round_trip_matches_reference(build):
+    # includes su2(2, 4, 5): words of 75 bits, more than one 64-bit integer holds
+    made = construct(build)
+    code = made.span() if isinstance(made, GeneratorMatrix) else made
+    text = write_code(code)
+    assert text == reference_write(code)
+    back = read_code(text)
+    assert (back.q, back.n, back.words) == reference_read(text)
+    assert back == code and hash(back) == hash(code)
+    assert np.array_equal(back.array, code.array)
+
+
+class TestWordArray:
+    def test_read_only_and_outside_equality(self):
+        array = TERNARY6.array
+        assert array.dtype == np.uint8 and not array.flags.writeable
+        assert array.tolist() == [list(w) for w in TERNARY6.words]
+        same = Code(3, 4, np.array(TERNARY6.words))
+        assert same == TERNARY6 and hash(same) == hash(TERNARY6)
+        assert repr(same) == repr(TERNARY6)
+        assert all(type(s) is int for w in same.words for s in w)
+
+    def test_copies_the_given_array(self):
+        given_words = np.array([[0, 1], [1, 0]])
+        code = Code(2, 2, given_words)
+        given_words[0, 0] = 1
+        assert code.words == ((0, 1), (1, 0)) and code.array.tolist() == [[0, 1], [1, 0]]
+
+    def test_wide_alphabet_dtype(self):
+        code = Code(300, 2, ((299, 0), (0, 299)))
+        assert code.array.dtype == np.uint16 and code.distance_counts == (2, 0, 2)
+
+    def test_array_of_wrong_width_names_first_word(self):
+        with pytest.raises(ValueError, match=r"word \(0, 1, 0\) does not have length 2"):
+            Code(2, 2, np.array([[0, 1, 0], [1, 1, 1]]))
+
+
+class TestAsciiDigits:
+    def test_rejects_non_ascii_digit(self):
+        text = "q=2 n=3\n001\n0\u06611\n"  # ARABIC-INDIC DIGIT ONE
+        assert reference_read(text)[2] == ((0, 0, 1), (0, 1, 1))
+        with pytest.raises(CodeFormatError, match="line 3: non-digit symbol"):
+            read_code(text)
+
+    def test_rejects_fullwidth_digit_and_lone_surrogate(self):
+        for bad in ("0\uff101", "0\ud8001"):
+            with pytest.raises(CodeFormatError, match="line 2: non-digit symbol"):
+                read_code(f"q=2 n=3\n{bad}\n")
+
+    def test_rejects_non_ascii_header_digit(self):
+        with pytest.raises(CodeFormatError, match="line 1: bad header"):
+            read_code("q=\u0662 n=3\n011\n")
+
+    def test_first_bad_line_wins(self):
+        # a line of the wrong length after a non-digit line does not mask it
+        with pytest.raises(CodeFormatError, match="line 2: non-digit"):
+            read_code("q=2 n=2\n0x\n000\n")
+        with pytest.raises(CodeFormatError, match="line 3: expected 2 digits, got 3"):
+            read_code("q=2 n=2\n01\n000\n0x\n")

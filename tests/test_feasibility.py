@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_core import CATALOG_BUILDS, construct
 
 from twodist.constructions import (
     arc_code,
@@ -25,6 +26,15 @@ from twodist.feasibility import (
     special_values,
     srg_analysis,
     two_distance_realizable,
+)
+
+
+# the projective (s = 1) two-weight codes among the catalog builds
+PROJECTIVE_BUILDS = tuple(
+    b for b in CATALOG_BUILDS
+    if b[0] in ("su2_code", "arc_code", "complementary_code")
+    or b[:2] == ("seed_code", "mds2")
+    or b[0] == "su1_code" and b[4:] == (1, 1, "remove")
 )
 
 
@@ -174,12 +184,18 @@ class TestSrg:
         assert s.params == (16, 9, 4, 6)
         assert (s.e1, s.e2) == (9, 6)
         assert s.feasible
-        # the direct weight-expression for the multiplicities disagrees here
-        assert not s.weight_form_agrees
-        assert sorted((s.e1_weight_form, s.e2_weight_form)) == [
-            Fraction(7, 2),
-            Fraction(23, 2),
-        ]
+        # the weight form gives (A_4, A_6) of the [9, 4, {4, 6}]_2 code
+        assert s.weight_form_agrees
+        assert (s.e1_weight_form, s.e2_weight_form) == (9, 6)
+
+    @pytest.mark.parametrize("build", PROJECTIVE_BUILDS, ids=lambda b: "-".join(map(str, b)))
+    def test_weight_form_is_the_span_weight_counts(self, build):
+        g = construct(build)
+        counts = g.weight_distribution()
+        w1, w2 = sorted(counts)
+        s = srg_analysis(LinearParams(g.q, g.k, g.n, w1, w2, s=1))
+        assert (s.e1_weight_form, s.e2_weight_form) == (counts[w1], counts[w2])
+        assert s.weight_form_agrees and s.feasible
 
     def test_counting_identity_refutes(self):
         # integral multiplicities, but the edge-count identity fails
