@@ -307,9 +307,7 @@ def _cmd_feasible(args) -> int:
             add(
                 "srg-integrality",
                 "pass" if srg.feasible else "fail",
-                f"(N,K,lam,mu)={srg.params} e1={srg.e1} e2={srg.e2}"
-                + ("" if srg.weight_form_agrees else
-                   f" [weight-form values {srg.e1_weight_form}, {srg.e2_weight_form} disagree]"),
+                f"(N,K,lam,mu)={srg.params} e1={srg.e1} e2={srg.e2}",
             )
         except ValueError as exc:
             add("srg-integrality", "fail", str(exc))

@@ -55,24 +55,34 @@ def _first(mask: np.ndarray) -> int:
     return int(mask.argmax()) if mask.any() else len(mask)
 
 
+def _is_symbol(s, q: int) -> bool:
+    return isinstance(s, (int, np.integer)) and 0 <= s < q
+
+
 def _checked_words(q: int, n: int, words) -> np.ndarray:
     """The words as a (size, n) array of the smallest dtype that holds q - 1.
 
-    `words` is a sequence of words or a 2-D integer array.  Raises
+    `words` is a sequence of words or a 2-D array; a 2-D array of a
+    non-integer dtype is read as the sequence of its rows.  Raises
     ValueError naming the first word that has the wrong length, has a
-    symbol outside 0..q-1, or repeats an earlier word; a word-by-word scan
-    would stop at the same word with the same message.  Repeats are found
-    through each row's bytes.
+    non-integer symbol (1.0 included), has a symbol outside 0..q-1, or
+    repeats an earlier word; a word-by-word scan would stop at the same
+    word with the same message.  Repeats are found through each row's
+    bytes.
     """
+    if isinstance(words, np.ndarray) and words.ndim == 2 and words.dtype.kind not in "iub":
+        words = list(map(tuple, words.tolist()))
     if isinstance(words, np.ndarray):
         stop = len(words) if words.shape[1:] == (n,) else 0
         arr = words[:stop].reshape(stop, n)
     else:
         stop = _first(np.fromiter(map(len, words), dtype=np.intp, count=len(words)) != n)
-        try:
-            arr = np.array(words[:stop], dtype=np.int64).reshape(stop, n)
-        except OverflowError:  # a symbol beyond int64: convert the words before the first bad one
-            rows = next(i for i, w in enumerate(words) if any(not 0 <= s < q for s in w))
+        arr = np.array(words[:stop]).reshape(stop, n)
+        if arr.dtype.kind not in "iub":  # a non-integer symbol, or one beyond 64 bits
+            rows = next(
+                (i for i, w in enumerate(words[:stop]) if not all(_is_symbol(s, q) for s in w)),
+                stop,
+            )
             arr = np.array(words[:rows], dtype=np.int64).reshape(rows, n)
     in_range = _first(((arr < 0) | (arr >= q)).any(axis=1))
     array = arr[:in_range].astype(np.min_scalar_type(q - 1), order="C")
@@ -88,6 +98,8 @@ def _checked_words(q: int, n: int, words) -> np.ndarray:
     w = tuple(w.tolist()) if isinstance(w, np.ndarray) else w
     if bad < in_range:
         raise ValueError(f"duplicate word {w}")
+    if bad < stop and not all(isinstance(s, (int, np.integer)) for s in w):
+        raise ValueError(f"word {w} has non-integer symbols")
     if bad < stop:
         raise ValueError(f"word {w} has symbols outside 0..{q - 1}")
     raise ValueError(f"word {w} does not have length {n}")

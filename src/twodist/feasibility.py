@@ -229,16 +229,10 @@ class SrgParams:
     degree: int
     lam: int
     mu: int
-    disc: int
-    rho1: Fraction
-    rho2: Fraction
     e1: Fraction
     e2: Fraction
-    e1_weight_form: Fraction
-    e2_weight_form: Fraction
     multiplicities_integral: bool
     counting_identity_ok: bool
-    weight_form_agrees: bool
 
     @property
     def feasible(self) -> bool:
@@ -257,13 +251,17 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
     must have nonnegative lam, mu (raised otherwise), integral eigenvalue
     multiplicities, and satisfy K(K - lam - 1) = (N - K - 1) mu.
 
-    The multiplicities are also computed in weight form, as the weight
-    counts (A_w1, A_w2) that the parameters force: A_w1 + A_w2 = q^k - 1
-    and A_w1 w1 + A_w2 w2 = n(q-1)q^(k-1), so
-        A_w1 - A_w2 = ((w1+w2)(q^k-1) - 2n(q-1)q^(k-1)) / (w2-w1).
-    The graph's eigenvalue n(q-1) - q w has multiplicity A_w, so the two
-    forms agree whenever the parameters are consistent;
-    `weight_form_agrees` records that they do.
+    With N = q^k, K = n(q-1) and delta = w2 - w1, four identities in q, k,
+    n, w1 and w2 tie the graph to the first two MacWilliams moments, so
+    the screen reads `macwilliams_mu` instead of recomputing them:
+    - the eigenvalue multiplicities from the eigenvalue ratio,
+      1/2(N - 1 -+ (2K + (N-1)(lam-mu)) / (q delta)), are (mu1, mu2);
+    - the weight counts (A_w1, A_w2) that the parameters force are the
+      same two numbers;
+    - the discriminant (lam-mu)^2 + 4(K-mu) is (q delta)^2, so the
+      eigenvalues n(q-1) - q w1 and n(q-1) - q w2 are always rational;
+    - K(K - lam - 1) - (N - K - 1) mu is q^2 times the second-moment
+      residual.
     """
     if lp.k < 2:
         raise ValueError("srg_analysis needs k >= 2")
@@ -276,37 +274,16 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
     mu = big_k * (big_k + 1) - big_k * q * (w1 + w2) + q * q * w1 * w2
     if lam < 0 or mu < 0:
         raise ValueError(f"lam={lam}, mu={mu}: parameters cannot form a graph")
-    disc = (lam - mu) ** 2 + 4 * (big_k - mu)
-    expected = (q * (w2 - w1)) ** 2
-    if disc != expected:
-        raise AssertionError(f"discriminant {disc} != (q*delta)^2 = {expected}")
-    sq = q * (w2 - w1)
-    rho1 = Fraction(lam - mu + sq, 2)
-    rho2 = Fraction(lam - mu - sq, 2)
-    ratio = Fraction(2 * big_k + (big_n - 1) * (lam - mu), sq)
-    e1 = Fraction(big_n - 1 - ratio, 2)
-    e2 = Fraction(big_n - 1 + ratio, 2)
-    wf = Fraction((w1 + w2) * (big_n - 1) - 2 * n * (q - 1) * q ** (k - 1), w2 - w1)
-    e1_wf = Fraction(big_n - 1 + wf, 2)
-    e2_wf = Fraction(big_n - 1 - wf, 2)
-    integral = all(e.denominator == 1 and e >= 0 for e in (e1, e2))
-    counting_ok = big_k * (big_k - lam - 1) == (big_n - big_k - 1) * mu
-    agrees = sorted((e1, e2)) == sorted((e1_wf, e2_wf))
+    mw = macwilliams_mu(lp)
     return SrgParams(
         n_vertices=big_n,
         degree=big_k,
         lam=lam,
         mu=mu,
-        disc=disc,
-        rho1=rho1,
-        rho2=rho2,
-        e1=e1,
-        e2=e2,
-        e1_weight_form=e1_wf,
-        e2_weight_form=e2_wf,
-        multiplicities_integral=integral,
-        counting_identity_ok=counting_ok,
-        weight_form_agrees=agrees,
+        e1=mw.mu1,
+        e2=mw.mu2,
+        multiplicities_integral=mw.status != "infeasible",
+        counting_identity_ok=big_k * (big_k - lam - 1) == (big_n - big_k - 1) * mu,
     )
 
 
@@ -469,20 +446,15 @@ def gcd_screen(lp: LinearParams) -> GcdScreen:
 class SpecialValues:
     status: BoundStatus | None
     clause: str | None = None
-    boundary: bool = False
-    conjectured_lower: int | None = None
-    conjecture_note: str = ""
 
 
 def special_values(params: TwoDistParams) -> SpecialValues:
     """Exact values and impossibility clauses for special parameter shapes.
 
     Binary clauses (a)-(e) rule the pair out entirely; d odd with
-    delta = d has the exact value 1 + floor(n/d) (at least 4: below five
-    words the extremal configuration degenerates, flagged `boundary`);
-    ternary distances {1, 3} pin the value at 6 once n >= 4.  Conjectured
-    optimal sizes for distance pairs {2, 4} and {2, 2+delta} are reported
-    as lower bounds only.
+    delta = d has the exact value 1 + floor(n/d), at least 4 (below five
+    words the extremal configuration degenerates); ternary distances
+    {1, 3} pin the value at 6 once n >= 4.
     """
     q, n, d, delta = params.q, params.n, params.d, params.delta
     e = d + delta
@@ -513,23 +485,10 @@ def special_values(params: TwoDistParams) -> SpecialValues:
             raw = 1 + n // d
             value = max(4, raw)
             return SpecialValues(
-                BoundStatus.exact(value, methods=("exact",), note="disjoint supports"),
-                boundary=raw <= 4,
+                BoundStatus.exact(value, methods=("exact",), note="disjoint supports")
             )
     if q == 3 and d == 1 and delta == 2 and n >= 4:
         return SpecialValues(BoundStatus.exact(6, methods=("exact",)))
-    if d == 2 and delta == 2 and n >= 6 and q in (2, 3, 4):
-        return SpecialValues(
-            None,
-            conjectured_lower=math.comb(n, 2) + 1,
-            conjecture_note="all binary weight-2 words plus zero; conjectured optimal",
-        )
-    if q == 2 and d == 2 and delta >= 3 and n >= 6:
-        return SpecialValues(
-            None,
-            conjectured_lower=n,
-            conjecture_note="weight-(delta+2) block construction; conjectured optimal",
-        )
     return SpecialValues(None)
 
 

@@ -39,7 +39,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from .core import (
     Code,
-    DistanceDistribution,
     TwoDistParams,
     TwoDistReport,
     distance_blocks,
@@ -48,6 +47,7 @@ from .core import (
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
+MAX_CANDIDATES = 200_000  # random_greedy refuses larger candidate spaces
 
 
 class SplitMix64:
@@ -85,7 +85,6 @@ class SearchConfig:
     seed: int
     restarts: int = 1000
     time_budget_ms: int | None = None
-    max_candidates: int = 200_000
     stop_at: int | None = None
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ class SearchConfig:
             raise ValueError("stop_at must be at least 1")
         if self.time_budget_ms is not None and self.time_budget_ms < 0:
             raise ValueError("time budget must not be negative")
-        if self.max_candidates < 0:
-            raise ValueError("candidate cap must not be negative")
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,6 @@ class SearchResult:
     restart_index: int
     restarts_run: int
     report: TwoDistReport
-    distribution: DistanceDistribution
 
 
 def candidate_count(params: TwoDistParams) -> int:
@@ -182,10 +178,8 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     restarts, stop_at, time budget).  The returned code is re-verified.
     """
     total = candidate_count(params)
-    if total > cfg.max_candidates:
-        raise ValueError(
-            f"candidate space has {total} words, above the cap {cfg.max_candidates}"
-        )
+    if total > MAX_CANDIDATES:
+        raise ValueError(f"candidate space has {total} words, above the cap {MAX_CANDIDATES}")
     cands = candidate_words(params)
     if len(cands) == 0:
         raise ValueError("candidate space is empty")
@@ -230,7 +224,6 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
         restart_index=best_restart,
         restarts_run=restarts_run,
         report=report,
-        distribution=report.distribution,
     )
 
 

@@ -109,7 +109,7 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
         lower, lower_tag = catalog[0].size, "construction"
     total = search.candidate_count(params)
     # cells beyond a cap keep their other bounds instead of failing the table
-    if options.search_cfg is not None and total <= options.search_cfg.max_candidates:
+    if options.search_cfg is not None and total <= search.MAX_CANDIDATES:
         result = search.random_greedy(params, options.search_cfg)
         if result.report.ok and result.size > lower:
             lower, lower_tag = result.size, "search"

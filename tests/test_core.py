@@ -121,6 +121,27 @@ class TestCodeValidation:
         with pytest.raises(ValueError):
             Code(2, 2, ())
 
+    @pytest.mark.parametrize("words,first", [
+        (((0.5, 1), (1, 1)), r"\(0\.5, 1\)"),
+        (((0, 1), (1.0, 1)), r"\(1\.0, 1\)"),
+        (((0, 1), (0, "1")), r"\(0, '1'\)"),
+        (np.array([[0.5, 1], [1, 1]]), r"\(0\.5, 1\.0\)"),
+        (np.array([[1.0, 0], [1, 1]]), r"\(1\.0, 0\.0\)"),
+    ])
+    def test_rejects_non_integer_symbols(self, words, first):
+        with pytest.raises(ValueError, match=rf"word {first} has non-integer symbols"):
+            Code(2, 2, words)
+
+    def test_non_integer_after_earlier_fault_keeps_first_error(self):
+        with pytest.raises(ValueError, match=r"word \(0, 2\) has symbols outside"):
+            Code(2, 2, ((0, 2), (0.5, 1)))
+        with pytest.raises(ValueError, match=r"duplicate word \(0, 1\)"):
+            Code(2, 2, ((0, 1), (0, 1), (0.5, 1)))
+
+    def test_integer_object_array_accepted(self):
+        code = Code(2, 2, np.array([[0, 1], [1, 1]], dtype=object))
+        assert code.words == ((0, 1), (1, 1)) and code.distance_counts == (2, 2, 0)
+
 
 class TestTwoDistParams:
     def test_rejects_overlong_distances(self):
@@ -422,6 +443,8 @@ def reference_check(q, n, words):
     for w in words:
         if len(w) != n:
             raise ValueError(f"word {w} does not have length {n}")
+        if not all(isinstance(s, int) for s in w):
+            raise ValueError(f"word {w} has non-integer symbols")
         if any(s < 0 or s >= q for s in w):
             raise ValueError(f"word {w} has symbols outside 0..{q - 1}")
         if w in seen:
@@ -486,10 +509,10 @@ def outcome(fn, *args):
 
 @st.composite
 def raw_words(draw):
-    """(q, n, words) where words may be ragged, out of range or repeated."""
+    """(q, n, words) where words may be ragged, out of range, not integers or repeated."""
     q = draw(st.integers(2, 4))
     n = draw(st.integers(1, 4))
-    symbol = st.one_of(st.integers(0, q - 1), st.sampled_from([-1, q, q + 5, 2**70]))
+    symbol = st.one_of(st.integers(0, q - 1), st.sampled_from([-1, q, q + 5, 2**70, 0.5, 1.0]))
     length = st.one_of(st.just(n), st.integers(max(0, n - 1), n + 1))
     word = length.flatmap(lambda k: st.lists(symbol, min_size=k, max_size=k).map(tuple))
     pool = draw(st.lists(word, min_size=1, max_size=6))
@@ -505,7 +528,9 @@ def test_validation_matches_reference(case):
     expected = outcome(reference_check, q, n, words)
     got = outcome(lambda: Code(q, n, words).words)
     assert got == (words if expected is None else expected)
-    if all(len(w) == n for w in words) and all(abs(s) < 2**63 for w in words for s in w):
+    if all(len(w) == n for w in words) and all(
+        type(s) is int and abs(s) < 2**63 for w in words for s in w
+    ):
         # the same words as one integer array: same verdict, same message
         got = outcome(lambda: Code(q, n, np.array(words, dtype=np.int64).reshape(-1, n)).words)
         assert got == (words if expected is None else expected)

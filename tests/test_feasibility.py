@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -13,6 +14,7 @@ from twodist.constructions import (
     dm_code,
     su1_code,
     su2_code,
+    two_distance_lower_bounds,
 )
 from twodist.core import TwoDistParams, strength
 from twodist.feasibility import (
@@ -81,6 +83,21 @@ def srg_empirical(code, w1: int) -> SrgEmpirical:
         for rho in (Fraction(lam - mu + root, 2), Fraction(lam - mu - root, 2)):
             mults.append((rho, _kernel_dimension(adj.tolist(), rho)))
     return SrgEmpirical((size, k, lam, mu), True, tuple(mults))
+
+
+def srg_multiplicities(lp) -> tuple[Fraction, Fraction]:
+    """Reference for `srg_analysis`'s (e1, e2): the eigenvalue-ratio formula.
+
+    With the graph's (N, K, lam, mu) and r = (2K + (N-1)(lam-mu)) / (q delta),
+    the multiplicities of the eigenvalues (lam - mu +- q delta) / 2 are
+    (N - 1 -+ r) / 2.
+    """
+    q, k, n, w1, w2 = lp.q, lp.k, lp.n, lp.w1, lp.w2
+    big_n, big_k = q**k, n * (q - 1)
+    lam = big_k * (big_k + 3) - q * (w1 + w2) * (big_k + 1) + q * q * w1 * w2
+    mu = big_k * (big_k + 1) - big_k * q * (w1 + w2) + q * q * w1 * w2
+    ratio = Fraction(2 * big_k + (big_n - 1) * (lam - mu), q * (w2 - w1))
+    return Fraction(big_n - 1 - ratio, 2), Fraction(big_n - 1 + ratio, 2)
 
 
 def _kernel_dimension(adj, rho: Fraction) -> int:
@@ -182,11 +199,9 @@ class TestSrg:
     def test_su2_parameters(self):
         s = srg_analysis(LinearParams(2, 4, 9, 4, 6))
         assert s.params == (16, 9, 4, 6)
-        assert (s.e1, s.e2) == (9, 6)
+        # (A_4, A_6) of the [9, 4, {4, 6}]_2 code
+        assert (s.e1, s.e2) == (9, 6) == srg_multiplicities(LinearParams(2, 4, 9, 4, 6))
         assert s.feasible
-        # the weight form gives (A_4, A_6) of the [9, 4, {4, 6}]_2 code
-        assert s.weight_form_agrees
-        assert (s.e1_weight_form, s.e2_weight_form) == (9, 6)
 
     @pytest.mark.parametrize("build", PROJECTIVE_BUILDS, ids=lambda b: "-".join(map(str, b)))
     def test_weight_form_is_the_span_weight_counts(self, build):
@@ -194,8 +209,8 @@ class TestSrg:
         counts = g.weight_distribution()
         w1, w2 = sorted(counts)
         s = srg_analysis(LinearParams(g.q, g.k, g.n, w1, w2, s=1))
-        assert (s.e1_weight_form, s.e2_weight_form) == (counts[w1], counts[w2])
-        assert s.weight_form_agrees and s.feasible
+        assert (s.e1, s.e2) == (counts[w1], counts[w2])
+        assert s.feasible
 
     def test_counting_identity_refutes(self):
         # integral multiplicities, but the edge-count identity fails
@@ -211,7 +226,30 @@ class TestSrg:
             LinearParams(4, 3, 6, 4, 6),
         ]:
             s = srg_analysis(lp)
-            assert s.disc == (lp.q * (lp.w2 - lp.w1)) ** 2
+            assert (s.lam - s.mu) ** 2 + 4 * (s.degree - s.mu) == (lp.q * lp.delta) ** 2
+            assert (s.e1, s.e2) == srg_multiplicities(lp)
+
+    def test_identities_over_sweep(self):
+        # every accepted input of q in {2,3,4,5,7,8,9}, k = 2..4, n < 25
+        checked = 0
+        for q, k in itertools.product((2, 3, 4, 5, 7, 8, 9), range(2, 5)):
+            for n in range(1, min(25, (q**k - 1) // (q - 1) + 1)):
+                for w1, w2 in itertools.combinations(range(1, n + 1), 2):
+                    lp = LinearParams(q, k, n, w1, w2, s=1)
+                    try:
+                        s = srg_analysis(lp)
+                    except ValueError:
+                        continue
+                    checked += 1
+                    mw = macwilliams_mu(lp)
+                    assert (s.e1, s.e2) == (mw.mu1, mw.mu2) == srg_multiplicities(lp)
+                    assert s.multiplicities_integral == (mw.status != "infeasible")
+                    residual_zero = mw.second_moment_residual == 0
+                    assert s.counting_identity_ok == residual_zero
+                    assert (s.lam - s.mu) ** 2 + 4 * (s.degree - s.mu) == (q * lp.delta) ** 2
+                    if q**k > q * q:
+                        assert check_oa2_quadratic(q, q**k, n, w1, w2).ok == residual_zero, lp
+        assert checked == 18_815
 
     def test_negative_parameters_raise(self):
         with pytest.raises(ValueError, match="cannot form"):
@@ -308,11 +346,10 @@ class TestSpecialValues:
     def test_odd_distance_pair_value(self):
         sv = special_values(P(2, 15, 3, 3))
         assert sv.status.kind == "exact" and sv.status.lo == 6
-        assert not sv.boundary
 
     def test_boundary_flag(self):
         sv = special_values(P(2, 7, 3, 3))
-        assert sv.status.lo == 4 and sv.boundary
+        assert sv.status.lo == 4
 
     def test_ternary_distances_one_three(self):
         for n in range(4, 11):
@@ -320,10 +357,11 @@ class TestSpecialValues:
             assert sv.status.kind == "exact" and sv.status.lo == 6
 
     def test_conjectured_lower_bounds(self):
-        sv = special_values(P(3, 8, 2, 2))
-        assert sv.status is None and sv.conjectured_lower == 29
-        sv = special_values(P(2, 9, 2, 4))
-        assert sv.conjectured_lower == 9
+        # the conjectured optimal sizes come from the catalog, not from special values
+        for params, size, family in [(P(3, 8, 2, 2), 29, "weight2"), (P(2, 9, 2, 4), 9, "bin-2-2d")]:
+            assert special_values(params).status is None
+            top = two_distance_lower_bounds(params)[0]
+            assert (top.size, top.family) == (size, family)
 
 
 class TestRealizable:

@@ -9,6 +9,7 @@ from twodist import search
 from twodist.bounds import LpUnboundedError, best_upper_bound
 from twodist.core import TwoDistParams, distance_blocks
 from twodist.search import (
+    MAX_CANDIDATES,
     SearchConfig,
     SplitMix64,
     _adjacency,
@@ -111,10 +112,6 @@ class TestConfig:
         with pytest.raises(ValueError, match="time budget"):
             SearchConfig(seed=1, time_budget_ms=-5)
 
-    def test_negative_candidate_cap_refused(self):
-        with pytest.raises(ValueError, match="candidate cap"):
-            SearchConfig(seed=1, max_candidates=-1)
-
     @pytest.mark.parametrize("stop_at", [0, -3])
     def test_stop_at_below_one_refused(self, stop_at):
         with pytest.raises(ValueError, match="stop_at must be at least 1"):
@@ -139,8 +136,9 @@ class TestGreedy:
         assert res.code.words[0] == (0,) * 6
 
     def test_candidate_cap_refused(self):
-        with pytest.raises(ValueError, match="cap"):
-            random_greedy(P(2, 20, 8, 2), SearchConfig(seed=1, restarts=1, max_candidates=100))
+        assert candidate_count(P(2, 20, 8, 2)) == 310_726 > MAX_CANDIDATES
+        with pytest.raises(ValueError, match="above the cap 200000"):
+            random_greedy(P(2, 20, 8, 2), SearchConfig(seed=1, restarts=1))
 
     def test_stop_at_halts_early(self):
         res = random_greedy(

@@ -58,10 +58,10 @@ class TestComputeCell:
         assert cell.status == "value" and cell.lower.value == 16
 
     def test_search_skipped_above_candidate_cap(self):
-        # 71 candidates against a cap of 10: the cell keeps its other bounds
-        capped = SearchConfig(seed=1, restarts=5, max_candidates=10)
-        cell = compute_cell(P(2, 8, 4, 4), CellOptions(search_cfg=capped))
-        assert cell == compute_cell(P(2, 8, 4, 4))
+        # 310,726 candidates, above search.MAX_CANDIDATES: the cell keeps its other bounds
+        cfg = SearchConfig(seed=1, restarts=5)
+        cell = compute_cell(P(2, 20, 8, 2), CellOptions(search_cfg=cfg))
+        assert cell == compute_cell(P(2, 20, 8, 2))
         assert cell.lower.tag != "search"
 
     def test_equidistant_annotation(self):
