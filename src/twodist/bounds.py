@@ -323,15 +323,8 @@ class BoundEntry:
 class BoundReport:
     """Per-method upper bounds plus the aggregated best value."""
 
-    params: TwoDistParams
     status: BoundStatus
     entries: tuple[BoundEntry, ...]
-
-    def entry(self, method: str) -> BoundEntry | None:
-        for e in self.entries:
-            if e.method == method:
-                return e
-        return None
 
     @property
     def best(self) -> int | None:
@@ -349,12 +342,12 @@ def best_upper_bound(
     """
     sv = feasibility.special_values(params)
     if sv.status is not None and sv.status.kind == "not_well_defined":
-        return BoundReport(params, sv.status, ())
+        return BoundReport(sv.status, ())
     if not feasibility.two_distance_realizable(params):
         status = BoundStatus.not_well_defined(note="no three-word code realizes both distances")
-        return BoundReport(params, status, ())
+        return BoundReport(status, ())
     if sv.status is not None and sv.status.kind == "exact":
-        return BoundReport(params, sv.status, ())
+        return BoundReport(sv.status, ())
 
     entries: list[BoundEntry] = []
     try:
@@ -397,4 +390,4 @@ def best_upper_bound(
     best = min(v for v, _ in candidates)
     methods = tuple(m for v, m in candidates if v == best)
     status = BoundStatus.range_(1, best, methods=methods)
-    return BoundReport(params, status, tuple(entries))
+    return BoundReport(status, tuple(entries))

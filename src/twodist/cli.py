@@ -77,7 +77,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("search", help="randomized greedy lower bound")
     _params_args(p)
     p.add_argument("--restarts", type=int, default=1000)
-    p.add_argument("--time-budget-ms", type=int, default=None)
     p.add_argument("--stop-at", type=int, default=None)
     p.add_argument("-o", "--output", default=None, help="write the best code found")
     _shared_args(p, "seed")
@@ -166,10 +165,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_search(args) -> int:
     params = TwoDistParams(args.q, args.n, args.d, args.delta)
-    cfg = search.SearchConfig(
-        seed=args.seed, restarts=args.restarts,
-        time_budget_ms=args.time_budget_ms, stop_at=args.stop_at,
-    )
+    cfg = search.SearchConfig(seed=args.seed, restarts=args.restarts, stop_at=args.stop_at)
     result = search.random_greedy(params, cfg)
     kind = "two-distance" if result.report.ok else (
         "equidistant" if result.report.equidistant else "incomplete"

@@ -448,8 +448,6 @@ def complementary_code(g: GeneratorMatrix) -> GeneratorMatrix:
 class CatalogEntry:
     size: int
     family: str
-    description: str
-    native_length: int
 
 
 def _is_power_of(p: int, x: int) -> bool:
@@ -474,22 +472,13 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
         p = pm[0]
         # difference-matrix code: delta = mu (a power of p), d = (q-1)mu, n >= q mu
         if _is_power_of(p, delta) and d == (q - 1) * delta and n >= q * delta:
-            entries.append(
-                CatalogEntry(
-                    q * q * delta,
-                    "dm",
-                    f"difference-matrix code ({q * delta}, {q * q * delta}, {{{d}, {q * delta}}})",
-                    q * delta,
-                )
-            )
+            entries.append(CatalogEntry(q * q * delta, "dm"))
         # pencil code: d = q, any delta, length q+1+delta
         if d == q and n >= q + 1 + delta:
-            entries.append(
-                CatalogEntry(q * q, "pencil", f"pencil code [{q + 1 + delta}, 2]", q + 1 + delta)
-            )
+            entries.append(CatalogEntry(q * q, "pencil"))
         # hyperoval code: q = 2^s >= 4, d = q, delta = 2
         if p == 2 and q >= 4 and d == q and delta == 2 and n >= q + 2:
-            entries.append(CatalogEntry(q**3, "arc", f"hyperoval code [{q + 2}, 3]", q + 2))
+            entries.append(CatalogEntry(q**3, "arc"))
         # su1 removal / union
         for m in range(3, 22):
             if q**m > _MAX_SPACE:
@@ -508,18 +497,14 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
                     if 1 <= h <= s:
                         nat = (s * (q**m - 1) - h * (q**r - 1)) // (q - 1)
                         if 0 < nat <= n:
-                            entries.append(
-                                CatalogEntry(q**m, "su1", f"su1 removal [{nat}, {m}]", nat)
-                            )
+                            entries.append(CatalogEntry(q**m, "su1"))
                 # union: d = s q^(m-1)
                 if d % top == 0 and h % p:
                     s = d // top
                     if s >= 1:
                         nat = (s * (q**m - 1) + h * (q**r - 1)) // (q - 1)
                         if nat <= n:
-                            entries.append(
-                                CatalogEntry(q**m, "su1", f"su1 union [{nat}, {m}]", nat)
-                            )
+                            entries.append(CatalogEntry(q**m, "su1"))
     # su2: prime alphabet only
     if pm is not None and pm[1] == 1:
         p = q
@@ -536,21 +521,17 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
             if 2 <= r <= qm:
                 nat = r * (qm - 1) // (p - 1)
                 if nat <= n:
-                    entries.append(CatalogEntry(p ** (2 * m), "su2", f"su2 [{nat}, {2 * m}]", nat))
+                    entries.append(CatalogEntry(p ** (2 * m), "su2"))
     # small families
     if d == 2 and delta == 2 and n >= 4:
-        entries.append(
-            CatalogEntry(math.comb(n, 2) + 1, "weight2", "zero plus all weight-2 words", n)
-        )
+        entries.append(CatalogEntry(math.comb(n, 2) + 1, "weight2"))
     if q == 2 and d == 2 and delta >= 3 and n >= delta + 3:
         size = n + 1 if n == delta + 3 else n
-        entries.append(CatalogEntry(size, "bin-2-2d", "weight-(delta+2) block family", n))
+        entries.append(CatalogEntry(size, "bin-2-2d"))
     if q == 2 and delta == d and n >= 2 * d:
-        entries.append(
-            CatalogEntry(1 + n // d, "disjoint", "disjoint weight-d supports", n)
-        )
+        entries.append(CatalogEntry(1 + n // d, "disjoint"))
     if q == 3 and d == 1 and delta == 2 and n >= 4:
-        entries.append(CatalogEntry(6, "ternary13", "six-word ternary {1,3} code", 4))
+        entries.append(CatalogEntry(6, "ternary13"))
 
     entries.sort(key=lambda e: (-e.size, e.family))
     return tuple(entries)
@@ -571,7 +552,7 @@ def equidistant_lower_bound(q: int, n: int, d: int) -> CatalogEntry | None:
             s = d // power
             nat = s * (q**m - 1) // (q - 1)
             if nat <= n:
-                entry = CatalogEntry(q**m, "simplex", f"{s} copies of the [{(q**m - 1) // (q - 1)}, {m}] simplex", nat)
+                entry = CatalogEntry(q**m, "simplex")
                 if best is None or entry.size > best.size:
                     best = entry
         power *= q
@@ -580,7 +561,7 @@ def equidistant_lower_bound(q: int, n: int, d: int) -> CatalogEntry | None:
     if d % (q - 1) == 0:
         mu = d // (q - 1)
         if _is_power_of(p, mu) and q * mu - 1 <= n:
-            entry = CatalogEntry(q * mu, "dm", f"difference-matrix equidistant ({q * mu - 1}, {q * mu}, {d})", q * mu - 1)
+            entry = CatalogEntry(q * mu, "dm")
             if best is None or entry.size > best.size:
                 best = entry
     return best

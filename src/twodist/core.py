@@ -172,7 +172,6 @@ class DistanceDistribution:
     """Counts A_j = (#ordered pairs at distance j) / |C| for j = 0..n."""
 
     n: int
-    size: int
     counts: tuple[Fraction, ...]
 
     def a(self, j: int) -> Fraction:
@@ -221,15 +220,12 @@ class TwoDistReport:
     ok: bool
     equidistant: bool
     observed: tuple[int, ...]
-    distribution: DistanceDistribution
 
 
 def distance_distribution(code: Code) -> DistanceDistribution:
     """Distance distribution A_j; A_0 = 1 and sum(A_j) = |C|."""
     cnt = code.distance_counts
-    return DistanceDistribution(
-        code.n, code.size, tuple(Fraction(c, code.size) for c in cnt)
-    )
+    return DistanceDistribution(code.n, tuple(Fraction(c, code.size) for c in cnt))
 
 
 def verify_two_distance(code: Code, params: TwoDistParams) -> TwoDistReport:
@@ -242,12 +238,11 @@ def verify_two_distance(code: Code, params: TwoDistParams) -> TwoDistReport:
         raise ValueError(
             f"code is over q={code.q}, n={code.n}; params ask for q={params.q}, n={params.n}"
         )
-    dist = distance_distribution(code)
-    observed = dist.support()
+    observed = distance_distribution(code).support()
     wanted = {params.d, params.d2}
     ok = set(observed) == wanted
     equidistant = len(observed) == 1 and set(observed) <= wanted
-    return TwoDistReport(ok=ok, equidistant=equidistant, observed=observed, distribution=dist)
+    return TwoDistReport(ok=ok, equidistant=equidistant, observed=observed)
 
 
 def strength(code: Code) -> int:
@@ -270,11 +265,14 @@ def moments(code: Code, i: int) -> Fraction:
     distribution B_i = (1/|C|) sum_j A_j K_i(j).  Nonnegative for every
     code (positive semidefiniteness of the kernel).  By Delsarte's theorem
     the code is an orthogonal array of strength t if and only if the
-    moments 1..t are all zero.
+    moments 1..t are all zero.  The sum runs over the distances that
+    occur, so a two-distance code costs three Krawtchouk values.
     """
     if i < 0 or i > code.n:
         raise ValueError(f"moment index {i} outside 0..{code.n}")
-    total = sum(c * kraw_eval(code.n, code.q, i, j) for j, c in enumerate(code.distance_counts))
+    total = sum(
+        c * kraw_eval(code.n, code.q, i, j) for j, c in enumerate(code.distance_counts) if c
+    )
     r_i = (code.q - 1) ** i * math.comb(code.n, i)
     return Fraction(total, r_i)
 
@@ -282,12 +280,14 @@ def moments(code: Code, i: int) -> Fraction:
 def is_antipodal(code: Code) -> bool:
     """True iff the words split into groups of q words pairwise at distance n.
 
-    Each word must have exactly q - 1 words at distance n.  Then the groups
-    exist iff every word and its far words share the smallest index among
-    them: on a connected set of far pairs that index is one word m, and all
-    the set lies in m's group of q words.
+    Each word must have exactly q - 1 words at distance n, so the cached
+    pair counts must hold size * (q - 1) pairs at distance n; most codes
+    fail there without a second distance pass.  Then the groups exist iff
+    every word and its far words share the smallest index among them: on a
+    connected set of far pairs that index is one word m, and all the set
+    lies in m's group of q words.
     """
-    if code.size % code.q:
+    if code.size % code.q or code.distance_counts[code.n] != code.size * (code.q - 1):
         return False
     far = []
     for _, dist in distance_blocks(code.array, code.array):

@@ -50,10 +50,6 @@ class LinearParams:
         return prime_power(self.q)[0]
 
     @property
-    def m(self) -> int:
-        return prime_power(self.q)[1]
-
-    @property
     def delta(self) -> int:
         return self.w2 - self.w1
 
@@ -96,7 +92,6 @@ class QuadraticCheck:
     roots: tuple[Fraction, Fraction] | None
     roots_positive_integers: bool
     discriminant_is_square: bool
-    length_if_w2_full: Fraction | None
 
 
 def check_oa2_quadratic(q: int, size: int, n: int, w1: int, w2: int) -> QuadraticCheck:
@@ -109,8 +104,7 @@ def check_oa2_quadratic(q: int, size: int, n: int, w1: int, w2: int) -> Quadrati
 
     with Q1 = q(N-q)/(N-q^2) and Q2 = q^2(N-1)/(N-q^2).  The roots of the
     companion quadratic must be positive integers with a perfect-square
-    discriminant.  When w2 = n the condition collapses to a closed form
-    for n, reported in `length_if_w2_full`.
+    discriminant.
     """
     if size % (q * q):
         raise ValueError("strength-2 hypothesis requires N divisible by q^2")
@@ -131,16 +125,12 @@ def check_oa2_quadratic(q: int, size: int, n: int, w1: int, w2: int) -> Quadrati
     if sq is not None:
         roots = ((b + sq) / 2, (b - sq) / 2)
         roots_ok = all(r > 0 and r.denominator == 1 for r in roots)
-    full = None
-    if u2 == 0 and q1 != 1:
-        full = (q1 * (w1 + 1) - 1) / (q1 - 1)
     return QuadraticCheck(
         residual=residual,
         ok=residual == 0,
         roots=roots,
         roots_positive_integers=roots_ok,
         discriminant_is_square=sq is not None,
-        length_if_w2_full=full,
     )
 
 
@@ -356,7 +346,6 @@ class GcdVerdict:
 
 @dataclass(frozen=True)
 class GcdScreen:
-    params: LinearParams
     per_s: tuple[GcdVerdict, ...]
 
     @property
@@ -435,7 +424,7 @@ def gcd_screen(lp: LinearParams) -> GcdScreen:
         else:
             verdict = "fail"
         verdicts.append(GcdVerdict(s, n_c, d_c, tuple(clauses), verdict))
-    return GcdScreen(lp, tuple(verdicts))
+    return GcdScreen(tuple(verdicts))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ restart grows the code by uniformly random compatible candidates until
 maximal.  A restart keeps only the rows still compatible with every pick
 and filters them against each new pick, so its work shrinks with the live
 set; there is no adjacency matrix.  Restart r draws from its own
-SplitMix64 stream derived from (seed, r), so the outcome depends only on
-(seed, restarts), not on scheduling.
+SplitMix64 stream derived from (seed, r), and the search reads no clock,
+so the result is a pure function of the parameters and (seed, restarts,
+stop_at), whatever the machine's speed or load.
 
 The oracle computes A_q(n, {d, d+delta}) exactly, counting every code
 whose distances lie in {d, d+delta}, one-distance codes included: a code
@@ -31,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +84,6 @@ def restart_stream(seed: int, restart: int) -> SplitMix64:
 class SearchConfig:
     seed: int
     restarts: int = 1000
-    time_budget_ms: int | None = None
     stop_at: int | None = None
 
     def __post_init__(self):
@@ -92,8 +91,6 @@ class SearchConfig:
             raise ValueError("restarts must be at least 1")
         if self.stop_at is not None and self.stop_at < 1:
             raise ValueError("stop_at must be at least 1")
-        if self.time_budget_ms is not None and self.time_budget_ms < 0:
-            raise ValueError("time budget must not be negative")
 
 
 @dataclass(frozen=True)
@@ -174,8 +171,10 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     compatible with that pick too.  Boolean filtering keeps candidate
     order, so a pick depends only on the live set and the restart's stream.
     Ties between restarts break toward the lexicographically smallest
-    sorted word list, so the result is a pure function of (seed,
-    restarts, stop_at, time budget).  The returned code is re-verified.
+    sorted word list.  The search stops after `restarts` restarts, or
+    earlier once a code reaches `stop_at` words; there is no wall-clock
+    stop, so the result is a pure function of (seed, restarts, stop_at).
+    The returned code is re-verified.
     """
     total = candidate_count(params)
     if total > MAX_CANDIDATES:
@@ -187,10 +186,6 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     n = params.n
     start_word = cands[0]  # 1^d 0^(n-d); good[0] is False, so it drops out
     base_rows = cands[good[_distances_to(cands, start_word)]]
-
-    deadline = None
-    if cfg.time_budget_ms is not None:
-        deadline = time.monotonic() + cfg.time_budget_ms / 1000.0
 
     best_words: list[tuple[int, ...]] | None = None
     best_restart = 0
@@ -212,8 +207,6 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
             best_words = words
             best_restart = restart
         if cfg.stop_at is not None and len(best_words) >= cfg.stop_at:
-            break
-        if deadline is not None and time.monotonic() > deadline:
             break
     assert best_words is not None
     code = Code(params.q, n, tuple(best_words))

@@ -201,7 +201,7 @@ def test_criterion_10_search_reproduction():
         )
         assert result.size >= want and result.report.ok, params
         assert time.monotonic() - start < 60
-    _report(10, "random greedy reaches 16, 27, 16 with seed 1 inside the time budget")
+    _report(10, "random greedy reaches 16, 27, 16 with seed 1 within 60 s")
 
 
 def test_criterion_11_exact_small_values():

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,10 +21,12 @@ from twodist.core import (
     verify_two_distance,
     write_code,
 )
+from twodist.krawtchouk import kraw_column
 
 
-# references: the pure-Python pair loop, column-subset strength and
-# pairwise antipodality that the distance kernel and Delsarte's theorem replace
+# references: the pure-Python pair loop, column-subset strength, pairwise
+# antipodality and the pair-sum moments that the distance kernel, Delsarte's
+# theorem and the sum over occurring distances replace
 
 
 def hamming(x, y):
@@ -86,10 +89,22 @@ def reference_antipodal(code):
     return True
 
 
+def reference_moments(code):
+    """[M_0, ..., M_n] with M_i the sum over ordered pairs (x, y) of K_i(d(x, y)) / r_i."""
+    n, q = code.n, code.q
+    columns = [kraw_column(n, q, z) for z in range(n + 1)]  # columns[z][i] = K_i(z)
+    totals = [0] * (n + 1)
+    for x in code.words:
+        for y in code.words:
+            totals = list(map(int.__add__, totals, columns[hamming(x, y)]))
+    return [Fraction(t, (q - 1) ** i * math.comb(n, i)) for i, t in enumerate(totals)]
+
+
 def assert_matches_reference(code):
     assert code.distance_counts == reference_counts(code)
     assert strength(code) == reference_strength(code)
     assert is_antipodal(code) == reference_antipodal(code)
+    assert [moments(code, i) for i in range(code.n + 1)] == reference_moments(code)
 
 
 def bits(*strings):
