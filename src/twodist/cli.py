@@ -31,7 +31,26 @@ OK, NO, FAIL = 0, 2, 1
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage errors exit 1, not the semantic 2
         self.print_usage(sys.stderr)
+        print(f"twodist: error: {message}", file=sys.stderr)
         raise SystemExit(FAIL)
+
+
+# construct: family -> (parameter count, builder(args, *params)), in the order of --help
+_FAMILIES = {
+    "dm": (3, lambda args, *ps: constructions.dm_code(*ps)),
+    "simplex": (2, lambda args, *ps: constructions.seed_code("simplex", *ps)),
+    "mds2": (2, lambda args, *ps: constructions.seed_code("mds2", *ps)),
+    "su1": (5, lambda args, *ps: constructions.su1_code(
+        *ps, mode="union" if args.union else "remove")),
+    "su2": (3, lambda args, *ps: constructions.su2_code(*ps)),
+    "arc": (1, lambda args, q: constructions.arc_code(q)),
+    "pencil": (2, lambda args, *ps: constructions.pencil_code(*ps)),
+    "weight2": (1, lambda args, n: constructions.small_family_code("weight2", n, q=args.q)),
+    "bin-2-2d": (2, lambda args, n, delta: constructions.small_family_code(
+        "bin-2-2d", n, delta=delta)),
+    "disjoint": (2, lambda args, n, d: constructions.small_family_code("disjoint", n, d=d)),
+    "ternary13": (1, lambda args, n: constructions.small_family_code("ternary13", n)),
+}
 
 
 def _params_args(p: argparse.ArgumentParser):
@@ -91,10 +110,7 @@ def build_parser() -> _Parser:
     p.add_argument("--delta", type=int, default=None)
 
     p = sub.add_parser("construct", help="emit a catalog construction")
-    p.add_argument("family", choices=[
-        "dm", "simplex", "mds2", "su1", "su2", "arc", "pencil",
-        "weight2", "bin-2-2d", "disjoint", "ternary13",
-    ])
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("params", type=int, nargs="*")
     p.add_argument("--union", action="store_true", help="su1: add instead of remove")
     p.add_argument("--complement", action="store_true", help="emit the complementary code")
@@ -216,42 +232,10 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     fam, ps = args.family, args.params
-
-    def need(count):
-        if len(ps) != count:
-            raise ValueError(f"{fam} expects {count} integer parameters, got {len(ps)}")
-
-    obj: Code | constructions.GeneratorMatrix
-    if fam == "dm":
-        need(3)
-        obj = constructions.dm_code(*ps)
-    elif fam in ("simplex", "mds2"):
-        need(2)
-        obj = constructions.seed_code(fam, *ps)
-    elif fam == "su1":
-        need(5)
-        obj = constructions.su1_code(*ps, mode="union" if args.union else "remove")
-    elif fam == "su2":
-        need(3)
-        obj = constructions.su2_code(*ps)
-    elif fam == "arc":
-        need(1)
-        obj = constructions.arc_code(ps[0])
-    elif fam == "pencil":
-        need(2)
-        obj = constructions.pencil_code(*ps)
-    elif fam == "weight2":
-        need(1)
-        obj = constructions.small_family_code("weight2", ps[0], q=args.q)
-    elif fam == "bin-2-2d":
-        need(2)
-        obj = constructions.small_family_code("bin-2-2d", ps[0], delta=ps[1])
-    elif fam == "disjoint":
-        need(2)
-        obj = constructions.small_family_code("disjoint", ps[0], d=ps[1])
-    else:  # ternary13
-        need(1)
-        obj = constructions.small_family_code("ternary13", ps[0])
+    count, build = _FAMILIES[fam]
+    if len(ps) != count:
+        raise ValueError(f"{fam} expects {count} integer parameters, got {len(ps)}")
+    obj: Code | constructions.GeneratorMatrix = build(args, *ps)
 
     if args.complement:
         if not isinstance(obj, constructions.GeneratorMatrix):

@@ -5,6 +5,11 @@ Each constructor returns either a `Code` (nonlinear families) or a
 verified by enumeration in the test suite; the catalog functions at the
 bottom answer "what is the largest construction matching these
 parameters" by arithmetic alone and are used for table lower bounds.
+
+A linear code's columns, up to scalars, are a multiset of points of
+PG(k-1, q), held as one vector m of multiplicities over
+`projective_points(q, k)`: each point once, first nonzero entry 1, in
+lexicographic order.  Columns are written in that point order.
 """
 from __future__ import annotations
 
@@ -83,9 +88,6 @@ class GeneratorMatrix:
         """Weight -> count over all nonzero messages (works when rank < k too)."""
         return dict(Counter(np.count_nonzero(_span(self)[1:], axis=1).tolist()))
 
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(r[i] for r in self.rows) for i in range(self.n))
-
 
 def _span(g: GeneratorMatrix) -> np.ndarray:
     """All q^k codewords as a (q^k, n) array, rank deficient or not.
@@ -107,42 +109,49 @@ def _span(g: GeneratorMatrix) -> np.ndarray:
     return words
 
 
-def projective_points(q: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """Canonical representatives (first nonzero entry 1), lexicographic.
+def projective_points(q: int, k: int) -> np.ndarray:
+    """The points of PG(k-1, q), first nonzero entry 1, as lexicographic rows.
 
-    Refuses q^k > 2^20 up front rather than enumerate that many vectors.
+    The array has the smallest dtype that holds q-1.  Refuses q^k > 2^20
+    up front rather than enumerate that many vectors.
     """
     if q**k > _MAX_SPACE:
         raise ValueError(f"q^k = {q}^{k} exceeds the enumeration limit 2^20")
-    pts = []
-    for vec in itertools.product(range(q), repeat=k):
-        nz = next((s for s in vec if s), None)
-        if nz == 1:
-            pts.append(vec)
-    return tuple(pts)
+    # all q^k vectors: row i holds the base-q digits of i, most significant first
+    vectors = np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, -1).T
+    lead = vectors[np.arange(q**k), (vectors != 0).argmax(axis=1)]
+    return vectors[lead == 1]
 
 
-def normalize_column(q: int, col: tuple[int, ...]) -> tuple[int, ...]:
-    """Scale a nonzero column so its first nonzero entry is 1."""
-    field = GF(q)
-    nz = next((s for s in col if s), None)
-    if nz is None:
+def _normalized_columns(g: GeneratorMatrix) -> np.ndarray:
+    """g's columns as the rows of an (n, k) array, each scaled so its first nonzero entry is 1."""
+    field = GF(g.q)
+    cols = np.array(g.rows, dtype=np.intp).T
+    nonzero = cols != 0
+    if not nonzero.any(axis=1).all():
         raise ValueError("zero column cannot be normalized")
-    inv = field.inv(nz)
-    return tuple(field.mul(inv, s) for s in col)
+    lead = cols[np.arange(g.n), nonzero.argmax(axis=1)]
+    inverse = np.array([0] + [field.inv(a) for a in range(1, g.q)])
+    return np.array(field.mul_table)[inverse[lead][:, None], cols]
+
+
+def point_multiplicities(g: GeneratorMatrix) -> np.ndarray:
+    """m[i] is the number of g's columns on point i of projective_points(g.q, g.k)."""
+    cols = _normalized_columns(g)
+    points = projective_points(g.q, g.k)
+    # base-q values, most significant entry first, sort as the rows do
+    place = g.q ** np.arange(g.k - 1, -1, -1)
+    return np.bincount(np.searchsorted(points @ place, cols @ place), minlength=len(points))
+
+
+def from_multiplicities(q: int, points: np.ndarray, m: np.ndarray | int) -> GeneratorMatrix:
+    """The generator whose columns are points[i], m[i] (or m) times each, in point order."""
+    return GeneratorMatrix(q, tuple(map(tuple, np.repeat(points, m, axis=0).T.tolist())))
 
 
 def column_multiplicity(g: GeneratorMatrix) -> int:
-    """Maximal number of columns that are scalar multiples of one column."""
-    counts = Counter(normalize_column(g.q, c) for c in g.columns())
-    return max(counts.values())
-
-
-def matrix_from_columns(q: int, cols) -> GeneratorMatrix:
-    cols = list(cols)
-    k = len(cols[0])
-    rows = tuple(tuple(c[i] for c in cols) for i in range(k))
-    return GeneratorMatrix(q, rows)
+    """Maximal number of columns that are scalar multiples of one column (any q^k)."""
+    return int(np.unique(_normalized_columns(g), axis=0, return_counts=True)[1].max())
 
 
 # ---------------------------------------------------------------------------
@@ -161,16 +170,18 @@ class DifferenceMatrix:
         return self.q * self.mu
 
 
-def is_difference_matrix(dm: DifferenceMatrix, p: int, ell: int) -> bool:
-    """True iff every two distinct rows differ, entry by entry in GF(p^ell), in
-    exactly dm.q distinct values, each dm.mu times.
+def is_difference_matrix(dm: DifferenceMatrix) -> bool:
+    """True iff all entries lie in GF(dm.q) and every two distinct rows differ,
+    entry by entry, in exactly dm.q distinct values, each dm.mu times.
 
     Every row pair is checked: one lookup in the subtraction table per
     block of pairs, then one bincount of the block's differences.
     """
-    field = GF(p**ell)
-    sub = np.array(field.add_table)[:, [field.neg(b) for b in field.elements()]]
     rows = np.array(dm.entries, dtype=np.intp)
+    if prime_power(dm.q) is None or ((rows < 0) | (rows >= dm.q)).any():
+        return False
+    field = GF(dm.q)
+    sub = np.array(field.add_table)[:, [field.neg(b) for b in field.elements()]]
     first, second = np.triu_indices(len(rows), 1)
     step = max(1, BLOCK_DIFFERENCES // max(1, rows.shape[1]))
     for start in range(0, len(first), step):
@@ -200,7 +211,7 @@ def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
     q, mu = p**ell, p**h
     entries = np.array(field.mul_table) % q
     dm = DifferenceMatrix(q=q, mu=mu, entries=tuple(map(tuple, entries.tolist())))
-    if not is_difference_matrix(dm, p, ell):
+    if not is_difference_matrix(dm):
         raise AssertionError("constructed matrix violates the difference property")
     return dm
 
@@ -241,12 +252,12 @@ def seed_code(kind: str, q: int, param: int) -> GeneratorMatrix:
         m = param
         if m < 1:
             raise ValueError("simplex needs m >= 1")
-        return matrix_from_columns(q, projective_points(q, m))
+        return from_multiplicities(q, projective_points(q, m), 1)
     if kind == "mds2":
         r = param
         if not (2 <= r <= q + 1):
             raise ValueError("mds2 needs 2 <= r <= q+1")
-        return matrix_from_columns(q, projective_points(q, 2)[:r])
+        return from_multiplicities(q, projective_points(q, 2)[:r], 1)
     raise ValueError(f"unknown seed kind {kind!r}")
 
 
@@ -267,23 +278,17 @@ def su1_code(q: int, m: int, r: int, s: int, h: int, mode: str = "remove") -> Ge
         raise ValueError("need 2 <= r <= m-1")
     if s < 1 or h < 1:
         raise ValueError("need s >= 1 and h >= 1")
-    all_points = projective_points(q, m)
-    sub = [pt for pt in all_points if not any(pt[r:])]
-    counts = Counter({pt: s for pt in all_points})
+    points = projective_points(q, m)
+    in_sub = ~points[:, r:].any(axis=1)
     if mode == "remove":
         if h > s:
             raise ValueError("removal mode needs h <= s")
-        for pt in sub:
-            counts[pt] -= h
-    elif mode == "union":
+        return from_multiplicities(q, points, s - h * in_sub)
+    if mode == "union":
         if h % pm[0] == 0:
             raise ValueError("union mode needs h coprime to q")
-        for pt in sub:
-            counts[pt] += h
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    cols = [pt for pt in sorted(counts) for _ in range(counts[pt])]
-    return matrix_from_columns(q, cols)
+        return from_multiplicities(q, points, s + h * in_sub)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def su2_code(p: int, m: int, r: int) -> GeneratorMatrix:
@@ -327,11 +332,9 @@ def arc_code(q: int) -> GeneratorMatrix:
     pm = prime_power(q)
     if pm is None or pm[0] != 2 or q < 4:
         raise ValueError("hyperoval codes need q = 2^s >= 4")
-    field = GF(q)
-    cols = [(1, t, field.mul(t, t)) for t in range(q)]
-    cols.append((0, 1, 0))
-    cols.append((0, 0, 1))
-    return matrix_from_columns(q, cols)
+    conic = tuple(range(q))
+    squares = tuple(GF(q).mul(t, t) for t in conic)
+    return GeneratorMatrix(q, ((1,) * q + (0, 0), conic + (1, 0), squares + (0, 1)))
 
 
 def pencil_code(q: int, delta: int) -> GeneratorMatrix:
@@ -418,21 +421,19 @@ def small_family_code(kind: str, n: int, q: int = 2, d: int | None = None, delta
 def complementary_code(g: GeneratorMatrix) -> GeneratorMatrix:
     """Columns completing g to s full copies of the projective point set.
 
-    s is the maximal column multiplicity of g.  Stacking a code beside
-    its complement yields an equidistant code of distance s*q^(k-1),
-    which is verified here for manageable sizes.  The complement may be
-    rank deficient (zero weights appear); callers should inspect its
-    weight distribution.
+    With m = point_multiplicities(g) and s = max(m), point i appears
+    s - m[i] times.  Stacking a code beside its complement yields an
+    equidistant code of distance s*q^(k-1), which is verified here for
+    manageable sizes.  The complement may be rank deficient (zero
+    weights appear); callers should inspect its weight distribution.
     """
     if g.rank() != g.k:
         raise ValueError("generator matrix must have full rank")
-    s = column_multiplicity(g)
-    missing = Counter(dict.fromkeys(projective_points(g.q, g.k), s))
-    missing.subtract(normalize_column(g.q, c) for c in g.columns())
-    complement = list(missing.elements())
-    if not complement:
+    m = point_multiplicities(g)
+    s = int(m.max())
+    if (m == s).all():
         raise ValueError("complementary code is empty (all points already used)")
-    comp = matrix_from_columns(g.q, complement)
+    comp = from_multiplicities(g.q, projective_points(g.q, g.k), s - m)
     if g.q**g.k <= 4096:
         joint = GeneratorMatrix(g.q, tuple(a + b for a, b in zip(g.rows, comp.rows)))
         if set(joint.weight_distribution()) != {s * g.q ** (g.k - 1)}:
@@ -487,9 +488,7 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
                 base = q ** (r - 1)
                 if delta % base:
                     continue
-                h = delta // base
-                if h < 1:
-                    continue
+                h = delta // base  # >= 1, as delta >= 1 is a multiple of base
                 # removal: d = s q^(m-1) - delta
                 top = q ** (m - 1)
                 if (d + delta) % top == 0:

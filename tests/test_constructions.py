@@ -1,5 +1,7 @@
+import itertools
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,8 +17,10 @@ from twodist.constructions import (
     difference_matrix,
     dm_code,
     equidistant_lower_bound,
+    from_multiplicities,
     is_difference_matrix,
     pencil_code,
+    point_multiplicities,
     projective_points,
     seed_code,
     small_family_code,
@@ -54,6 +58,80 @@ class TestGeneratorMatrix:
             projective_points(2, 21)
         with pytest.raises(ValueError, match="exceeds"):
             seed_code("simplex", 2, 40)
+
+    @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 4, 5, 7, 8, 9) for k in (1, 2, 3, 4)])
+    def test_projective_points_match_reference(self, q, k):
+        points = projective_points(q, k)
+        assert points.dtype == np.min_scalar_type(q - 1)
+        assert tuple(map(tuple, points.tolist())) == reference_projective_points(q, k)
+
+
+# references: the tuple loops that the point-multiplicity vector replaces
+
+
+def reference_projective_points(q, k):
+    """Canonical representatives (first nonzero entry 1), lexicographic."""
+    vectors = itertools.product(range(q), repeat=k)
+    return tuple(v for v in vectors if next((s for s in v if s), None) == 1)
+
+
+def reference_normalize_column(q, col):
+    """Scale a nonzero column so its first nonzero entry is 1."""
+    field = GF(q)
+    nz = next((s for s in col if s), None)
+    if nz is None:
+        raise ValueError("zero column cannot be normalized")
+    inv = field.inv(nz)
+    return tuple(field.mul(inv, s) for s in col)
+
+
+def reference_point_counts(g):
+    return Counter(reference_normalize_column(g.q, c) for c in zip(*g.rows))
+
+
+@st.composite
+def full_rank_generators(draw):
+    """Full-rank generators with repeated and rescaled columns, in random column order."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    k = draw(st.integers(1, 4))
+    nonzero = st.lists(st.integers(0, q - 1), min_size=k, max_size=k).filter(any)
+    cols = [tuple(int(i == j) for i in range(k)) for j in range(k)]
+    cols += draw(st.lists(nonzero, max_size=8))
+    for _ in range(draw(st.integers(0, 4))):  # a multiple of an earlier column
+        col, c = draw(st.sampled_from(cols)), draw(st.integers(1, q - 1))
+        cols.append(tuple(GF(q).mul(c, x) for x in col))
+    cols = draw(st.permutations(cols))
+    return GeneratorMatrix(q, tuple(zip(*cols)))
+
+
+@given(full_rank_generators())
+@settings(max_examples=200, deadline=None)
+def test_point_multiplicities_match_reference(g):
+    points = projective_points(g.q, g.k)
+    m = point_multiplicities(g)
+    counts = reference_point_counts(g)
+    assert m.tolist() == [counts[p] for p in map(tuple, points.tolist())]
+    assert column_multiplicity(g) == max(counts.values())
+    # the same column multiset, written in point order
+    again = from_multiplicities(g.q, points, m)
+    assert list(zip(*again.rows)) == sorted(counts.elements())
+
+
+class TestPointMultiplicities:
+    def test_zero_column_is_refused(self):
+        g = GeneratorMatrix(3, ((1, 0, 2), (0, 0, 1)))
+        for fn in (point_multiplicities, column_multiplicity, complementary_code):
+            with pytest.raises(ValueError, match="zero column cannot be normalized"):
+                fn(g)
+
+    def test_column_multiplicity_beyond_the_enumeration_limit(self):
+        # q^k = 2^21: the multiplicity counts the columns, not the points
+        k = 21
+        identity = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+        g = GeneratorMatrix(2, tuple(row + row[:1] + (1,) for row in identity))
+        assert column_multiplicity(g) == 2
+        with pytest.raises(ValueError, match="exceeds"):
+            point_multiplicities(g)
 
 
 # references: the per-message loop that the table-driven span replaces
@@ -153,11 +231,11 @@ class TestDifferenceMatrix:
     def test_valid_by_definition(self, p, ell, h):
         dm = difference_matrix(p, ell, h)
         assert dm.order() == p ** (ell + h)
-        assert is_difference_matrix(dm, p, ell)
+        assert is_difference_matrix(dm)
 
     def test_smallest_case(self):
         dm = difference_matrix(2, 1, 0)
-        assert dm.order() == 2 and is_difference_matrix(dm, 2, 1)
+        assert dm.order() == 2 and is_difference_matrix(dm)
 
     def test_rejects_composite(self):
         with pytest.raises(ValueError):
@@ -165,7 +243,7 @@ class TestDifferenceMatrix:
 
     def test_broken_matrix_detected(self):
         bad = DifferenceMatrix(2, 1, ((0, 0), (0, 0)))
-        assert not is_difference_matrix(bad, 2, 1)
+        assert not is_difference_matrix(bad)
 
 
 # the Python loops that the table lookups of difference_matrix, dm_code and
@@ -231,7 +309,7 @@ def test_difference_check_matches_reference_on_mutations(args, data):
     else:
         q, mu = data.draw(st.sampled_from([(q, 2 * mu), (q - 1, mu), (q + 1, mu), (q, mu)]))
     mutated = DifferenceMatrix(q, mu, tuple(map(tuple, rows)))
-    assert is_difference_matrix(mutated, p, ell) == reference_is_difference_matrix(mutated, p, ell)
+    assert is_difference_matrix(mutated) == reference_is_difference_matrix(mutated, p, ell)
 
 
 class TestDmCode:
@@ -441,16 +519,11 @@ class TestComplementary:
             complementary_code(seed_code("simplex", 2, 3))
 
     def test_involution_on_column_multisets(self):
-        from collections import Counter
-        from twodist.constructions import normalize_column
-
         g = su2_code(2, 2, 3)
         comp = complementary_code(g)
         # complement twice with the same s restores the original multiset
         again = complementary_code(comp)
-        orig = Counter(normalize_column(g.q, c) for c in g.columns())
-        back = Counter(normalize_column(g.q, c) for c in again.columns())
-        assert orig == back
+        assert point_multiplicities(again).tolist() == point_multiplicities(g).tolist()
 
     def test_rank_deficient_input_rejected(self):
         with pytest.raises(ValueError, match="full rank"):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
+from twodist import constructions
 from twodist.cli import main
-from twodist.core import TwoDistParams, read_code
+from twodist.core import TwoDistParams, read_code, write_code
 from twodist.search import SearchConfig
 from twodist.tables import (
     CellOptions,
@@ -228,6 +229,34 @@ class TestCli:
         assert main(["construct", "su2", "2", "2", "3", "--complement", "--generator"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == "4 6 2"
 
+    @pytest.mark.parametrize("argv,build", [
+        (["dm", "2", "1", "1"], lambda: constructions.dm_code(2, 1, 1)),
+        (["simplex", "3", "2"], lambda: constructions.seed_code("simplex", 3, 2).span()),
+        (["mds2", "4", "3"], lambda: constructions.seed_code("mds2", 4, 3).span()),
+        (["su1", "2", "4", "2", "1", "1"], lambda: constructions.su1_code(2, 4, 2, 1, 1).span()),
+        (["su1", "2", "4", "2", "1", "1", "--union"],
+         lambda: constructions.su1_code(2, 4, 2, 1, 1, mode="union").span()),
+        (["su2", "2", "2", "3"], lambda: constructions.su2_code(2, 2, 3).span()),
+        (["arc", "4"], lambda: constructions.arc_code(4).span()),
+        (["pencil", "3", "2"], lambda: constructions.pencil_code(3, 2).span()),
+        (["weight2", "6", "--q", "3"], lambda: constructions.small_family_code("weight2", 6, q=3)),
+        (["bin-2-2d", "10", "4"], lambda: constructions.small_family_code("bin-2-2d", 10, delta=4)),
+        (["disjoint", "15", "3"], lambda: constructions.small_family_code("disjoint", 15, d=3)),
+        (["ternary13", "5"], lambda: constructions.small_family_code("ternary13", 5)),
+    ])
+    def test_construct_dispatches_each_family(self, capsys, argv, build):
+        assert main(["construct", *argv]) == 0
+        assert capsys.readouterr().out == write_code(build())
+
+    @pytest.mark.parametrize("family,count", [
+        ("dm", 3), ("simplex", 2), ("mds2", 2), ("su1", 5), ("su2", 3), ("arc", 1),
+        ("pencil", 2), ("weight2", 1), ("bin-2-2d", 2), ("disjoint", 2), ("ternary13", 1),
+    ])
+    def test_construct_parameter_count_is_tool_error(self, capsys, family, count):
+        assert main(["construct", family, *["2"] * (count + 1)]) == 1
+        expect = f"error: {family} expects {count} integer parameters, got {count + 1}\n"
+        assert capsys.readouterr().err == expect
+
     def test_search_writes_code(self, tmp_path, capsys):
         out = tmp_path / "found.txt"
         rc = main([
@@ -245,7 +274,9 @@ class TestCli:
             "--restarts", "1", "--time-budget-ms", "5",
         ])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("usage: twodist")
+        err = capsys.readouterr().err
+        assert err.startswith("usage: twodist")
+        assert "twodist: error: unrecognized arguments: --time-budget-ms 5" in err
 
     def test_search_stop_at_below_one_is_usage_error(self, capsys):
         rc = main([
@@ -310,6 +341,9 @@ class TestCli:
 
     def test_usage_error_exits_1(self, capsys):
         assert main(["bound", "--q", "2"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: twodist bound")
+        assert "twodist: error: the following arguments are required: --n, --d, --delta" in err
 
     def test_tool_error_exits_1(self, capsys):
         assert main(["construct", "arc", "3"]) == 1
