@@ -15,7 +15,9 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import constructions, feasibility, search, tables
 from .core import (
+    MAX_ALPHABET,
     Code,
+    CodeFormatError,
     TwoDistParams,
     distance_distribution,
     is_antipodal,
@@ -244,8 +246,10 @@ def _cmd_construct(args) -> int:
 
     if isinstance(obj, constructions.GeneratorMatrix):
         if args.generator:
+            if obj.q > MAX_ALPHABET:
+                raise CodeFormatError(f"file format supports q <= {MAX_ALPHABET}")
             lines = [f"{obj.k} {obj.n} {obj.q}"]
-            lines += ["".join(str(s) for s in row) for row in obj.rows]
+            lines += ["".join(map(str, row)) for row in obj.rows.tolist()]
             text = "\n".join(lines) + "\n"
         else:
             if obj.q ** obj.k > 4096:

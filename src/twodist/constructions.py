@@ -28,50 +28,51 @@ _MAX_SPACE = 1 << 20
 BLOCK_DIFFERENCES = 1 << 13  # row-pair differences in one block of is_difference_matrix (64 KB of intp)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorMatrix:
-    """k x n matrix over GF(q); the code is the row space."""
+    """k x n matrix over GF(q); the code is the row space.
+
+    `rows` is kept as one read-only array in the smallest dtype holding q - 1.
+    """
 
     q: int
-    rows: tuple[tuple[int, ...], ...]
+    rows: np.ndarray
 
     def __post_init__(self):
         if prime_power(self.q) is None:
             raise ValueError(f"q={self.q} is not a prime power")
-        if not self.rows or not self.rows[0]:
+        if not len(self.rows) or not len(self.rows[0]):
             raise ValueError("empty generator matrix")
-        n = len(self.rows[0])
-        if any(len(r) != n for r in self.rows):
+        if any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("ragged generator matrix")
-        if any(s < 0 or s >= self.q for r in self.rows for s in r):
+        rows = np.asarray(self.rows)
+        if rows.ndim != 2 or rows.dtype.kind not in "iub":
+            raise ValueError("entries must be integers")
+        if ((rows < 0) | (rows >= self.q)).any():
             raise ValueError("entries must lie in 0..q-1")
+        rows = rows.astype(np.min_scalar_type(self.q - 1), order="C")
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
     @property
     def k(self) -> int:
-        return len(self.rows)
+        return self.rows.shape[0]
 
     @property
     def n(self) -> int:
-        return len(self.rows[0])
+        return self.rows.shape[1]
 
     def rank(self) -> int:
+        """Elimination on whole rows: zero rows are dropped and row 0 is the next pivot."""
         field = GF(self.q)
-        mat = [list(r) for r in self.rows]
-        rank = 0
-        for col in range(self.n):
-            pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-            if pivot is None:
-                continue
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            inv = field.inv(mat[rank][col])
-            mat[rank] = [field.mul(inv, x) for x in mat[rank]]
-            for r in range(len(mat)):
-                if r != rank and mat[r][col]:
-                    c = mat[r][col]
-                    mat[r] = [field.sub(x, field.mul(c, y)) for x, y in zip(mat[r], mat[rank])]
-            rank += 1
-            if rank == len(mat):
-                break
+        mat, rank = self.rows, 0
+        while len(mat := mat[mat.any(axis=1)]):  # a copy, so rows can be written
+            col = (mat[0] != 0).argmax()
+            # each other row with an entry at col minus (that entry / the pivot's) times row 0
+            hit = np.flatnonzero(mat[1:, col]) + 1
+            factor = field.neg[field.mul[field.inv[mat[0, col]], mat[hit, col]]]
+            mat[hit] = field.add[mat[hit], field.mul[factor[:, None], mat[0]]]
+            mat, rank = mat[1:], rank + 1
         return rank
 
     def span(self) -> Code:
@@ -94,18 +95,15 @@ def _span(g: GeneratorMatrix) -> np.ndarray:
 
     Row i is the word whose message takes the base-q digits of i, low
     first, as the coefficients of the generator rows.  The rows are built
-    one generator row at a time from numpy copies of the field's tables:
+    one generator row at a time from the field's tables:
     every multiple c * row is added to every word so far, with c as the
     next, more significant message digit.
     """
     field = GF(g.q)
-    dtype = np.min_scalar_type(g.q - 1)
-    add = np.array(field.add_table, dtype=dtype)
-    mul = np.array(field.mul_table, dtype=dtype)
-    words = np.zeros((1, g.n), dtype=dtype)
+    words = np.zeros((1, g.n), dtype=g.rows.dtype)
     for row in g.rows:
-        multiples = mul[:, list(row)]
-        words = add[multiples[:, None, :], words[None, :, :]].reshape(-1, g.n)
+        multiples = field.mul[:, row]
+        words = field.add[multiples[:, None, :], words[None, :, :]].reshape(-1, g.n)
     return words
 
 
@@ -126,13 +124,12 @@ def projective_points(q: int, k: int) -> np.ndarray:
 def _normalized_columns(g: GeneratorMatrix) -> np.ndarray:
     """g's columns as the rows of an (n, k) array, each scaled so its first nonzero entry is 1."""
     field = GF(g.q)
-    cols = np.array(g.rows, dtype=np.intp).T
+    cols = g.rows.T
     nonzero = cols != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("zero column cannot be normalized")
     lead = cols[np.arange(g.n), nonzero.argmax(axis=1)]
-    inverse = np.array([0] + [field.inv(a) for a in range(1, g.q)])
-    return np.array(field.mul_table)[inverse[lead][:, None], cols]
+    return field.mul[field.inv[lead][:, None], cols]
 
 
 def point_multiplicities(g: GeneratorMatrix) -> np.ndarray:
@@ -146,7 +143,7 @@ def point_multiplicities(g: GeneratorMatrix) -> np.ndarray:
 
 def from_multiplicities(q: int, points: np.ndarray, m: np.ndarray | int) -> GeneratorMatrix:
     """The generator whose columns are points[i], m[i] (or m) times each, in point order."""
-    return GeneratorMatrix(q, tuple(map(tuple, np.repeat(points, m, axis=0).T.tolist())))
+    return GeneratorMatrix(q, np.repeat(points, m, axis=0).T)
 
 
 def column_multiplicity(g: GeneratorMatrix) -> int:
@@ -158,13 +155,24 @@ def column_multiplicity(g: GeneratorMatrix) -> int:
 # difference matrices and their codes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DifferenceMatrix:
-    """q*mu x q*mu matrix over Z_p^l; distinct-row differences are balanced."""
+    """q*mu x q*mu matrix over Z_p^l; distinct-row differences are balanced.
+
+    `entries` is kept as one read-only intp array, judged by is_difference_matrix.
+    """
 
     q: int
     mu: int
-    entries: tuple[tuple[int, ...], ...]
+    entries: np.ndarray
+
+    def __post_init__(self):
+        entries = np.asarray(self.entries)
+        if entries.dtype.kind not in "iub":
+            raise ValueError("entries must be integers")
+        entries = entries.astype(np.intp)  # a copy, frozen below
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
 
     def order(self) -> int:
         return self.q * self.mu
@@ -177,11 +185,11 @@ def is_difference_matrix(dm: DifferenceMatrix) -> bool:
     Every row pair is checked: one lookup in the subtraction table per
     block of pairs, then one bincount of the block's differences.
     """
-    rows = np.array(dm.entries, dtype=np.intp)
+    rows = dm.entries
     if prime_power(dm.q) is None or ((rows < 0) | (rows >= dm.q)).any():
         return False
     field = GF(dm.q)
-    sub = np.array(field.add_table)[:, [field.neg(b) for b in field.elements()]]
+    sub = field.add[:, field.neg]  # sub[a, b] = a - b
     first, second = np.triu_indices(len(rows), 1)
     step = max(1, BLOCK_DIFFERENCES // max(1, rows.shape[1]))
     for start in range(0, len(first), step):
@@ -209,8 +217,7 @@ def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
         raise ValueError("need ell >= 1 and h >= 0")
     field = GF(p ** (ell + h))
     q, mu = p**ell, p**h
-    entries = np.array(field.mul_table) % q
-    dm = DifferenceMatrix(q=q, mu=mu, entries=tuple(map(tuple, entries.tolist())))
+    dm = DifferenceMatrix(q=q, mu=mu, entries=field.mul.astype(np.intp) % q)
     if not is_difference_matrix(dm):
         raise AssertionError("constructed matrix violates the difference property")
     return dm
@@ -227,10 +234,8 @@ def dm_code(p: int, ell: int, h: int) -> Code:
     """
     dm = difference_matrix(p, ell, h)
     q = dm.q
-    add = np.array(GF(q).add_table, dtype=np.min_scalar_type(q - 1))
-    rows = np.array(dm.entries, dtype=np.intp)
     # word (row, c) is add[row, c]; rows vary slowest, as in the loop over rows then c
-    words = add[rows[:, None, :], np.arange(q)[None, :, None]]
+    words = GF(q).add[dm.entries[:, None, :], np.arange(q)[None, :, None]]
     return Code(q, dm.order(), words.reshape(-1, dm.order()))
 
 
@@ -308,19 +313,12 @@ def su2_code(p: int, m: int, r: int) -> GeneratorMatrix:
     # row a of the simplex span is the inner word for the symbol a: both
     # read the base-p digits of a, low first, as coefficients
     inner_words = _span(seed_code("simplex", p, m))
-    field = GF(q)
-
-    # powers of the element with digit vector (0, 1, 0, ...), i.e. integer p,
-    # an F_p-basis multiplier set for GF(p^m)
-    powers = [1]
-    for _ in range(m - 1):
-        powers.append(field.mul(powers[-1], p))
-    rows = []
-    for g_row in outer.rows:
-        for t in range(m):
-            scaled = [field.mul(powers[t], sym) for sym in g_row]
-            rows.append(tuple(inner_words[scaled].ravel().tolist()))
-    return GeneratorMatrix(p, tuple(rows))
+    # x^t for t < m, x the element with digit vector (0, 1, 0, ...), is the
+    # element with digit vector e_t, the integer p^t: an F_p-basis multiplier
+    # set for GF(p^m).  Row (i, t) replaces each symbol of outer row i, times
+    # x^t, by its inner word.
+    scaled = GF(q).mul[(p ** np.arange(m))[None, :, None], outer.rows[:, None, :]]
+    return GeneratorMatrix(p, inner_words[scaled].reshape(2 * m, -1))
 
 
 def arc_code(q: int) -> GeneratorMatrix:
@@ -332,9 +330,9 @@ def arc_code(q: int) -> GeneratorMatrix:
     pm = prime_power(q)
     if pm is None or pm[0] != 2 or q < 4:
         raise ValueError("hyperoval codes need q = 2^s >= 4")
-    conic = tuple(range(q))
-    squares = tuple(GF(q).mul(t, t) for t in conic)
-    return GeneratorMatrix(q, ((1,) * q + (0, 0), conic + (1, 0), squares + (0, 1)))
+    t = np.arange(q)
+    exterior = np.eye(3, 2, -1, dtype=t.dtype)  # columns (0, 1, 0) and (0, 0, 1)
+    return GeneratorMatrix(q, np.hstack([[np.ones_like(t), t, GF(q).mul[t, t]], exterior]))
 
 
 def pencil_code(q: int, delta: int) -> GeneratorMatrix:
@@ -348,9 +346,7 @@ def pencil_code(q: int, delta: int) -> GeneratorMatrix:
     if delta < 1:
         raise ValueError("delta must be positive")
     base = seed_code("mds2", q, q + 1)
-    row1 = base.rows[0] + (0,) * delta
-    row2 = base.rows[1] + (1,) * delta
-    return GeneratorMatrix(q, (row1, row2))
+    return GeneratorMatrix(q, np.hstack([base.rows, np.repeat([[0], [1]], delta, axis=1)]))
 
 
 def small_family_code(kind: str, n: int, q: int = 2, d: int | None = None, delta: int | None = None) -> Code:
@@ -435,7 +431,7 @@ def complementary_code(g: GeneratorMatrix) -> GeneratorMatrix:
         raise ValueError("complementary code is empty (all points already used)")
     comp = from_multiplicities(g.q, projective_points(g.q, g.k), s - m)
     if g.q**g.k <= 4096:
-        joint = GeneratorMatrix(g.q, tuple(a + b for a, b in zip(g.rows, comp.rows)))
+        joint = GeneratorMatrix(g.q, np.hstack([g.rows, comp.rows]))
         if set(joint.weight_distribution()) != {s * g.q ** (g.k - 1)}:
             raise AssertionError("joint code is not equidistant")
     return comp

@@ -4,8 +4,11 @@ Field elements are the integers 0..q-1.  An element a stands for the
 polynomial sum(a_i * x^i) over GF(p), where a_0, a_1, ... are the base-p
 digits of a (least significant first).  Addition is digit-wise mod p, and
 multiplication reduces modulo a fixed monic irreducible polynomial.  Both
-operations are computed once, into a q x q addition table and a q x q
-multiplication table; `add`, `neg`, `sub` and `mul` are lookups in them.
+operations are computed once, into q x q tables `add` and `mul`, with
+`neg` and `inv` read off them; every table is a read-only numpy array, so
+callers do their arithmetic by indexing, a whole row or matrix at a time
+(a - b is add[a, neg[b]]).  Fields up to order 2^10 are built, so no
+table exceeds 2^20 entries.
 
 The reducing polynomial is the lexicographically smallest monic
 irreducible of degree m over GF(p) (smallest when read as the tuple of
@@ -21,6 +24,10 @@ Fields are cached per q so all callers share one set of tables.
 from __future__ import annotations
 
 from functools import lru_cache
+
+import numpy as np
+
+MAX_ORDER = 1 << 10  # largest q built: the q x q tables stay within 2^20 entries
 
 
 def prime_power(q: int) -> tuple[int, int] | None:
@@ -99,9 +106,15 @@ def _irreducible(p: int, m: int) -> list[int]:
 
 
 class Field:
-    """GF(q) with precomputed addition, multiplication and inverse tables."""
+    """GF(q) as read-only tables in the smallest dtype that holds q - 1.
+
+    add[a, b] is a + b and mul[a, b] is a * b (both q x q); neg[a] is -a
+    and inv[a] is 1/a for a != 0 (length q, inv[0] = 0 unused).
+    """
 
     def __init__(self, q: int):
+        if q > MAX_ORDER:
+            raise ValueError(f"GF({q}) is too large: fields up to order {MAX_ORDER} are supported")
         pm = prime_power(q)
         if pm is None:
             raise ValueError(f"{q} is not a prime power")
@@ -110,37 +123,23 @@ class Field:
         self.modulus = _irreducible(self.p, self.m)
         p = self.p
         digits = [_digits(a, p, self.m) for a in range(q)]
-        self.add_table = [
+        add = [
             [_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits]
             for da in digits
         ]
-        self.mul_table = [[0] * q for _ in range(q)]
+        mul = [[0] * q for _ in range(q)]
         for a in range(q):
             for b in range(a, q):
                 prod = _poly_mod(_poly_mul(digits[a], digits[b], p), self.modulus, p)
-                self.mul_table[a][b] = self.mul_table[b][a] = _undigits(prod, p)
-        self._neg = [row.index(0) for row in self.add_table]
-        self._inv = [0] + [row.index(1) for row in self.mul_table[1:]]
-
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add_table[a][self._neg[b]]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self._inv[a]
-
-    def elements(self) -> range:
-        return range(self.q)
+                mul[a][b] = mul[b][a] = _undigits(prod, p)
+        dtype = np.min_scalar_type(q - 1)
+        self.add = np.array(add, dtype=dtype)
+        self.mul = np.array(mul, dtype=dtype)
+        # the first (only) zero of each addition row, the first one of each product row
+        self.neg = (self.add == 0).argmax(axis=1).astype(dtype)
+        self.inv = (self.mul == 1).argmax(axis=1).astype(dtype)
+        for table in (self.add, self.mul, self.neg, self.inv):
+            table.flags.writeable = False
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Field(GF({self.q}))"

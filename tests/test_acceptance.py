@@ -5,6 +5,8 @@ lines.  All bound comparisons are exact (tolerance zero).
 """
 import time
 
+import numpy as np
+
 from twodist.bounds import (
     d2_bound,
     dd_refine,
@@ -128,7 +130,7 @@ def test_criterion_06_constructions_verify():
     assert g1.weight_distribution() == {6: 12, 8: 3}
 
     comp = complementary_code(g)  # joint equidistance at 8 verified internally
-    joint_rows = tuple(a + b for a, b in zip(g.rows, comp.rows))
+    joint_rows = np.hstack([g.rows, comp.rows])
     from twodist.constructions import GeneratorMatrix
 
     joint = GeneratorMatrix(2, joint_rows)

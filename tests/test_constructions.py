@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -59,6 +60,36 @@ class TestGeneratorMatrix:
         with pytest.raises(ValueError, match="exceeds"):
             seed_code("simplex", 2, 40)
 
+    def test_rows_are_one_read_only_array(self):
+        source = np.array([[1, 0, 2], [0, 1, 1]])
+        g = GeneratorMatrix(3, source)
+        assert g.rows.shape == (2, 3) and g.rows.dtype == np.uint8
+        assert not g.rows.flags.writeable
+        with pytest.raises(ValueError):
+            g.rows[0, 0] = 2
+        source[0, 0] = 0  # the caller's array is copied, not frozen
+        assert g.rows[0, 0] == 1
+        assert GeneratorMatrix(257, ((256, 1),)).rows.dtype == np.uint16
+
+    @pytest.mark.parametrize("q,rows,message", [
+        (6, (), "q=6 is not a prime power"),
+        (2, (), "empty generator matrix"),
+        (2, ((),), "empty generator matrix"),
+        (2, ((), (1,)), "empty generator matrix"),
+        (2, ((1, 0), (1,)), "ragged generator matrix"),
+        (2, ((1, 5), (1,)), "ragged generator matrix"),
+        (2, ((1, 2), (1, 0)), "entries must lie in 0..q-1"),
+        (2, ((1, -1), (0, 1)), "entries must lie in 0..q-1"),
+    ])
+    def test_validation_messages_keep_their_precedence(self, q, rows, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GeneratorMatrix(q, rows)
+
+    @pytest.mark.parametrize("rows", [((0.5, 1), (1, 0)), np.ones((2, 2)), (("0", "1"),)])
+    def test_non_integer_entries_rejected(self, rows):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            GeneratorMatrix(2, rows)
+
     @pytest.mark.parametrize("q,k", [(q, k) for q in (2, 3, 4, 5, 7, 8, 9) for k in (1, 2, 3, 4)])
     def test_projective_points_match_reference(self, q, k):
         points = projective_points(q, k)
@@ -81,12 +112,12 @@ def reference_normalize_column(q, col):
     nz = next((s for s in col if s), None)
     if nz is None:
         raise ValueError("zero column cannot be normalized")
-    inv = field.inv(nz)
-    return tuple(field.mul(inv, s) for s in col)
+    inv = field.inv[nz]
+    return tuple(int(field.mul[inv, s]) for s in col)
 
 
 def reference_point_counts(g):
-    return Counter(reference_normalize_column(g.q, c) for c in zip(*g.rows))
+    return Counter(reference_normalize_column(g.q, c) for c in zip(*g.rows.tolist()))
 
 
 @st.composite
@@ -99,7 +130,7 @@ def full_rank_generators(draw):
     cols += draw(st.lists(nonzero, max_size=8))
     for _ in range(draw(st.integers(0, 4))):  # a multiple of an earlier column
         col, c = draw(st.sampled_from(cols)), draw(st.integers(1, q - 1))
-        cols.append(tuple(GF(q).mul(c, x) for x in col))
+        cols.append(tuple(int(GF(q).mul[c, x]) for x in col))
     cols = draw(st.permutations(cols))
     return GeneratorMatrix(q, tuple(zip(*cols)))
 
@@ -114,7 +145,7 @@ def test_point_multiplicities_match_reference(g):
     assert column_multiplicity(g) == max(counts.values())
     # the same column multiset, written in point order
     again = from_multiplicities(g.q, points, m)
-    assert list(zip(*again.rows)) == sorted(counts.elements())
+    assert list(zip(*again.rows.tolist())) == sorted(counts.elements())
 
 
 class TestPointMultiplicities:
@@ -134,7 +165,8 @@ class TestPointMultiplicities:
             point_multiplicities(g)
 
 
-# references: the per-message loop that the table-driven span replaces
+# references: the per-message loop that the table-driven span replaces, and
+# the entry-by-entry Gauss-Jordan elimination that the whole-row rank replaces
 
 
 def reference_messages(g):
@@ -147,12 +179,33 @@ def reference_messages(g):
 def reference_codeword(g, message):
     field = GF(g.q)
     word = [0] * g.n
-    for coeff, row in zip(message, g.rows):
+    for coeff, row in zip(message, g.rows.tolist()):
         if coeff:
             for i, x in enumerate(row):
                 if x:
-                    word[i] = field.add(word[i], field.mul(coeff, x))
+                    word[i] = int(field.add[word[i], field.mul[coeff, x]])
     return tuple(word)
+
+
+def reference_rank(g):
+    field = GF(g.q)
+    mat = g.rows.tolist()
+    rank = 0
+    for col in range(g.n):
+        pivot = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = field.inv[mat[rank][col]]
+        mat[rank] = [int(field.mul[inv, x]) for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col]:
+                c = mat[r][col]
+                mat[r] = [int(field.add[x, field.neg[field.mul[c, y]]]) for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
 
 
 def reference_weight_distribution(g):
@@ -165,6 +218,8 @@ def reference_weight_distribution(g):
 
 def assert_span_matches_reference(g):
     words = tuple(reference_codeword(g, m) for m in reference_messages(g))
+    assert g.rank() == reference_rank(g)
+    assert (g.rank() == g.k) == (len(set(words)) == len(words))
     if len(set(words)) == len(words):
         assert g.span().words == words
     else:
@@ -245,6 +300,18 @@ class TestDifferenceMatrix:
         bad = DifferenceMatrix(2, 1, ((0, 0), (0, 0)))
         assert not is_difference_matrix(bad)
 
+    def test_entries_are_one_read_only_integer_array(self):
+        dm = difference_matrix(2, 1, 1)
+        assert dm.entries.shape == (4, 4) and dm.entries.dtype == np.intp
+        assert not dm.entries.flags.writeable
+        # out-of-range entries are kept for is_difference_matrix to judge
+        assert DifferenceMatrix(2, 1, ((0, -1), (0, 0))).entries.tolist() == [[0, -1], [0, 0]]
+
+    def test_non_integer_entries_rejected(self):
+        # truncated to ((0, 1), (0, 0)), these would pass as a difference matrix
+        with pytest.raises(ValueError, match="entries must be integers"):
+            DifferenceMatrix(2, 1, ((0.5, 1), (0, 0)))
+
 
 # the Python loops that the table lookups of difference_matrix, dm_code and
 # is_difference_matrix replace
@@ -252,10 +319,10 @@ class TestDifferenceMatrix:
 
 def reference_is_difference_matrix(dm, p, ell):
     field = GF(p**ell)
-    rows = dm.entries
+    rows = dm.entries.tolist()
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            diff = Counter(field.sub(a, b) for a, b in zip(rows[i], rows[j]))
+            diff = Counter(int(field.add[a, field.neg[b]]) for a, b in zip(rows[i], rows[j]))
             if len(diff) != dm.q or any(v != dm.mu for v in diff.values()):
                 return False
     return True
@@ -265,9 +332,9 @@ def reference_dm_code(p, ell, h):
     """(entries, words) of the difference matrix D(p^ell, p^h) and its code."""
     big, q = GF(p ** (ell + h)), p**ell
     size = p ** (ell + h)
-    entries = tuple(tuple(big.mul(x, y) % q for y in range(size)) for x in range(size))
+    entries = tuple(tuple(int(big.mul[x, y]) % q for y in range(size)) for x in range(size))
     field = GF(q)
-    words = tuple(tuple(field.add(s, c) for s in row) for row in entries for c in range(q))
+    words = tuple(tuple(int(field.add[s, c]) for s in row) for row in entries for c in range(q))
     return entries, words
 
 
@@ -278,7 +345,7 @@ DM_ARGS = [b[1:] for b in CATALOG_BUILDS if b[0] == "dm_code"] + [(2, 1, 0), (2,
 def test_dm_code_matches_reference(p, ell, h):
     entries, words = reference_dm_code(p, ell, h)
     dm = difference_matrix(p, ell, h)
-    assert dm.entries == entries
+    assert tuple(map(tuple, dm.entries.tolist())) == entries
     assert reference_is_difference_matrix(dm, p, ell)
     assert dm_code(p, ell, h).words == words
 
@@ -289,7 +356,7 @@ def test_difference_check_matches_reference_on_mutations(args, data):
     p, ell, h = args
     dm = difference_matrix(p, ell, h)
     q, mu, size = dm.q, dm.mu, dm.order()
-    rows = [list(r) for r in dm.entries]
+    rows = dm.entries.tolist()
     index = st.integers(0, size - 1)
     kind = data.draw(st.sampled_from(["entries", "swap", "copy row", "shift row", "columns", "q mu"]))
     if kind == "entries":
@@ -302,7 +369,7 @@ def test_difference_check_matches_reference_on_mutations(args, data):
         rows[data.draw(index)] = list(rows[data.draw(index)])
     elif kind == "shift row":  # adding a constant to a row keeps the property
         r, c = data.draw(index), data.draw(st.integers(0, q - 1))
-        rows[r] = [GF(q).add(s, c) for s in rows[r]]
+        rows[r] = [int(GF(q).add[s, c]) for s in rows[r]]
     elif kind == "columns":  # so does permuting the columns
         perm = data.draw(st.permutations(range(size)))
         rows = [[row[j] for j in perm] for row in rows]
@@ -511,7 +578,7 @@ class TestComplementary:
         # verified internally; reconstruct explicitly here as well
         g = su2_code(2, 2, 3)
         comp = complementary_code(g)
-        joint = GeneratorMatrix(2, tuple(a + b for a, b in zip(g.rows, comp.rows)))
+        joint = GeneratorMatrix(2, np.hstack([g.rows, comp.rows]))
         assert set(weights(joint)) == {8}
 
     def test_simplex_has_empty_complement(self):

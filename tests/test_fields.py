@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from twodist.fields import GF, prime_power
+from twodist.fields import GF, MAX_ORDER, prime_power
 
 
 def test_prime_power_factoring():
@@ -22,21 +23,21 @@ def test_conventional_moduli():
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 16])
 def test_field_axioms(q):
     f = GF(q)
-    els = list(f.elements())
+    els = range(q)
     for a in els:
-        assert f.add(a, 0) == a
-        assert f.mul(a, 1) == a
-        assert f.mul(a, 0) == 0
-        assert f.add(a, f.neg(a)) == 0
+        assert f.add[a, 0] == a
+        assert f.mul[a, 1] == a
+        assert f.mul[a, 0] == 0
+        assert f.add[a, f.neg[a]] == 0
         if a:
-            assert f.mul(a, f.inv(a)) == 1
+            assert f.mul[a, f.inv[a]] == 1
     # associativity / distributivity spot checks on all triples for small q
     if q <= 8:
         for a in els:
             for b in els:
                 for c in els:
-                    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-                    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+                    assert f.mul[a, f.add[b, c]] == f.add[f.mul[a, b], f.mul[a, c]]
+                    assert f.mul[f.mul[a, b], c] == f.mul[a, f.mul[b, c]]
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 16])
@@ -46,7 +47,7 @@ def test_multiplicative_group_cyclic(q):
     for a in range(1, q):
         x, order = a, 1
         while x != 1:
-            x = f.mul(x, a)
+            x = f.mul[x, a]
             order += 1
         orders.add(order)
     assert max(orders) == q - 1  # a generator exists
@@ -89,13 +90,33 @@ def reference_neg(f, a):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_tables_match_digitwise_reference(q):
     f = GF(q)
-    for a in f.elements():
-        assert f.neg(a) == reference_neg(f, a)
-        for b in f.elements():
-            assert f.add(a, b) == reference_add(f, a, b)
-            assert f.sub(a, b) == reference_add(f, a, reference_neg(f, b))
+    for a in range(q):
+        assert f.neg[a] == reference_neg(f, a)
+        for b in range(q):
+            assert f.add[a, b] == reference_add(f, a, b)
+            assert f.add[a, f.neg[b]] == reference_add(f, a, reference_neg(f, b))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 27, 256, 257])
+def test_tables_are_read_only_in_the_smallest_dtype(q):
+    f = GF(q)
+    for name, shape in (("add", (q, q)), ("mul", (q, q)), ("neg", (q,)), ("inv", (q,))):
+        table = getattr(f, name)
+        assert table.shape == shape
+        assert table.dtype == np.min_scalar_type(q - 1)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1
+    assert f.inv[0] == 0
 
 
 def test_rejects_non_prime_power():
     with pytest.raises(ValueError):
         GF(6)
+
+
+def test_refuses_fields_above_the_table_limit():
+    # q^2 table entries stay within 2^20; larger fields are refused before any table is built
+    for q in (MAX_ORDER * 2, 4096, 3**7):
+        with pytest.raises(ValueError, match="too large"):
+            GF(q)

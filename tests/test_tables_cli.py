@@ -348,6 +348,25 @@ class TestCli:
     def test_tool_error_exits_1(self, capsys):
         assert main(["construct", "arc", "3"]) == 1
 
+    @pytest.mark.parametrize("argv,expect", [
+        # GF(4096) and GF(2048) are refused before any table is built
+        (["dm", "2", "1", "11"], "error: GF(4096) is too large: fields up to order 1024 are supported\n"),
+        (["arc", "2048", "--generator"], "error: GF(2048) is too large: fields up to order 1024 are supported\n"),
+        # one digit per symbol, as in the code file format
+        (["arc", "16", "--generator"], "error: file format supports q <= 9\n"),
+        (["arc", "16", "--complement", "--generator"], "error: file format supports q <= 9\n"),
+    ])
+    def test_construct_refusals_are_tool_errors(self, capsys, argv, expect):
+        assert main(["construct", *argv]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == expect
+
+    def test_construct_generator_pins(self, capsys):
+        assert main(["construct", "arc", "4", "--generator"]) == 0
+        assert capsys.readouterr().out == "3 6 4\n111100\n012310\n013201\n"
+        assert main(["construct", "pencil", "3", "2", "--generator"]) == 0
+        assert capsys.readouterr().out == "2 6 3\n011100\n101211\n"
+
     def test_external_bounds_flag(self, tmp_path, capsys):
         csv = tmp_path / "ext.csv"
         csv.write_text("q,n,d,bound\n2,13,8,4\n")
