@@ -17,7 +17,6 @@ from .krawtchouk import kraw_column, kraw_eval
 from .bounds import (
     BoundReport,
     ExternalBounds,
-    LpUnboundedError,
     best_upper_bound,
     d2_bound,
     dd_refine,

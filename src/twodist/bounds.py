@@ -2,7 +2,7 @@
 
 All methods are exact: the restricted Delsarte linear program is solved
 in integer arithmetic by walking the boundary of its 2-variable feasible
-polygon from the origin to the optimal vertex, the closed-form bounds
+polygon from the origin to an optimal vertex, the closed-form bounds
 are evaluated as fractions and floored at the very end.  Identical input
 always produces a bit-identical report.
 
@@ -29,10 +29,6 @@ from .krawtchouk import kraw_column, kraw_eval
 from . import feasibility
 
 
-class LpUnboundedError(RuntimeError):
-    """The restricted LP has an unbounded feasible direction."""
-
-
 def _lp_constraints(params: TwoDistParams):
     """Rows (a, b, c) meaning a*A_d + b*A_e + c >= 0, plus the two axes."""
     n, q = params.n, params.q
@@ -43,12 +39,12 @@ def _lp_constraints(params: TwoDistParams):
 def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """Exact optimum of max 1 + A_d + A_e over the restricted Delsarte LP.
 
-    Returns the optimum and the attaining vertex (A_d, A_e).  Raises
-    LpUnboundedError when the feasible region is unbounded, which the
-    boundary walk of `_lp_solve` finds on its way; degenerate inputs can
-    trigger this, in-range table queries never do.  Below the two axes
-    every row has c = K_i(0) = (q-1)^i C(n, i) > 0, as `_lp_solve`
-    requires.
+    Returns the optimum and an attaining vertex (A_d, A_e).  Below the
+    two axes every row has c = K_i(0) = (q-1)^i C(n, i) > 0, and the
+    region is bounded, as `_lp_solve` requires: the rows satisfy
+    sum_{i=0..n} K_i(z) = q^n [z = 0], the generating function
+    (1 + (q-1)t)^(n-z) (1-t)^z at t = 1, so rows 1..n add up to
+    q^n - 1 - A_d - A_e >= 0.
     """
     return _lp_solve(_lp_constraints(params))
 
@@ -64,7 +60,7 @@ def _lp_meet(r1, r2) -> tuple[int, int, int]:
 
 
 def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Maximise 1 + x + y over the region of `rows`; rows 2.. have c > 0.
+    """Maximise 1 + x + y over the bounded region of `rows`; rows 2.. have c > 0.
 
     Every vertex is kept as integer numerators (X, Y) over a determinant
     det > 0, and every comparison is an integer cross-multiplication; no
@@ -74,26 +70,16 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     walk follows the boundary counterclockwise, starting along the x-axis:
     on the line of row (a, b, c) it moves in direction (b, -a), and the
     rows with the least ratio slack / rate stop it, slack = aX + bY + c*det
-    and rate the speed at which that slack falls.  The next edge runs along
+    and rate the speed at which that slack falls.  A bounded region has
+    no ray, so some row always stops the walk.  The next edge runs along
     the stopping row whose direction stays inside the half-planes of the
     other stopping rows.  The objective rises along an edge by b - a; the
-    walk ends at the first vertex whose next edge does not rise, and an
-    edge with b = a joins a second optimal vertex.
-
-    An edge that no row stops is a ray, and the walk raises
-    LpUnboundedError there.  It always reaches that ray when the region
-    is unbounded: x, y >= 0 puts every recession direction in the first
-    quadrant, the edge directions turn counterclockwise from (1, 0) up to
-    the ray's, and x + y rises along every one of them.
-
-    The result equals that of enumerating every pair of rows (i, j),
-    i < j, in order and keeping the first feasible vertex that strictly
-    beats the best so far: of the optimal vertices (one, or the two ends
-    of an optimal edge) it is the one whose first pair of tight,
-    non-parallel rows comes first.
+    walk ends at the first vertex whose next edge falls.  That vertex is
+    optimal: on a convex polygon a linear objective has no local maximum
+    along the boundary other than the global one.  An edge with b = a just
+    before it is optimal too, and the walk has crossed it to its far end.
     """
     r, (x, y, det) = 1, (0, 0, 1)
-    level = None  # start of an edge of constant objective
     while True:
         ux, uy = rows[r][1], -rows[r][0]
         stops, stop_slack, stop_rate = [], 0, 1
@@ -106,29 +92,13 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
                 stops, stop_slack, stop_rate = [k], slack, rate
             elif slack * stop_rate == stop_slack * rate:
                 stops.append(k)
-        if not stops:
-            raise LpUnboundedError(f"restricted LP unbounded along row {rows[r]}")
         x, y, det = _lp_meet(rows[r], rows[stops[0]])
         r = next(
             k for k in stops
             if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
         )
-        rise = rows[r][1] - rows[r][0]
-        if rise < 0:
-            break
-        level = (x, y, det) if rise == 0 else None
-
-    def first_pair(vertex):
-        x, y, det = vertex
-        tight = [k for k, (a, b, c) in enumerate(rows) if a * x + b * y + c * det == 0]
-        for p, i in enumerate(tight):
-            for j in tight[p + 1:]:
-                if rows[i][0] * rows[j][1] != rows[j][0] * rows[i][1]:
-                    return i, j
-
-    ends = [(x, y, det)] if level is None else [level, (x, y, det)]
-    x, y, det = min(ends, key=first_pair)
-    return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
+        if rows[r][1] < rows[r][0]:
+            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
 
 
 def lp_bound(params: TwoDistParams) -> int:
@@ -349,12 +319,8 @@ def best_upper_bound(
     if sv.status is not None and sv.status.kind == "exact":
         return BoundReport(sv.status, ())
 
-    entries: list[BoundEntry] = []
-    try:
-        opt, vertex = lp_optimum(params)
-        entries.append(BoundEntry("lp", math.floor(opt), certificate=(vertex,)))
-    except LpUnboundedError:
-        entries.append(BoundEntry("lp", None, note="unbounded"))
+    opt, vertex = lp_optimum(params)
+    entries = [BoundEntry("lp", math.floor(opt), certificate=(vertex,))]
     pk = plotkin_bound(params)
     entries.append(BoundEntry("plotkin", pk, note="" if pk is not None else "not applicable"))
     d2 = d2_bound(params)
@@ -385,8 +351,6 @@ def best_upper_bound(
     candidates = [
         (e.value, e.method) for e in entries if e.value is not None and e.method != "gr"
     ]
-    if not candidates:
-        raise LpUnboundedError(f"no applicable upper bound for {params}")
     best = min(v for v, _ in candidates)
     methods = tuple(m for v, m in candidates if v == best)
     status = BoundStatus.range_(1, best, methods=methods)

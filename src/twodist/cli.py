@@ -272,8 +272,11 @@ def _cmd_feasible(args) -> int:
     def add(name, verdict, detail):
         lines.append({"screen": name, "verdict": verdict, "detail": detail})
 
-    form = feasibility.delsarte_form(lp.q, lp.w1, lp.w2)
-    if form is None:
+    # delsarte-form, srg-integrality and oa2-quadratic hold for projective codes only
+    projective = lp.s == 1
+    if not projective:
+        add("delsarte-form", "skip", "projective screen needs s=1")
+    elif (form := feasibility.delsarte_form(lp.q, lp.w1, lp.w2)) is None:
         add("delsarte-form", "fail", "weights are not h*p^u, (h+1)*p^u")
     else:
         add("delsarte-form", "pass", f"p={form.p} u={form.u} h={form.h}")
@@ -285,7 +288,7 @@ def _cmd_feasible(args) -> int:
         f"mu1={mw.mu1} mu2={mw.mu2} second-moment-residual={mw.second_moment_residual}",
     )
 
-    if lp.s in (None, 1) and lp.k >= 2:
+    if projective and lp.k >= 2:
         try:
             srg = feasibility.srg_analysis(lp)
             add(
@@ -311,7 +314,9 @@ def _cmd_feasible(args) -> int:
         add("gcd-valuation", "skip", "needs k >= 2")
 
     size = lp.size
-    if size > lp.q**2 and size % lp.q**2 == 0:
+    if not projective:
+        add("oa2-quadratic", "skip", "projective screen needs s=1")
+    elif size > lp.q**2 and size % lp.q**2 == 0:
         qc = feasibility.check_oa2_quadratic(lp.q, size, lp.n, lp.w1, lp.w2)
         add(
             "oa2-quadratic",
@@ -361,7 +366,7 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     # CodeFormatError and ExternalBoundsError are ValueErrors; OSError covers
     # unreadable inputs and unwritable outputs
-    except (OSError, ValueError, bounds_mod.LpUnboundedError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

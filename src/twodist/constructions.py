@@ -121,20 +121,16 @@ def projective_points(q: int, k: int) -> np.ndarray:
     return vectors[lead == 1]
 
 
-def _normalized_columns(g: GeneratorMatrix) -> np.ndarray:
-    """g's columns as the rows of an (n, k) array, each scaled so its first nonzero entry is 1."""
+def point_multiplicities(g: GeneratorMatrix) -> np.ndarray:
+    """m[i] is the number of g's columns on point i of projective_points(g.q, g.k)."""
     field = GF(g.q)
     cols = g.rows.T
     nonzero = cols != 0
     if not nonzero.any(axis=1).all():
         raise ValueError("zero column cannot be normalized")
+    # each column scaled so its first nonzero entry is 1
     lead = cols[np.arange(g.n), nonzero.argmax(axis=1)]
-    return field.mul[field.inv[lead][:, None], cols]
-
-
-def point_multiplicities(g: GeneratorMatrix) -> np.ndarray:
-    """m[i] is the number of g's columns on point i of projective_points(g.q, g.k)."""
-    cols = _normalized_columns(g)
+    cols = field.mul[field.inv[lead][:, None], cols]
     points = projective_points(g.q, g.k)
     # base-q values, most significant entry first, sort as the rows do
     place = g.q ** np.arange(g.k - 1, -1, -1)
@@ -144,11 +140,6 @@ def point_multiplicities(g: GeneratorMatrix) -> np.ndarray:
 def from_multiplicities(q: int, points: np.ndarray, m: np.ndarray | int) -> GeneratorMatrix:
     """The generator whose columns are points[i], m[i] (or m) times each, in point order."""
     return GeneratorMatrix(q, np.repeat(points, m, axis=0).T)
-
-
-def column_multiplicity(g: GeneratorMatrix) -> int:
-    """Maximal number of columns that are scalar multiples of one column (any q^k)."""
-    return int(np.unique(_normalized_columns(g), axis=0, return_counts=True)[1].max())
 
 
 # ---------------------------------------------------------------------------

@@ -55,13 +55,6 @@ def _digits(a: int, p: int, m: int) -> list[int]:
     return out
 
 
-def _undigits(ds, p: int) -> int:
-    val = 0
-    for d in reversed(ds):
-        val = val * p + d
-    return val
-
-
 def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
     """Remainder of num by monic den over GF(p), coefficients low-first."""
     num = list(num)
@@ -72,15 +65,6 @@ def _poly_mod(num: list[int], den: list[int], p: int) -> list[int]:
             for j, dj in enumerate(den):
                 num[i - dd + j] = (num[i - dd + j] - c * dj) % p
     return [c % p for c in num[:dd]]
-
-
-def _poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
 
 
 def _irreducible(p: int, m: int) -> list[int]:
@@ -121,20 +105,27 @@ class Field:
         self.q = q
         self.p, self.m = pm
         self.modulus = _irreducible(self.p, self.m)
-        p = self.p
-        digits = [_digits(a, p, self.m) for a in range(q)]
-        add = [
-            [_undigits([(x + y) % p for x, y in zip(da, db)], p) for db in digits]
-            for da in digits
-        ]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                prod = _poly_mod(_poly_mul(digits[a], digits[b], p), self.modulus, p)
-                mul[a][b] = mul[b][a] = _undigits(prod, p)
+        p, m = self.p, self.m
+        place = p ** np.arange(m)
+        digits = np.arange(q)[:, None] // place % p  # digits[a, i] = a_i
+        # shifts[i, b] holds the digits of x^i * b: shift up one place, then
+        # reduce x^m by the monic modulus, for all b at once
+        shifts = np.empty((m, q, m), dtype=np.int64)
+        shifts[0] = digits
+        for i in range(1, m):
+            top = shifts[i - 1, :, -1:]
+            shifts[i, :, 0] = 0
+            shifts[i, :, 1:] = shifts[i - 1, :, :-1]
+            shifts[i] = (shifts[i] - top * self.modulus[:m]) % p
+        # digit j of a * b = sum_i a_i (x^i b)_j, one digit plane at a time
+        add = np.zeros((q, q), dtype=np.int64)
+        mul = np.zeros((q, q), dtype=np.int64)
+        for j in range(m):
+            add += (digits[:, j, None] + digits[:, j]) % p * place[j]
+            mul += digits @ shifts[:, :, j] % p * place[j]
         dtype = np.min_scalar_type(q - 1)
-        self.add = np.array(add, dtype=dtype)
-        self.mul = np.array(mul, dtype=dtype)
+        self.add = add.astype(dtype)
+        self.mul = mul.astype(dtype)
         # the first (only) zero of each addition row, the first one of each product row
         self.neg = (self.add == 0).argmax(axis=1).astype(dtype)
         self.inv = (self.mul == 1).argmax(axis=1).astype(dtype)

@@ -337,10 +337,7 @@ def _proven_bound(params: TwoDistParams) -> float:
     distances, while the oracle also counts one-distance codes, so only a
     range bound (LP, Plotkin, d2, dd, sc) bounds what the oracle counts.
     """
-    try:
-        status = bounds_mod.best_upper_bound(params).status
-    except bounds_mod.LpUnboundedError:
-        return math.inf
+    status = bounds_mod.best_upper_bound(params).status
     return status.hi if status.kind == "range" else math.inf
 
 

@@ -94,9 +94,9 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
         return TableCell(params, "not_well_defined", None, None, note=report.status.note)
     if report.status.kind == "exact":
         v = report.status.lo
-        tag = _order_tags(report.status.methods or ("exact",))
         return TableCell(
-            params, "value", CellBound(v, "exact"), CellBound(v, tag or "exact"),
+            params, "value", CellBound(v, "exact"),
+            CellBound(v, _order_tags(report.status.methods)),
             note=report.status.note, methods=methods,
         )
 
@@ -106,7 +106,7 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
     lower, lower_tag = 3, "construction"  # three-word witness always exists here
     catalog = constructions.two_distance_lower_bounds(params)
     if catalog and catalog[0].size > lower:
-        lower, lower_tag = catalog[0].size, "construction"
+        lower = catalog[0].size
     total = search.candidate_count(params)
     # cells beyond a cap keep their other bounds instead of failing the table
     if options.search_cfg is not None and total <= search.MAX_CANDIDATES:

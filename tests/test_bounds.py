@@ -6,7 +6,6 @@ import pytest
 from twodist.bounds import (
     ExternalBounds,
     ExternalBoundsError,
-    LpUnboundedError,
     _lp_constraints,
     _lp_solve,
     best_upper_bound,
@@ -36,7 +35,7 @@ def reference_rows(params):
 
 
 def reference_is_unbounded(rows):
-    """Recession-direction test over Fractions."""
+    """Recession-direction test over Fractions; only random rows need it, the LP's are bounded."""
     lo, hi = Fraction(0), None
     family_dead = False
     for a, b, _ in rows[2:]:
@@ -54,9 +53,7 @@ def reference_is_unbounded(rows):
 
 
 def reference_lp(rows):
-    """Fraction vertex enumeration: every pair of rows in order, strict improvement."""
-    if reference_is_unbounded(rows):
-        raise LpUnboundedError("unbounded")
+    """Fraction vertex enumeration of a bounded region: every pair of rows, strict improvement."""
     best = Fraction(1)
     best_pt = (Fraction(0), Fraction(0))
     m = len(rows)
@@ -76,6 +73,14 @@ def reference_lp(rows):
                 if obj > best:
                     best, best_pt = obj, (x, y)
     return best, best_pt
+
+
+def assert_optimal(rows, result):
+    """`result` has reference_lp's optimum and a feasible vertex attaining it."""
+    opt, (x, y) = result
+    assert opt == reference_lp(rows)[0], rows
+    assert all(a * x + b * y + c >= 0 for a, b, c in rows), rows
+    assert opt == 1 + x + y
 
 
 # every table cell of q in {2,3,4,5,7,8,9}, delta 1..6, n <= 39
@@ -125,44 +130,25 @@ class TestLpBound:
         assert a_d >= 0 and a_e >= 0
         assert opt == 1 + a_d + a_e
 
-    def test_unbounded_detector_on_synthetic_cone(self):
-        rows = [(1, 0, 0), (0, 1, 0), (2, 3, 5), (1, 1, 0)]
-        assert reference_is_unbounded(rows)
-        with pytest.raises(LpUnboundedError):
-            _lp_solve(rows)
-        rows = [(1, 0, 0), (0, 1, 0), (-1, -1, 5)]
-        assert _lp_solve(rows) == reference_lp(rows)
-        # b == 0 and a < 0 rule out every direction (1, t) ...
-        rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 5), (0, -1, 5)]
-        assert _lp_solve(rows) == reference_lp(rows)
-        # ... leaving (0, 1), the only unbounded direction here
-        rows = [(1, 0, 0), (0, 1, 0), (-1, 0, 5), (-1, 2, 3)]
-        assert reference_is_unbounded(rows)
-        with pytest.raises(LpUnboundedError):
-            _lp_solve(rows)
-
     def test_matches_reference_on_short_lengths(self):
         for params in SWEEP:
             if params.n <= 16:
-                assert lp_optimum(params) == reference_lp(reference_rows(params)), params
+                assert_optimal(reference_rows(params), lp_optimum(params))
 
     def test_matches_reference_on_sweep_sample(self):
         for params in SWEEP[::50]:
             rows = reference_rows(params)
             assert _lp_constraints(params) == rows, params
-            assert lp_optimum(params) == reference_lp(rows), params
+            assert_optimal(rows, lp_optimum(params))
 
     def test_matches_reference_on_degenerate_rows(self):
         rng = random.Random(7)
         bounded = 0
         for _ in range(3000):
             rows = random_rows(rng)
-            if reference_is_unbounded(rows):
-                with pytest.raises(LpUnboundedError):
-                    _lp_solve(rows)
-            else:
+            if not reference_is_unbounded(rows):
                 bounded += 1
-                assert _lp_solve(rows) == reference_lp(rows), rows
+                assert_optimal(rows, _lp_solve(rows))
         assert 2000 < bounded < 3000
 
 

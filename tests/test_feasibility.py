@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_constructions import column_multiplicity
 from test_core import CATALOG_BUILDS, construct
 
 from twodist.constructions import (
     arc_code,
-    column_multiplicity,
     complementary_code,
     dm_code,
     su1_code,

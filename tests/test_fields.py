@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -53,7 +55,8 @@ def test_multiplicative_group_cyclic(q):
     assert max(orders) == q - 1  # a generator exists
 
 
-# reference: the digit-wise addition and negation that the addition table replaces
+# references: the digit-wise addition and negation, and the polynomial product
+# reduced by the modulus, that the tables replace
 
 
 def _digits(a, p, m):
@@ -86,6 +89,19 @@ def reference_neg(f, a):
     return _undigits([(-x) % p for x in _digits(a, p, m)], p)
 
 
+def reference_mul(f, a, b):
+    p, m = f.p, f.m
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(_digits(a, p, m)):
+        for j, y in enumerate(_digits(b, p, m)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for i in range(2 * m - 2, m - 1, -1):  # x^i = x^(i-m) * x^m, x^m = -(modulus below x^m)
+        c, prod[i] = prod[i], 0
+        for j in range(m):
+            prod[i - m + j] = (prod[i - m + j] - c * f.modulus[j]) % p
+    return _undigits(prod[:m], p)
+
+
 # every field the benchmark's verify workload warms up
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 25, 27])
 def test_tables_match_digitwise_reference(q):
@@ -95,6 +111,17 @@ def test_tables_match_digitwise_reference(q):
         for b in range(q):
             assert f.add[a, b] == reference_add(f, a, b)
             assert f.add[a, f.neg[b]] == reference_add(f, a, reference_neg(f, b))
+            assert f.mul[a, b] == reference_mul(f, a, b)
+
+
+@pytest.mark.parametrize("q", [243, 256, 343, 1024])
+def test_large_tables_match_reference_on_sampled_pairs(q):
+    f = GF(q)
+    rng = random.Random(q)
+    for _ in range(2000):
+        a, b = rng.randrange(q), rng.randrange(q)
+        assert f.add[a, b] == reference_add(f, a, b)
+        assert f.mul[a, b] == reference_mul(f, a, b)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 27, 256, 257])

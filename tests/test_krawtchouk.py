@@ -62,3 +62,12 @@ def test_orthogonality(n, q):
             )
             expected = q**n * (q - 1) ** i * math.comb(n, i) if i == j else 0
             assert total == expected
+
+
+def test_column_sums_vanish_off_zero():
+    # sum_i K_i(z) = q^n [z = 0]: (1 + (q-1)t)^(n-z) (1-t)^z at t = 1.  Rows 1..n of
+    # the restricted LP therefore add up to q^n - 1 - A_d - A_e >= 0, so it is bounded.
+    for q in range(2, 10):
+        for n in range(1, 65):
+            for z in range(n + 1):
+                assert sum(kraw_column(n, q, z)) == (q**n if z == 0 else 0), (q, n, z)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from twodist import search
-from twodist.bounds import LpUnboundedError, best_upper_bound
+from twodist.bounds import best_upper_bound
 from twodist.core import TwoDistParams, distance_blocks
 from twodist.search import (
     MAX_CANDIDATES,
@@ -346,15 +346,6 @@ class TestOracleStop:
         assert best_upper_bound(P(*params)).status.kind == kind
         got, calls = trace_oracle(monkeypatch, P(*params))
         assert got == value == reference_exhaustive_maximum(P(*params))
-        assert [stop for _, stop, _ in calls] == [math.inf, math.inf]
-
-    def test_no_stop_when_lp_unbounded(self, monkeypatch):
-        def unbounded(params, external=None):
-            raise LpUnboundedError("no applicable upper bound")
-
-        monkeypatch.setattr(search.bounds_mod, "best_upper_bound", unbounded)
-        value, calls = trace_oracle(monkeypatch, P(2, 9, 4, 2))
-        assert value == 16
         assert [stop for _, stop, _ in calls] == [math.inf, math.inf]
 
 

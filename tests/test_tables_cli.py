@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from test_core import CATALOG_BUILDS, construct
 
 from twodist import constructions
 from twodist.cli import main
@@ -20,6 +21,14 @@ from twodist.tables import (
 
 def P(q, n, d, delta):
     return TwoDistParams(q, n, d, delta)
+
+
+# the linear two-weight catalog codes (the simplex codes have one weight)
+TWO_WEIGHT_BUILDS = [
+    b for b in CATALOG_BUILDS
+    if isinstance(g := construct(b), constructions.GeneratorMatrix)
+    and len(g.weight_distribution()) == 2
+]
 
 
 class TestComputeCell:
@@ -328,6 +337,25 @@ class TestCli:
             "feasible", "--q", "2", "--k", "3", "--n", "6", "--w1", "2", "--w2", "5",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize("build", TWO_WEIGHT_BUILDS, ids=lambda b: "-".join(map(str, b)))
+    def test_feasible_passes_linear_catalog_codes(self, capsys, build):
+        # the projective screens run only at s = 1, so no catalog code is refuted,
+        # whether the column multiplicity s is given or left out
+        g = construct(build)
+        w1, w2 = sorted(g.weight_distribution())
+        s = int(constructions.point_multiplicities(g).max())
+        args = ["feasible", "--q", g.q, "--k", g.k, "--n", g.n, "--w1", w1, "--w2", w2]
+        for extra in (["--s", s], []):
+            assert main([str(a) for a in args + extra]) == 0, capsys.readouterr().out
+
+    def test_feasible_non_projective_skips_projective_screens(self, capsys):
+        # su1_code(2, 4, 2, 1, 1, "union") has s = 2; oa2-quadratic, a projective screen, would refute it
+        assert main(["feasible", *"--q 2 --k 4 --n 18 --w1 8 --w2 10 --s 2".split()]) == 0
+        out = capsys.readouterr().out
+        for screen in ("delsarte-form", "oa2-quadratic"):
+            assert f"SKIP       {screen}: projective screen needs s=1" in out
+        assert "SKIP       srg-integrality: projective screen needs s=1 and k>=2" in out
 
     def test_feasible_json(self, capsys):
         rc = main([
