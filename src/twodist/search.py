@@ -11,6 +11,20 @@ SplitMix64 stream derived from (seed, r), and the search reads no clock,
 so the result is a pure function of the parameters and (seed, restarts,
 stop_at), whatever the machine's speed or load.
 
+Distances from a set of words to one word come from packed words.  With
+m = ceil(log2 q), symbol a is written as the a-th smallest codeword of
+the binary simplex code of width w = 2^m - 1, so symbol 0 is w zero bits
+and any two distinct symbols differ in exactly t = 2^(m-1) bits.  A word
+is its n symbols' bits, coordinate 0 first, split into 64-bit limbs with
+the most significant limb first and zero bits padding the front.  Then
+popcount(u ^ v) = t * dist(u, v): popcount adds over any split of the
+bits, so a coordinate may straddle two limbs and one routine,
+`_compatible` (one XOR and one popcount per limb, then one lookup),
+serves every q and n.  The codewords are sorted and fixed in width, so
+limb-tuple order is lexicographic word order and the zero word is all
+zero limbs: the greedy breaks ties between restarts on the limb tuples
+and decodes only the winner back to symbols.
+
 The oracle computes A_q(n, {d, d+delta}) exactly, counting every code
 whose distances lie in {d, d+delta}, one-distance codes included: a code
 holding the zero word is the zero word plus a clique of the
@@ -149,9 +163,78 @@ def _good_distances(params: TwoDistParams) -> np.ndarray:
     return good
 
 
-def _distances_to(cands: np.ndarray, word: np.ndarray) -> np.ndarray:
-    """Hamming distance from each row of `cands` to one word."""
-    return (cands != word).sum(axis=1)
+def _symbol_code(q: int) -> np.ndarray:
+    """(q, 2^m - 1) bits of symbols 0..q-1: the q smallest simplex codewords.
+
+    Codeword x of the simplex code, 0 <= x < 2^m, has bit parity(x & j) in
+    column j = 1..2^m - 1, so two distinct codewords differ in 2^(m-1)
+    columns.  Rows are in increasing order read as bit strings, column 1
+    first.
+    """
+    m = (q - 1).bit_length()
+    code = (np.bitwise_count(np.arange(2**m)[:, None] & np.arange(1, 2**m)) & 1).astype(np.uint8)
+    return code[np.lexsort(code.T[::-1])[:q]]
+
+
+def _pack_words(words: np.ndarray, q: int) -> np.ndarray:
+    """(limbs, len(words)) uint64 array of the words' symbol-code bits.
+
+    Row 0 is the most significant limb, so a word's limbs read as one
+    number compare as the word does, lexicographically.  Each piece of a
+    coordinate that falls in one limb is one lookup into that limb's bits
+    of each symbol.
+    """
+    code = _symbol_code(q)
+    size, n = words.shape
+    w = code.shape[1]
+    limbs = -(-n * w // 64)
+    pad = 64 * limbs - n * w
+    packed = np.zeros((limbs, size), dtype=np.uint64)
+    for i, column in enumerate(words.T):
+        lo = pad + i * w
+        bits = np.zeros((q, 64 * limbs), dtype=np.uint8)
+        bits[:, lo : lo + w] = code
+        table = np.packbits(bits, axis=1).view(">u8").astype(np.uint64).T
+        for j in range(lo // 64, (lo + w - 1) // 64 + 1):
+            packed[j] |= table[j].take(column)
+    return packed
+
+
+def _unpack_words(packed: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Inverse of `_pack_words`: the (len, n) symbol array of packed words.
+
+    Column 2^b of simplex codeword x is bit b of x, and the columns before
+    it depend only on the bits below b.  So sorted order compares bit 0 of
+    x first, then bit 1, and so on: the a-th codeword has x the m-bit
+    reversal of a, and its columns 1, 2, 4, ..., 2^(m-1) spell a in binary,
+    most significant bit first.  Only those m bits are read per coordinate.
+    """
+    m = (q - 1).bit_length()
+    w = 2**m - 1
+    pos = 64 * len(packed) - n * w + w * np.arange(n)[:, None] + 2 ** np.arange(m) - 1
+    bits = packed[pos // 64] >> (63 - pos % 64)[..., None].astype(np.uint64) & np.uint64(1)
+    digits = bits << np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None]
+    return digits.sum(axis=1).T.astype(np.min_scalar_type(q - 1))
+
+
+def _good_popcounts(params: TwoDistParams) -> np.ndarray:
+    """Lookup table over popcounts 0..t*n of packed XORs: True at t*d and t*(d+delta)."""
+    t = 2 ** ((params.q - 1).bit_length() - 1)
+    good = np.zeros(t * params.n + 1, dtype=bool)
+    good[::t] = _good_distances(params)
+    return good
+
+
+def _compatible(limbs, word, good: np.ndarray) -> np.ndarray:
+    """Mask of the packed rows whose popcount against `word` is `good`.
+
+    `limbs` holds the rows' limbs, most significant first, and `word` the
+    word's; the per-limb popcounts add up to t times the distance.
+    """
+    count = np.bitwise_count(limbs[0] ^ word[0])
+    for limb, x in zip(limbs[1:], word[1:]):  # summed wider: uint8 wraps past 255
+        count = np.add(count, np.bitwise_count(limb ^ x), dtype=np.intp)
+    return good.take(count)
 
 
 def _adjacency(cands: np.ndarray, good: np.ndarray) -> np.ndarray:
@@ -168,13 +251,14 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
 
     Each restart starts from the candidates compatible with the start word
     and, after each uniformly random pick among them, keeps only the rows
-    compatible with that pick too.  Boolean filtering keeps candidate
+    compatible with that pick too.  Rows are packed words (see the module
+    docstring), one array per limb, and boolean filtering keeps candidate
     order, so a pick depends only on the live set and the restart's stream.
     Ties between restarts break toward the lexicographically smallest
-    sorted word list.  The search stops after `restarts` restarts, or
-    earlier once a code reaches `stop_at` words; there is no wall-clock
-    stop, so the result is a pure function of (seed, restarts, stop_at).
-    The returned code is re-verified.
+    sorted word list, compared as limb tuples.  The search stops after
+    `restarts` restarts, or earlier once a code reaches `stop_at` words;
+    there is no wall-clock stop, so the result is a pure function of
+    (seed, restarts, stop_at).  The returned code is re-verified.
     """
     total = candidate_count(params)
     if total > MAX_CANDIDATES:
@@ -182,10 +266,12 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     cands = candidate_words(params)
     if len(cands) == 0:
         raise ValueError("candidate space is empty")
-    good = _good_distances(params)
-    n = params.n
-    start_word = cands[0]  # 1^d 0^(n-d); good[0] is False, so it drops out
-    base_rows = cands[good[_distances_to(cands, start_word)]]
+    good = _good_popcounts(params)
+    packed = _pack_words(cands, params.q)
+    start = packed[:, 0]  # 1^d 0^(n-d); good[0] is False, so it drops out
+    keep = _compatible(packed, start, good)
+    base_rows = [limb[keep] for limb in packed]
+    fixed = [(0,) * len(packed), tuple(start.tolist())]  # in every restart's code
 
     best_words: list[tuple[int, ...]] | None = None
     best_restart = 0
@@ -193,13 +279,14 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     for restart in range(cfg.restarts):
         restarts_run = restart + 1
         rng = restart_stream(cfg.seed, restart)
-        chosen = [start_word]
+        words = fixed.copy()
         rows = base_rows
-        while len(rows):
-            word = rows[rng.randbelow(len(rows))]
-            chosen.append(word)
-            rows = rows[good[_distances_to(rows, word)]]
-        words = [(0,) * n, *map(tuple, np.array(chosen).tolist())]
+        while len(rows[0]):
+            i = rng.randbelow(len(rows[0]))
+            word = [limb.item(i) for limb in rows]
+            words.append(tuple(word))
+            keep = _compatible(rows, word, good)
+            rows = [limb[keep] for limb in rows]
         words.sort()
         if best_words is None or len(words) > len(best_words) or (
             len(words) == len(best_words) and words < best_words
@@ -209,7 +296,8 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
         if cfg.stop_at is not None and len(best_words) >= cfg.stop_at:
             break
     assert best_words is not None
-    code = Code(params.q, n, tuple(best_words))
+    symbols = _unpack_words(np.array(best_words, dtype=np.uint64).T, params.q, params.n)
+    code = Code(params.q, params.n, symbols)
     report = verify_two_distance(code, params)
     return SearchResult(
         code=code,
@@ -306,19 +394,19 @@ def _orbits(near: np.ndarray, adj_bool: np.ndarray, centre: np.ndarray) -> list[
 
 
 def _orbit_clique(
-    words: np.ndarray, good: np.ndarray, centre: np.ndarray, best: int, stop: float
+    near: np.ndarray, good: np.ndarray, centre: np.ndarray, best: int, stop: float
 ) -> int:
-    """Clique number of G[N(centre) among `words`] if above `best`, else `best`.
+    """Clique number of G[near] if above `best`, else `best`.
 
-    `words` is invariant under the stabiliser H of {0, centre}.  For each
-    orbit of H on the neighbourhood in turn, search the cliques through
-    the orbit's first word among the words still alive, then delete the
-    orbit.  A maximum clique meets some first orbit, and an element of H
-    maps it onto a clique through that orbit's first word that still
-    avoids every earlier orbit, so nothing is lost.  The search ends once
-    a clique reaches `stop`.
+    `near` is the neighbourhood of `centre` among a set of words that the
+    stabiliser H of {0, centre} keeps, so H keeps `near` too.  For each
+    orbit of H on it in turn, search the cliques through the orbit's first
+    word among the words still alive, then delete the orbit.  A maximum
+    clique meets some first orbit, and an element of H maps it onto a
+    clique through that orbit's first word that still avoids every
+    earlier orbit, so nothing is lost.  The search ends once a clique
+    reaches `stop`.
     """
-    near = words[good[_distances_to(words, centre)]]
     adj_bool = _adjacency(near, good)
     adj = _pack(adj_bool)
     alive = (1 << len(near)) - 1
@@ -379,7 +467,12 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
         )
     stop = _proven_bound(params) - 2
     cands = candidate_words(params)
-    good = _good_distances(params)
-    heavy = cands[math.comb(params.n, params.d) * (params.q - 1) ** params.d :]
-    best = _orbit_clique(heavy, good, heavy[0], 0, stop)
-    return 2 + _orbit_clique(cands, good, cands[0], best, stop)
+    packed = _pack_words(cands, params.q)
+    good, good_packed = _good_distances(params), _good_popcounts(params)
+    best = 0
+    # v then u: the weight-(d+delta) words, then all candidates
+    for first in (math.comb(params.n, params.d) * (params.q - 1) ** params.d, 0):
+        words, limbs = cands[first:], packed[:, first:]
+        near = words[_compatible(limbs, limbs[:, 0], good_packed)]
+        best = _orbit_clique(near, good, words[0], best, stop)
+    return 2 + best

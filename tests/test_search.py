@@ -3,21 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twodist import search
 from twodist.bounds import best_upper_bound
-from twodist.core import TwoDistParams, distance_blocks
+from twodist.core import TwoDistParams
 from twodist.search import (
     MAX_CANDIDATES,
     SearchConfig,
     SplitMix64,
     _adjacency,
-    _distances_to,
+    _compatible,
     _good_distances,
     _max_clique,
     _orbit_keys,
     _orbits,
     _pack,
+    _pack_words,
+    _unpack_words,
     candidate_count,
     candidate_words,
     exhaustive_maximum,
@@ -215,6 +219,15 @@ class TestGreedyReference:
     def test_small_sweep(self, q, n, d, delta):
         assert_greedy_matches_reference(P(q, n, d, delta), SearchConfig(seed=q + n, restarts=30))
 
+    # words wider than one 64-bit limb: 66, 150, 70 and 124 bits, with
+    # coordinates straddling limbs at q = 4, 9 and 17
+    @pytest.mark.parametrize(
+        "q,n,d,delta,restarts",
+        [(4, 22, 2, 1, 2), (9, 10, 2, 1, 3), (2, 70, 1, 1, 5), (17, 4, 2, 1, 3)],
+    )
+    def test_above_one_limb(self, q, n, d, delta, restarts):
+        assert_greedy_matches_reference(P(q, n, d, delta), SearchConfig(seed=1, restarts=restarts))
+
     def test_stop_at(self):
         [res] = assert_greedy_matches_reference(
             P(2, 8, 4, 4), SearchConfig(seed=3, restarts=500, stop_at=16)
@@ -301,8 +314,8 @@ def trace_oracle(monkeypatch, params):
     calls = []
     inner = search._orbit_clique
 
-    def recording(words, good, centre, best, stop):
-        out = inner(words, good, centre, best, stop)
+    def recording(near, good, centre, best, stop):
+        out = inner(near, good, centre, best, stop)
         calls.append((best, stop, out))
         return out
 
@@ -347,6 +360,10 @@ class TestOracleStop:
         got, calls = trace_oracle(monkeypatch, P(*params))
         assert got == value == reference_exhaustive_maximum(P(*params))
         assert [stop for _, stop, _ in calls] == [math.inf, math.inf]
+
+
+def distances_to(words, word):
+    return (words != word).sum(axis=1)
 
 
 def stabiliser_map(words, perm, symbols):
@@ -398,13 +415,13 @@ class TestOrbits:
         for centre in (cands[0], cands[math.comb(n, d) * (q - 1) ** d]):  # u and v
             w = int((centre != 0).sum())
             keys = _orbit_keys(cands, centre)
-            near = {tuple(r) for r in cands[good[_distances_to(cands, centre)]]}
+            near = {tuple(r) for r in cands[good[distances_to(cands, centre)]]}
             for _ in range(20):
                 perm, symbols = random_stabiliser(rng, q, n, w)
                 image = stabiliser_map(cands, perm, symbols)
                 assert np.array_equal(stabiliser_map(centre[None], perm, symbols)[0], centre)
                 assert np.array_equal(_orbit_keys(image, centre), keys)
-                assert {tuple(r) for r in image[good[_distances_to(image, centre)]]} == near
+                assert {tuple(r) for r in image[good[distances_to(image, centre)]]} == near
 
     @pytest.mark.parametrize("q,n,d,delta", [(2, 9, 4, 2), (3, 6, 4, 2), (4, 5, 3, 1)])
     def test_each_key_is_one_orbit(self, q, n, d, delta):
@@ -414,7 +431,7 @@ class TestOrbits:
         good = _good_distances(params)
         for words, centre in ((cands, cands[0]), (heavy, heavy[0])):
             w = int((centre != 0).sum())
-            near = words[good[_distances_to(words, centre)]]
+            near = words[good[distances_to(words, centre)]]
             adj_bool = _adjacency(near, good)
             orbits = _orbits(near, adj_bool, centre)
             union = 0
@@ -444,8 +461,8 @@ class TestOrbits:
             return inner(adj, p_mask, best, stop)
 
         monkeypatch.setattr(search, "_max_clique", recording)
-        assert search._orbit_clique(cands, good, centre, 0, math.inf) == 8
-        near = cands[good[_distances_to(cands, centre)]]
+        near = cands[good[distances_to(cands, centre)]]
+        assert search._orbit_clique(near, good, centre, 0, math.inf) == 8
         adj_bool = _adjacency(near, good)
         adj = _pack(adj_bool)
         orbits = _orbits(near, adj_bool, centre)
@@ -485,9 +502,48 @@ class TestKernel:
             _adjacency(cands, _good_distances(params)), reference_adjacency(cands, {d, d + delta})
         )
 
-    def test_streaming_distances_match_reference(self):
-        cands = candidate_words(P(2, 16, 8, 4))
-        for pick in (0, 1, len(cands) // 2, len(cands) - 1):
-            word = cands[pick]
-            column = np.concatenate([dist[:, 0] for _, dist in distance_blocks(cands, word[None])])
-            assert np.array_equal(_distances_to(cands, word), column)
+
+# packed words: every alphabet the symbol code widens for, from one limb to
+# several, with coordinates that straddle limbs
+
+
+@st.composite
+def word_sets(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5, 9, 17, 64, 65, 257)))
+    width = 2 ** (q - 1).bit_length() - 1
+    n = draw(st.integers(1, max(3, 320 // width)))
+    words = draw(
+        st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+    return q, np.array([[0] * n, *words], dtype=np.min_scalar_type(q - 1))
+
+
+def straddling(q, n):
+    rng = np.random.default_rng(q * n)
+    words = rng.integers(0, q, size=(6, n))
+    words[0] = 0
+    return q, words.astype(np.min_scalar_type(q - 1))
+
+
+@given(word_sets())
+@example(straddling(4, 22))  # 66 bits: coordinate 0 straddles the two limbs
+@example(straddling(9, 10))  # 150 bits in three limbs
+@example(straddling(257, 3))  # 1533 bits: coordinates span eight limbs each
+@settings(max_examples=150, deadline=None)
+def test_packed_distances_and_order_match_words(case):
+    q, words = case
+    n = words.shape[1]
+    width = 2 ** (q - 1).bit_length() - 1
+    t = (width + 1) // 2  # bits in which two distinct symbols differ
+    packed = _pack_words(words, q)
+    assert packed.shape == (-(-n * width // 64), len(words))
+    assert not packed[:, 0].any()
+    unpacked = _unpack_words(packed, q, n)
+    assert unpacked.dtype == words.dtype and np.array_equal(unpacked, words)
+    popcounts = np.arange(t * n + 1)  # as the lookup table, the popcounts themselves
+    keys = [tuple(packed[:, i].tolist()) for i in range(len(words))]
+    rows = [tuple(r) for r in words.tolist()]
+    for j in range(len(words)):
+        distances = (words != words[j]).sum(axis=1)
+        assert np.array_equal(_compatible(packed, packed[:, j], popcounts), t * distances)
+        assert [key < keys[j] for key in keys] == [row < rows[j] for row in rows]
