@@ -31,6 +31,7 @@ from .feasibility import (
     complementary_params,
     delsarte_form,
     gcd_screen,
+    linear_screens,
     macwilliams_mu,
     special_values,
     srg_analysis,

@@ -8,6 +8,7 @@ errors exit with 1 so "no" answers stay distinguishable from failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -267,84 +268,14 @@ def _cmd_construct(args) -> int:
 
 def _cmd_feasible(args) -> int:
     lp = feasibility.LinearParams(q=args.q, k=args.k, n=args.n, w1=args.w1, w2=args.w2, s=args.s)
-    lines: list[dict] = []
-
-    def add(name, verdict, detail):
-        lines.append({"screen": name, "verdict": verdict, "detail": detail})
-
-    # delsarte-form, srg-integrality and oa2-quadratic hold for projective codes only
-    projective = lp.s == 1
-    if not projective:
-        add("delsarte-form", "skip", "projective screen needs s=1")
-    elif (form := feasibility.delsarte_form(lp.q, lp.w1, lp.w2)) is None:
-        add("delsarte-form", "fail", "weights are not h*p^u, (h+1)*p^u")
-    else:
-        add("delsarte-form", "pass", f"p={form.p} u={form.u} h={form.h}")
-
-    mw = feasibility.macwilliams_mu(lp)
-    add(
-        "macwilliams-mu",
-        "pass" if mw.status == "ok" else ("fail" if mw.status == "infeasible" else "degenerate"),
-        f"mu1={mw.mu1} mu2={mw.mu2} second-moment-residual={mw.second_moment_residual}",
-    )
-
-    if projective and lp.k >= 2:
-        try:
-            srg = feasibility.srg_analysis(lp)
-            add(
-                "srg-integrality",
-                "pass" if srg.feasible else "fail",
-                f"(N,K,lam,mu)={srg.params} e1={srg.e1} e2={srg.e2}",
-            )
-        except ValueError as exc:
-            add("srg-integrality", "fail", str(exc))
-    else:
-        add("srg-integrality", "skip", "projective screen needs s=1 and k>=2")
-
-    if lp.k >= 2:
-        screen = feasibility.gcd_screen(lp)
-        for v in screen.per_s:
-            clause_bits = "; ".join(
-                f"({c.clause}) {'pass' if c.passed else 'fail' if c.passed is False else 'n/a'}"
-                + (f": {c.detail}" if c.detail else "")
-                for c in v.clauses
-            )
-            add("gcd-valuation", v.verdict, f"s={v.s} d_c={v.d_c} n_c={v.n_c} {clause_bits}")
-    else:
-        add("gcd-valuation", "skip", "needs k >= 2")
-
-    size = lp.size
-    if not projective:
-        add("oa2-quadratic", "skip", "projective screen needs s=1")
-    elif size > lp.q**2 and size % lp.q**2 == 0:
-        qc = feasibility.check_oa2_quadratic(lp.q, size, lp.n, lp.w1, lp.w2)
-        add(
-            "oa2-quadratic",
-            "pass" if qc.ok else "fail",
-            f"residual={qc.residual} roots={qc.roots} "
-            f"integer-roots={qc.roots_positive_integers} square-disc={qc.discriminant_is_square}",
-        )
-    else:
-        add("oa2-quadratic", "skip", "needs q^k divisible by q^2 and larger than q^2")
-
-    try:
-        comps = feasibility.complementary_params(lp)
-        detail = "; ".join(
-            f"s={c.s}: n_c={c.n_c} d_c={c.d_c}" + (" (degenerate)" if c.degenerate else "")
-            for c in comps
-        )
-        add("complementary-params", "pass", detail)
-    except ValueError as exc:
-        add("complementary-params", "fail", str(exc))
-
-    failed = any(l["verdict"] == "fail" for l in lines)
+    result = feasibility.linear_screens(lp)
     if args.format == "json":
-        params = {"q": lp.q, "k": lp.k, "n": lp.n, "w1": lp.w1, "w2": lp.w2, "s": lp.s}
-        print(json.dumps({"params": params, "screens": lines}, default=str, indent=2))
+        screens = [dataclasses.asdict(line) for line in result.lines]
+        print(json.dumps({"params": dataclasses.asdict(lp), "screens": screens}, indent=2))
     else:
-        for l in lines:
-            print(f"{l['verdict'].upper():<10} {l['screen']}: {l['detail']}")
-    return NO if failed else OK
+        for line in result.lines:
+            print(f"{line.verdict.upper():<10} {line.screen}: {line.detail}")
+    return NO if result.refuted else OK
 
 
 def main(argv=None) -> int:

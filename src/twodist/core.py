@@ -3,8 +3,8 @@
 Everything here is exact: pair-distance counts are integers, and distance
 distributions and moments are `fractions.Fraction`s, never floats.  A
 `Code` validates its words once, in numpy, into one read-only word array,
-and every consumer reads that array: every word-pair distance in the
-library comes from one blocked numpy kernel, `distance_blocks`, and the
+and every consumer reads that array: every word-pair distance in this
+module comes from one blocked numpy kernel, `distance_blocks`, and the
 text file format is written with one `tobytes()` and read with one
 `np.frombuffer`.  All types are immutable after construction and all
 operations are pure functions, so values can be shared freely between

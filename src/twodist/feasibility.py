@@ -3,8 +3,9 @@
 Every screen is pure arithmetic over exact integers and rationals: a
 failing screen proves no code with the queried parameters exists, a
 passing screen says nothing beyond "not refuted".  The screens never
-reject the parameters of a code that actually exists (tested against the
-construction families).
+reject the parameters of a code that actually exists: the tests check
+`linear_screens` on every linear two-weight code with small point
+multiplicities over PG(k-1, q), at its own s and with s left out.
 """
 from __future__ import annotations
 
@@ -21,8 +22,10 @@ class LinearParams:
     """Parameters [n, k, {w1, w2}]_q of a linear two-weight code.
 
     `s` is the maximal number of generator columns that are scalar
-    multiples of one column (1 for projective codes); leave it None when
-    unknown and the screens will consider every consistent value.
+    multiples of one column (1 for projective codes).  Given, it is the
+    only candidate; left None, every s with n_c >= 0, d_c >= 0 and, for
+    k >= 2, s <= n - w1 is one.  A screen that fails at one candidate
+    while another survives reads `exclude` (see `linear_screens`).
     """
 
     q: int
@@ -154,20 +157,13 @@ def delsarte_form(q: int, w1: int, w2: int) -> DelsarteForm | None:
     pm = prime_power(q)
     if pm is None:
         raise ValueError(f"q={q} is not a prime power")
-    p = pm[0]
     if not (0 < w1 < w2):
         raise ValueError("need 0 < w1 < w2")
-    gap = w2 - w1
-    u = 0
-    pu = 1
-    while pu < gap:
-        pu *= p
-        u += 1
-    if pu != gap:
+    p, gap = pm[0], w2 - w1
+    u = p_adic_valuation(p, gap)
+    if p**u != gap or w1 % gap:
         return None
-    if w1 % pu:
-        return None
-    return DelsarteForm(p=p, u=u, h=w1 // pu)
+    return DelsarteForm(p=p, u=u, h=w1 // gap)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +274,7 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
 
 
 # ---------------------------------------------------------------------------
-# complementary code parameters
+# complementary code parameters and the candidate column multiplicities
 
 
 @dataclass(frozen=True)
@@ -289,37 +285,37 @@ class ComplementaryParams:
     degenerate: bool  # d_c = 0 or n_c = 0: complementary collapses
 
 
-def _complements(lp: LinearParams):
-    """(s, n_c, d_c) for each candidate column multiplicity s.
+def _candidates(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
+    """The complementary parameters at every column multiplicity s that fits.
 
-    s is lp.s when given, else 1..ceil(n(q-1)/(q^k-1)) + 1;
-    n_c = s(q^k-1)/(q-1) - n and d_c = s q^(k-1) - w2.
+    s fits when n_c = s(q^k-1)/(q-1) - n >= 0, d_c = s q^(k-1) - w2 >= 0
+    and, for k >= 2, s <= n - w1: a hyperplane through a point of
+    multiplicity s holds the columns of a nonzero word of weight at most
+    n - s.  The only candidate is lp.s when it is given, else every
+    s = 1..n (no point holds more than n columns) that fits.
     """
-    q, k = lp.q, lp.k
+    q, k, n = lp.q, lp.k, lp.n
     points = (q**k - 1) // (q - 1)
-    if lp.s is not None:
-        candidates = [lp.s]
-    else:
-        candidates = range(1, -(-lp.n * (q - 1) // (q**k - 1)) + 2)
-    for s in candidates:
-        yield s, s * points - lp.n, s * q ** (k - 1) - lp.w2
+    top = n - lp.w1 if k >= 2 else n
+    out = []
+    for s in range(1, top + 1) if lp.s is None else (lp.s,):
+        n_c, d_c = s * points - n, s * q ** (k - 1) - lp.w2
+        if n_c >= 0 and d_c >= 0 and s <= top:
+            out.append(ComplementaryParams(s, n_c, d_c, degenerate=n_c == 0 or d_c == 0))
+    return tuple(out)
 
 
 def complementary_params(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
     """Length and minimum distance of the complementary two-weight code.
 
-    For each admissible column multiplicity s:
+    For each candidate column multiplicity s (see `_candidates`):
     n_c = s(q^k-1)/(q-1) - n and d_c = s q^(k-1) - d - delta, with the
     weight multiplicities swapped between the two codes.  Raises when no
-    s in range yields nonnegative n_c and d_c.
+    s fits.
     """
-    out = tuple(
-        ComplementaryParams(s=s, n_c=n_c, d_c=d_c, degenerate=n_c == 0 or d_c == 0)
-        for s, n_c, d_c in _complements(lp)
-        if n_c >= 0 and d_c >= 0
-    )
+    out = _candidates(lp)
     if not out:
-        raise ValueError("no column multiplicity s gives nonnegative n_c and d_c")
+        raise ValueError("no column multiplicity s fits: n_c >= 0, d_c >= 0, s <= n - w1 (k >= 2)")
     return out
 
 
@@ -341,7 +337,7 @@ class GcdVerdict:
     n_c: int
     d_c: int
     clauses: tuple[ClauseVerdict, ...]
-    verdict: str  # "pass" | "fail" | "abstain" | "invalid"
+    verdict: str  # "pass" | "fail" | "abstain"
 
 
 @dataclass(frozen=True)
@@ -350,81 +346,166 @@ class GcdScreen:
 
     @property
     def any_admissible(self) -> bool:
-        """True unless every candidate s is refuted."""
-        return any(v.verdict in ("pass", "abstain") for v in self.per_s)
+        """True when some candidate s is not refuted."""
+        return any(v.verdict != "fail" for v in self.per_s)
 
 
 def gcd_screen(lp: LinearParams) -> GcdScreen:
     """Divisibility conditions linking d, delta and the complementary d_c.
 
-    With gamma_* the p-adic valuations, a nontrivial linear two-weight
-    code must satisfy, clause by clause:
+    With d = w1, gamma_* the p-adic valuations and (n_c, d_c) the
+    complementary parameters, a projective (s = 1) linear two-weight code
+    satisfies, clause by clause:
 
-      (i)   s = 1, k >= 4: gcd(q,d) = gcd(q,delta) and gcd(q,d_c) = gcd(q,delta);
-      (ii)  s = 1, k = 3: gcd(q,d) = gcd(q,delta) or gcd(q,d_c) = gcd(q,delta),
+      (i)   k >= 4 and delta > 1: gcd(q,d) = gcd(q,delta) and, when the
+            complement is nondegenerate (n_c > 0 and d_c > 0),
+            gcd(q,d_c) = gcd(q,delta);
+      (ii)  k = 3: gcd(q,d) = gcd(q,delta) or gcd(q,d_c) = gcd(q,delta),
             provided gcd(d,q)^2 <= q*gcd(n(n-1),q) or
             gcd(d+delta,q)^2 > q*gcd(n_c(n_c-1),q).  Like (iii) the
             condition is a disjunction, symmetric under complementation:
             the hyperoval [6,3,{4,6}]_4 and its complement [15,3,{10,12}]_4
             each satisfy only one of the two equalities;
-      (iii) s = 1, k >= 2: gamma_d = gamma_delta or gamma_c = gamma_delta;
-      (iv)  s >= 1, k >= 3: same disjunction as (iii).
+      (iii) k >= 2: gamma_d = gamma_delta or gamma_c = gamma_delta, where
+            gamma_c is undefined, so that side fails, when d_c = 0.
 
-    For k = 2 with s > 1 the screen abstains: two-dimensional codes exist
-    for every delta there.  When s is unknown, all candidate values are
-    reported; parameters are refuted only if every candidate s fails.
+    The clauses are stated for projective codes, so at s > 1 the screen
+    abstains (for k = 2, codes with repeated columns exist for every
+    delta).  One verdict is reported per candidate s (see `_candidates`);
+    the parameters are refuted only if every candidate fails.
     """
     if lp.k < 2:
         raise ValueError("gcd screen needs k >= 2")
     q, k, n, d, delta, p = lp.q, lp.k, lp.n, lp.w1, lp.delta, lp.p
     gamma_d, gamma_delta = p_adic_valuation(p, d), p_adic_valuation(p, delta)
+    gd, gdel = math.gcd(q, d), math.gcd(q, delta)
     verdicts = []
-    for s, n_c, d_c in _complements(lp):
-        if n_c < 0 or d_c < 0:
-            verdicts.append(GcdVerdict(s, n_c, d_c, (), "invalid"))
-            continue
-        if k == 2 and s > 1:
-            clause = ClauseVerdict("abstain", True, None, "k = 2 with repeated columns")
-            verdicts.append(GcdVerdict(s, n_c, d_c, (clause,), "abstain"))
+    for c in _candidates(lp):
+        if c.s > 1:
+            clause = ClauseVerdict("abstain", True, None, f"k = {k} with repeated columns")
+            verdicts.append(GcdVerdict(c.s, c.n_c, c.d_c, (clause,), "abstain"))
             continue
         clauses = []
-        gd, gdel, gdc = math.gcd(q, d), math.gcd(q, delta), math.gcd(q, d_c)
-        gamma_c = p_adic_valuation(p, d_c)
-        val_disjunction = gamma_d == gamma_delta or gamma_c == gamma_delta
-        if s == 1 and k >= 4:
-            ok = gd == gdel and gdc == gdel
-            clauses.append(
-                ClauseVerdict("i", True, ok, f"(q,d)={gd}, (q,delta)={gdel}, (q,d_c)={gdc}")
-            )
-        if s == 1 and k == 3:
+        gdc = math.gcd(q, c.d_c)
+        if k >= 4 and delta == 1:
+            clauses.append(ClauseVerdict("i", False, None, "delta = 1"))
+        elif k >= 4:
+            ok = gd == gdel and (c.degenerate or gdc == gdel)
+            checked = "" if c.degenerate else f", (q,d_c)={gdc}"
+            clauses.append(ClauseVerdict("i", True, ok, f"(q,d)={gd}, (q,delta)={gdel}{checked}"))
+        if k == 3:
             cond1 = gd * gd <= q * math.gcd(n * (n - 1), q)
-            cond2 = math.gcd(q, d + delta) ** 2 > q * math.gcd(n_c * (n_c - 1), q)
+            cond2 = math.gcd(q, d + delta) ** 2 > q * math.gcd(c.n_c * (c.n_c - 1), q)
             if cond1 or cond2:
                 ok = gd == gdel or gdc == gdel
                 fired = "first" if cond1 else "second"
                 clauses.append(ClauseVerdict("ii", True, ok, f"{fired} condition fired"))
             else:
                 clauses.append(ClauseVerdict("ii", False, None, "neither condition fired"))
-        if s == 1 and k >= 2:
-            clauses.append(
-                ClauseVerdict(
-                    "iii",
-                    True,
-                    val_disjunction,
-                    f"gamma_d={gamma_d}, gamma_delta={gamma_delta}, gamma_c={gamma_c}",
-                )
-            )
-        if k >= 3:
-            clauses.append(ClauseVerdict("iv", True, val_disjunction))
-        applicable = [c for c in clauses if c.applicable]
-        if not applicable:
-            verdict = "abstain"
-        elif all(c.passed for c in applicable):
-            verdict = "pass"
-        else:
-            verdict = "fail"
-        verdicts.append(GcdVerdict(s, n_c, d_c, tuple(clauses), verdict))
+        gamma_c = p_adic_valuation(p, c.d_c)
+        ok = gamma_d == gamma_delta or gamma_c == gamma_delta
+        detail = f"gamma_d={gamma_d}, gamma_delta={gamma_delta}, gamma_c={gamma_c}"
+        clauses.append(ClauseVerdict("iii", True, ok, detail))
+        passed = all(clause.passed for clause in clauses if clause.applicable)
+        verdicts.append(GcdVerdict(c.s, c.n_c, c.d_c, tuple(clauses), "pass" if passed else "fail"))
     return GcdScreen(tuple(verdicts))
+
+
+# ---------------------------------------------------------------------------
+# every linear screen, with one rule for the candidate column multiplicities
+
+
+@dataclass(frozen=True)
+class ScreenLine:
+    screen: str
+    verdict: str  # "pass" | "fail" | "exclude" | "skip" | "degenerate" | "abstain"
+    detail: str
+
+
+@dataclass(frozen=True)
+class LinearScreens:
+    lines: tuple[ScreenLine, ...]
+    refuted: bool
+
+
+def linear_screens(lp: LinearParams) -> LinearScreens:
+    """Every linear screen's lines on `lp`, and whether they refute it.
+
+    The candidates are the column multiplicities s that fit the
+    parameters (`_candidates`).  `delsarte-form`, `srg-integrality`,
+    `oa2-quadratic` and the gcd clauses hold for projective codes only,
+    so they run at s = 1 alone, and only when 1 is a candidate; otherwise
+    they report `skip`.  `gcd-valuation` reports one line per candidate.
+    A screen that fails at s excludes that candidate.  The parameters
+    are refuted when `macwilliams-mu` is infeasible, no candidate fits,
+    or every candidate is excluded; a failing line then reads `fail`,
+    and otherwise `exclude`.
+    """
+    candidates = _candidates(lp)
+    projective = any(c.s == 1 for c in candidates)
+    rows = []  # (screen, verdict, detail, the s a failure excludes, if any)
+
+    def add(screen, verdict, detail, s=None):
+        rows.append((screen, verdict, detail, s))
+
+    if not projective:
+        add("delsarte-form", "skip", "projective screen needs s=1")
+    elif (form := delsarte_form(lp.q, lp.w1, lp.w2)) is None:
+        add("delsarte-form", "fail", "weights are not h*p^u, (h+1)*p^u", 1)
+    else:
+        add("delsarte-form", "pass", f"p={form.p} u={form.u} h={form.h}")
+
+    mw = macwilliams_mu(lp)
+    detail = f"mu1={mw.mu1} mu2={mw.mu2} second-moment-residual={mw.second_moment_residual}"
+    add("macwilliams-mu", {"ok": "pass", "infeasible": "fail"}.get(mw.status, mw.status), detail)
+
+    if projective and lp.k >= 2:
+        try:
+            srg = srg_analysis(lp)
+            detail = f"(N,K,lam,mu)={srg.params} e1={srg.e1} e2={srg.e2}"
+            add("srg-integrality", "pass" if srg.feasible else "fail", detail, 1)
+        except ValueError as exc:
+            add("srg-integrality", "fail", str(exc), 1)
+    else:
+        add("srg-integrality", "skip", "projective screen needs s=1 and k>=2")
+
+    if lp.k < 2:
+        add("gcd-valuation", "skip", "needs k >= 2")
+    elif not candidates:
+        add("gcd-valuation", "skip", "no candidate s")
+    else:
+        for v in gcd_screen(lp).per_s:
+            clause_bits = "; ".join(
+                f"({c.clause}) {'pass' if c.passed else 'fail' if c.passed is False else 'n/a'}"
+                + (f": {c.detail}" if c.detail else "")
+                for c in v.clauses
+            )
+            add("gcd-valuation", v.verdict, f"s={v.s} d_c={v.d_c} n_c={v.n_c} {clause_bits}", v.s)
+
+    if not projective:
+        add("oa2-quadratic", "skip", "projective screen needs s=1")
+    elif lp.size > lp.q**2 and lp.size % lp.q**2 == 0:
+        qc = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
+        detail = (f"residual={qc.residual} roots={qc.roots} integer-roots="
+                  f"{qc.roots_positive_integers} square-disc={qc.discriminant_is_square}")
+        add("oa2-quadratic", "pass" if qc.ok else "fail", detail, 1)
+    else:
+        add("oa2-quadratic", "skip", "needs q^k divisible by q^2 and larger than q^2")
+
+    try:
+        detail = "; ".join(
+            f"s={c.s}: n_c={c.n_c} d_c={c.d_c}" + (" (degenerate)" if c.degenerate else "")
+            for c in complementary_params(lp)
+        )
+        add("complementary-params", "pass", detail)
+    except ValueError as exc:
+        add("complementary-params", "fail", str(exc))
+
+    excluded = {s for _, verdict, _, s in rows if verdict == "fail"}
+    refuted = mw.status == "infeasible" or all(c.s in excluded for c in candidates)
+    failed = "fail" if refuted else "exclude"
+    lines = tuple(ScreenLine(name, failed if v == "fail" else v, text) for name, v, text, _ in rows)
+    return LinearScreens(lines, refuted)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ SplitMix64 stream derived from (seed, r), and the search reads no clock,
 so the result is a pure function of the parameters and (seed, restarts,
 stop_at), whatever the machine's speed or load.
 
-Distances from a set of words to one word come from packed words.  With
+Every distance here comes from packed words: from a set of words to one
+word in the greedy, and between all pairs of an oracle neighbourhood.  With
 m = ceil(log2 q), symbol a is written as the a-th smallest codeword of
 the binary simplex code of width w = 2^m - 1, so symbol 0 is w zero bits
 and any two distinct symbols differ in exactly t = 2^(m-1) bits.  A word
@@ -55,7 +56,6 @@ from .core import (
     Code,
     TwoDistParams,
     TwoDistReport,
-    distance_blocks,
     verify_two_distance,
 )
 
@@ -153,16 +153,6 @@ def candidate_words(params: TwoDistParams) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _good_distances(params: TwoDistParams) -> np.ndarray:
-    """Lookup table over distances 0..n: True exactly at d and d+delta.
-
-    It is False at 0, so no word counts as compatible with itself.
-    """
-    good = np.zeros(params.n + 1, dtype=bool)
-    good[[params.d, params.d2]] = True
-    return good
-
-
 def _symbol_code(q: int) -> np.ndarray:
     """(q, 2^m - 1) bits of symbols 0..q-1: the q smallest simplex codewords.
 
@@ -218,10 +208,10 @@ def _unpack_words(packed: np.ndarray, q: int, n: int) -> np.ndarray:
 
 
 def _good_popcounts(params: TwoDistParams) -> np.ndarray:
-    """Lookup table over popcounts 0..t*n of packed XORs: True at t*d and t*(d+delta)."""
+    """Lookup table over popcounts 0..t*n of packed XORs: True only at t*d and t*(d+delta)."""
     t = 2 ** ((params.q - 1).bit_length() - 1)
     good = np.zeros(t * params.n + 1, dtype=bool)
-    good[::t] = _good_distances(params)
+    good[[t * params.d, t * params.d2]] = True
     return good
 
 
@@ -229,21 +219,13 @@ def _compatible(limbs, word, good: np.ndarray) -> np.ndarray:
     """Mask of the packed rows whose popcount against `word` is `good`.
 
     `limbs` holds the rows' limbs, most significant first, and `word` the
-    word's; the per-limb popcounts add up to t times the distance.
+    word's, either of them broadcast; the per-limb popcounts add up to t
+    times the distance.
     """
     count = np.bitwise_count(limbs[0] ^ word[0])
     for limb, x in zip(limbs[1:], word[1:]):  # summed wider: uint8 wraps past 255
         count = np.add(count, np.bitwise_count(limb ^ x), dtype=np.intp)
     return good.take(count)
-
-
-def _adjacency(cands: np.ndarray, good: np.ndarray) -> np.ndarray:
-    """Boolean matrix: candidate pair at a distance where `good` is True."""
-    m = len(cands)
-    adj = np.empty((m, m), dtype=bool)
-    for start, dist in distance_blocks(cands, cands):
-        adj[start : start + len(dist)] = good[dist]
-    return adj
 
 
 def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
@@ -394,20 +376,23 @@ def _orbits(near: np.ndarray, adj_bool: np.ndarray, centre: np.ndarray) -> list[
 
 
 def _orbit_clique(
-    near: np.ndarray, good: np.ndarray, centre: np.ndarray, best: int, stop: float
+    near: np.ndarray, limbs: np.ndarray, good: np.ndarray, centre: np.ndarray, best: int,
+    stop: float,
 ) -> int:
     """Clique number of G[near] if above `best`, else `best`.
 
-    `near` is the neighbourhood of `centre` among a set of words that the
-    stabiliser H of {0, centre} keeps, so H keeps `near` too.  For each
-    orbit of H on it in turn, search the cliques through the orbit's first
-    word among the words still alive, then delete the orbit.  A maximum
-    clique meets some first orbit, and an element of H maps it onto a
-    clique through that orbit's first word that still avoids every
-    earlier orbit, so nothing is lost.  The search ends once a clique
-    reaches `stop`.
+    G joins two words whose packed XOR has a `good` popcount; `limbs` holds
+    `near` packed, and `_compatible` broadcasts it against itself into G's
+    matrix.  `near` is the neighbourhood of `centre` among a set of words
+    that the stabiliser H of {0, centre} keeps, so H keeps `near` too.
+    For each orbit of H on it in turn, search the cliques through the
+    orbit's first word among the words still alive, then delete the
+    orbit.  A maximum clique meets some first orbit, and an element of H
+    maps it onto a clique through that orbit's first word that still
+    avoids every earlier orbit, so nothing is lost.  The search ends once
+    a clique reaches `stop`.
     """
-    adj_bool = _adjacency(near, good)
+    adj_bool = _compatible(limbs[:, None, :], limbs[:, :, None], good)
     adj = _pack(adj_bool)
     alive = (1 << len(near)) - 1
     for rep, members in _orbits(near, adj_bool, centre):
@@ -468,11 +453,11 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
     stop = _proven_bound(params) - 2
     cands = candidate_words(params)
     packed = _pack_words(cands, params.q)
-    good, good_packed = _good_distances(params), _good_popcounts(params)
+    good = _good_popcounts(params)
     best = 0
     # v then u: the weight-(d+delta) words, then all candidates
     for first in (math.comb(params.n, params.d) * (params.q - 1) ** params.d, 0):
         words, limbs = cands[first:], packed[:, first:]
-        near = words[_compatible(limbs, limbs[:, 0], good_packed)]
-        best = _orbit_clique(near, good, words[0], best, stop)
+        near = _compatible(limbs, limbs[:, 0], good)
+        best = _orbit_clique(words[near], limbs[:, near], good, words[0], best, stop)
     return 2 + best

@@ -12,6 +12,8 @@ from twodist.constructions import (
     arc_code,
     complementary_code,
     dm_code,
+    from_multiplicities,
+    projective_points,
     su1_code,
     su2_code,
     two_distance_lower_bounds,
@@ -23,12 +25,14 @@ from twodist.feasibility import (
     complementary_params,
     delsarte_form,
     gcd_screen,
+    linear_screens,
     macwilliams_mu,
     p_adic_valuation,
     special_values,
     srg_analysis,
     two_distance_realizable,
 )
+from twodist.fields import GF
 
 
 # the projective (s = 1) two-weight codes among the catalog builds
@@ -307,6 +311,30 @@ class TestGcdScreen:
         (v,) = screen.per_s
         assert v.verdict == "pass" and v.d_c == 0
 
+    def test_clause_i_needs_delta_above_one(self):
+        # the punctured simplex [14, 4, {7, 8}]_2, whose complement is one point
+        (v,) = gcd_screen(LinearParams(2, 4, 14, 7, 8, s=1)).per_s
+        assert v.verdict == "pass" and (v.n_c, v.d_c) == (1, 0)
+        assert [(c.clause, c.applicable) for c in v.clauses] == [("i", False), ("iii", True)]
+
+    def test_clause_i_skips_a_degenerate_complement(self):
+        # su1 [12, 4, {6, 8}]_2 has d_c = 0: only gcd(q, d) = gcd(q, delta) is checked
+        (v,) = gcd_screen(LinearParams(2, 4, 12, 6, 8, s=1)).per_s
+        (clause,) = [c for c in v.clauses if c.clause == "i"]
+        assert clause.passed and "d_c" not in clause.detail
+
+    def test_repeated_columns_abstain_in_every_dimension(self):
+        # [17, 3, {8, 12}]_2 with m = (1, 1, 3, 1, 3, 3, 5) exists at s = 5
+        (v,) = gcd_screen(LinearParams(2, 3, 17, 8, 12, s=5)).per_s
+        assert v.verdict == "abstain"
+        screen = gcd_screen(LinearParams(2, 3, 17, 8, 12))
+        assert [v.s for v in screen.per_s] == list(range(3, 10))
+        assert {v.verdict for v in screen.per_s} == {"abstain"}
+
+    def test_no_candidate_is_not_admissible(self):
+        screen = gcd_screen(LinearParams(2, 2, 3, 1, 3, s=1))
+        assert screen.per_s == () and not screen.any_admissible
+
 
 class TestComplementary:
     def test_su2(self):
@@ -324,6 +352,14 @@ class TestComplementary:
     def test_no_valid_s_raises(self):
         with pytest.raises(ValueError):
             complementary_params(LinearParams(2, 2, 3, 1, 3, s=1))
+
+    def test_candidates_fit_the_parameters(self):
+        # [12, 2, {6, 12}]_2 is two points six times each: s = 6 = n - w1 is the only fit
+        (c,) = complementary_params(LinearParams(2, 2, 12, 6, 12))
+        assert (c.s, c.n_c, c.d_c) == (6, 6, 0)
+        # a given s above n - w1 does not fit
+        with pytest.raises(ValueError, match="no column multiplicity s fits"):
+            complementary_params(LinearParams(2, 4, 8, 5, 7, s=4))
 
 
 class TestSpecialValues:
@@ -427,3 +463,108 @@ class TestScreensOnConstructions:
             if strength(code) >= 2 and lp.size > lp.q**2:
                 r = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
                 assert r.ok, (lp, r.residual)
+
+
+def screens_by_name(result):
+    return {(line.screen, line.verdict) for line in result.lines}
+
+
+class TestLinearScreens:
+    @pytest.mark.parametrize("params", [
+        (2, 4, 14, 7, 8, 1),  # punctured simplex, clause (i) at delta = 1
+        (2, 3, 17, 8, 12, 5),  # m = (1, 1, 3, 1, 3, 3, 5), clause (iv)
+        (2, 2, 12, 6, 12, None),  # two points six times each, s = 6
+        (2, 3, 17, 8, 12, None),  # s = 3 failed clause (iv), s = 4 passed
+    ])
+    def test_existing_codes_are_not_refuted(self, params):
+        result = linear_screens(LinearParams(*params))
+        assert not result.refuted
+        assert not {v for _, v in screens_by_name(result)} & {"fail", "exclude"}
+
+    @pytest.mark.parametrize("params", [(2, 3, 6, 2, 5, None), (2, 4, 8, 5, 7, 1)])
+    def test_refuted(self, params):
+        result = linear_screens(LinearParams(*params))
+        assert result.refuted
+        assert ("macwilliams-mu", "fail") in screens_by_name(result)
+
+    def test_failure_at_one_candidate_excludes_it(self):
+        # [5, 3, {2, 4}]_2 exists with s = 2; as a projective code it fails two screens
+        result = linear_screens(LinearParams(2, 3, 5, 2, 4))
+        assert not result.refuted
+        lines = screens_by_name(result)
+        assert {("srg-integrality", "exclude"), ("oa2-quadratic", "exclude")} <= lines
+        assert ("gcd-valuation", "abstain") in lines
+        at_one = linear_screens(LinearParams(2, 3, 5, 2, 4, s=1))
+        assert at_one.refuted
+        assert {("srg-integrality", "fail"), ("oa2-quadratic", "fail")} <= screens_by_name(at_one)
+
+    def test_no_candidate_refutes(self):
+        result = linear_screens(LinearParams(2, 4, 8, 5, 7, s=4))
+        assert result.refuted
+        assert [(line.screen, line.verdict) for line in result.lines] == [
+            ("delsarte-form", "skip"),
+            ("macwilliams-mu", "fail"),
+            ("srg-integrality", "skip"),
+            ("gcd-valuation", "skip"),
+            ("oa2-quadratic", "skip"),
+            ("complementary-params", "fail"),
+        ]
+
+    def test_one_dimension(self):
+        result = linear_screens(LinearParams(3, 1, 3, 1, 2))
+        lines = screens_by_name(result)
+        assert {("srg-integrality", "skip"), ("gcd-valuation", "skip")} <= lines
+
+
+# the audit: every linear code whose point multiplicities stay within a
+# bound, for (q, k, bound); q = 4, k = 3 is 2^21 vectors
+AUDIT_RANGES = ((2, 2, 8), (3, 2, 6), (4, 2, 5), (5, 2, 4), (2, 3, 5), (3, 3, 1), (2, 4, 1), (4, 3, 1))
+
+
+def hyperplane_incidence(q, k):
+    """points of PG(k-1, q), and inc[u, p]: point p lies on the hyperplane u^perp."""
+    field = GF(q)
+    points = projective_points(q, k)
+    dot = np.zeros((len(points), len(points)), dtype=np.intp)
+    for i in range(k):
+        dot = field.add[dot, field.mul[points[:, None, i], points[None, :, i]]]
+    return points, dot == 0
+
+
+def two_weight_multiplicities(q, k, top, chunk=1 << 16):
+    """{(n, w1, w2, s): m} over every m in {0..top}^points with exactly two nonzero weights.
+
+    The word with message u has weight n minus the columns on u^perp, and
+    scalar multiples of u share it, so there is one weight per hyperplane.
+    Both weights positive means no nonzero word vanishes: the generator has
+    full rank.  s is max(m); the first m found is kept per key.
+    """
+    points, inc = hyperplane_incidence(q, k)
+    base = top + 1
+    place = base ** np.arange(len(points))
+    inc_t = inc.T.astype(np.float32)  # exact: sums stay far below 2^24
+    found = {}
+    for lo in range(0, base ** len(points), chunk):
+        m = (np.arange(lo, min(lo + chunk, base ** len(points)))[:, None] // place) % base
+        n = m.sum(axis=1)
+        w = n[:, None] - (m.astype(np.float32) @ inc_t).astype(np.intp)
+        w1, w2 = w.min(axis=1), w.max(axis=1)
+        two = (w1 > 0) & (w2 > w1) & ((w == w1[:, None]) | (w == w2[:, None])).all(axis=1)
+        for row, key in zip(m[two], zip(n[two].tolist(), w1[two].tolist(), w2[two].tolist())):
+            found.setdefault((*key, int(row.max())), row)
+    return points, found
+
+
+def test_screens_refute_no_code_over_point_multiplicities():
+    keys = 0
+    for q, k, top in AUDIT_RANGES:
+        points, found = two_weight_multiplicities(q, k, top)
+        keys += len(found)
+        for i, ((n, w1, w2, s), m) in enumerate(found.items()):
+            if i % 10 == 0:  # the weights are the span's
+                g = from_multiplicities(q, points, m)
+                assert g.rank() == k and set(g.weight_distribution()) == {w1, w2}
+            for given in (s, None):
+                result = linear_screens(LinearParams(q, k, n, w1, w2, s=given))
+                assert not result.refuted, (q, k, n, w1, w2, given, result.lines)
+    assert keys == 313

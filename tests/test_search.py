@@ -13,9 +13,8 @@ from twodist.search import (
     MAX_CANDIDATES,
     SearchConfig,
     SplitMix64,
-    _adjacency,
     _compatible,
-    _good_distances,
+    _good_popcounts,
     _max_clique,
     _orbit_keys,
     _orbits,
@@ -314,8 +313,8 @@ def trace_oracle(monkeypatch, params):
     calls = []
     inner = search._orbit_clique
 
-    def recording(near, good, centre, best, stop):
-        out = inner(near, good, centre, best, stop)
+    def recording(near, limbs, good, centre, best, stop):
+        out = inner(near, limbs, good, centre, best, stop)
         calls.append((best, stop, out))
         return out
 
@@ -366,6 +365,17 @@ def distances_to(words, word):
     return (words != word).sum(axis=1)
 
 
+def good_distances(params):
+    """Lookup table over distances 0..n: True exactly at d and d+delta."""
+    return np.isin(np.arange(params.n + 1), (params.d, params.d2))
+
+
+def packed_adjacency(words, params):
+    """The oracle's adjacency matrix: the packed words broadcast against themselves."""
+    limbs = _pack_words(words, params.q)
+    return _compatible(limbs[:, None, :], limbs[:, :, None], _good_popcounts(params))
+
+
 def stabiliser_map(words, perm, symbols):
     """Apply a monomial map: coordinate i of the image is symbols[i][word[perm[i]]]."""
     return np.stack([symbols[i][words[:, perm[i]]] for i in range(len(perm))], axis=1)
@@ -410,7 +420,7 @@ class TestOrbits:
     def test_stabiliser_keeps_keys_and_neighbourhood(self, q, n, d, delta):
         params = P(q, n, d, delta)
         cands = candidate_words(params)
-        good = _good_distances(params)
+        good = good_distances(params)
         rng = np.random.default_rng(7)
         for centre in (cands[0], cands[math.comb(n, d) * (q - 1) ** d]):  # u and v
             w = int((centre != 0).sum())
@@ -428,11 +438,11 @@ class TestOrbits:
         params = P(q, n, d, delta)
         cands = candidate_words(params)
         heavy = cands[math.comb(n, d) * (q - 1) ** d :]
-        good = _good_distances(params)
+        good = good_distances(params)
         for words, centre in ((cands, cands[0]), (heavy, heavy[0])):
             w = int((centre != 0).sum())
             near = words[good[distances_to(words, centre)]]
-            adj_bool = _adjacency(near, good)
+            adj_bool = packed_adjacency(near, params)
             orbits = _orbits(near, adj_bool, centre)
             union = 0
             for _, members in orbits:
@@ -451,7 +461,7 @@ class TestOrbits:
     def test_searched_orbits_stay_deleted(self, monkeypatch):
         params = P(2, 8, 4, 2)
         cands = candidate_words(params)
-        good = _good_distances(params)
+        good = good_distances(params)
         centre = cands[0]
         masks = []
         inner = search._max_clique
@@ -462,8 +472,9 @@ class TestOrbits:
 
         monkeypatch.setattr(search, "_max_clique", recording)
         near = cands[good[distances_to(cands, centre)]]
-        assert search._orbit_clique(near, good, centre, 0, math.inf) == 8
-        adj_bool = _adjacency(near, good)
+        limbs = _pack_words(near, 2)
+        assert search._orbit_clique(near, limbs, _good_popcounts(params), centre, 0, math.inf) == 8
+        adj_bool = packed_adjacency(near, params)
         adj = _pack(adj_bool)
         orbits = _orbits(near, adj_bool, centre)
         searched = 0
@@ -492,14 +503,17 @@ def reference_adjacency(cands, good):
 
 
 class TestKernel:
+    # (9, 3, 2, 1) packs 45 bits in one limb and (17, 3, 1, 1) 93 bits in two
     @pytest.mark.parametrize(
-        "q,n,d,delta", [(2, 8, 4, 2), (2, 10, 4, 4), (2, 13, 2, 2), (3, 6, 4, 2), (4, 6, 4, 2)]
+        "q,n,d,delta",
+        [(2, 8, 4, 2), (2, 10, 4, 4), (2, 13, 2, 2), (3, 6, 4, 2), (4, 6, 4, 2), (9, 3, 2, 1),
+         (17, 3, 1, 1)],
     )
     def test_adjacency_matches_reference(self, q, n, d, delta):
         params = P(q, n, d, delta)
         cands = candidate_words(params)
         assert np.array_equal(
-            _adjacency(cands, _good_distances(params)), reference_adjacency(cands, {d, d + delta})
+            packed_adjacency(cands, params), reference_adjacency(cands, {d, d + delta})
         )
 
 

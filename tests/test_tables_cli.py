@@ -3,7 +3,7 @@ import json
 import pytest
 from test_core import CATALOG_BUILDS, construct
 
-from twodist import constructions
+from twodist import constructions, feasibility
 from twodist.cli import main
 from twodist.core import TwoDistParams, read_code, write_code
 from twodist.search import SearchConfig
@@ -356,6 +356,23 @@ class TestCli:
         for screen in ("delsarte-form", "oa2-quadratic"):
             assert f"SKIP       {screen}: projective screen needs s=1" in out
         assert "SKIP       srg-integrality: projective screen needs s=1 and k>=2" in out
+
+    @pytest.mark.parametrize("argv,rc", [
+        ("--q 2 --k 4 --n 14 --w1 7 --w2 8 --s 1", 0),
+        ("--q 2 --k 3 --n 17 --w1 8 --w2 12 --s 5", 0),
+        ("--q 2 --k 2 --n 12 --w1 6 --w2 12", 0),
+        ("--q 2 --k 3 --n 17 --w1 8 --w2 12", 0),
+        ("--q 2 --k 4 --n 8 --w1 5 --w2 7 --s 1", 2),
+        ("--q 2 --k 3 --n 5 --w1 2 --w2 4", 0),
+    ])
+    def test_feasible_prints_the_library_verdict(self, capsys, argv, rc):
+        # existing codes exit 0; the exit status is linear_screens' refuted flag
+        assert main(["feasible", *argv.split()]) == rc
+        q, k, n, w1, w2, *s = map(int, argv.split()[1::2])
+        result = feasibility.linear_screens(feasibility.LinearParams(q, k, n, w1, w2, *s))
+        assert result.refuted == (rc == 2)
+        expected = "".join(f"{l.verdict.upper():<10} {l.screen}: {l.detail}\n" for l in result.lines)
+        assert capsys.readouterr().out == expected
 
     def test_feasible_json(self, capsys):
         rc = main([
