@@ -435,7 +435,10 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     parameters (`_candidates`).  `delsarte-form`, `srg-integrality`,
     `oa2-quadratic` and the gcd clauses hold for projective codes only,
     so they run at s = 1 alone, and only when 1 is a candidate; otherwise
-    they report `skip`.  `gcd-valuation` reports one line per candidate.
+    they report `skip`, saying so when s = 1 was given and does not fit.
+    `gcd-valuation` reports one line per candidate, except that it
+    abstains at every s > 1 and reports those candidates, a range since
+    the bounds on s are an interval, in one line when there are several.
     A screen that fails at s excludes that candidate.  The parameters
     are refuted when `macwilliams-mu` is infeasible, no candidate fits,
     or every candidate is excluded; a failing line then reads `fail`,
@@ -443,13 +446,14 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     """
     candidates = _candidates(lp)
     projective = any(c.s == 1 for c in candidates)
+    no_s1 = "s=1 does not fit" if lp.s == 1 else None
     rows = []  # (screen, verdict, detail, the s a failure excludes, if any)
 
     def add(screen, verdict, detail, s=None):
         rows.append((screen, verdict, detail, s))
 
     if not projective:
-        add("delsarte-form", "skip", "projective screen needs s=1")
+        add("delsarte-form", "skip", no_s1 or "projective screen needs s=1")
     elif (form := delsarte_form(lp.q, lp.w1, lp.w2)) is None:
         add("delsarte-form", "fail", "weights are not h*p^u, (h+1)*p^u", 1)
     else:
@@ -466,6 +470,8 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
             add("srg-integrality", "pass" if srg.feasible else "fail", detail, 1)
         except ValueError as exc:
             add("srg-integrality", "fail", str(exc), 1)
+    elif not projective and no_s1:
+        add("srg-integrality", "skip", no_s1)
     else:
         add("srg-integrality", "skip", "projective screen needs s=1 and k>=2")
 
@@ -474,16 +480,24 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     elif not candidates:
         add("gcd-valuation", "skip", "no candidate s")
     else:
-        for v in gcd_screen(lp).per_s:
+        per_s = gcd_screen(lp).per_s
+        abstains = [v for v in per_s if v.verdict == "abstain"]
+        if len(abstains) > 1:
+            per_s = [v for v in per_s if v.verdict != "abstain"]
+        for v in per_s:
             clause_bits = "; ".join(
                 f"({c.clause}) {'pass' if c.passed else 'fail' if c.passed is False else 'n/a'}"
                 + (f": {c.detail}" if c.detail else "")
                 for c in v.clauses
             )
             add("gcd-valuation", v.verdict, f"s={v.s} d_c={v.d_c} n_c={v.n_c} {clause_bits}", v.s)
+        if len(abstains) > 1:
+            (clause,) = abstains[0].clauses
+            add("gcd-valuation", "abstain",
+                f"s={abstains[0].s}..{abstains[-1].s} (abstain) n/a: {clause.detail}")
 
     if not projective:
-        add("oa2-quadratic", "skip", "projective screen needs s=1")
+        add("oa2-quadratic", "skip", no_s1 or "projective screen needs s=1")
     elif lp.size > lp.q**2 and lp.size % lp.q**2 == 0:
         qc = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
         detail = (f"residual={qc.residual} roots={qc.roots} integer-roots="

@@ -11,6 +11,14 @@ SplitMix64 stream derived from (seed, r), and the search reads no clock,
 so the result is a pure function of the parameters and (seed, restarts,
 stop_at), whatever the machine's speed or load.
 
+Candidates are built in numpy on every call, with no Python loop over
+words: the supports of each weight are unranked from the combinatorial
+number system one position at a time for all of them at once, and the
+nonzero values are the base-(q-1) digits of an index (see
+`candidate_words`).  Packing them takes one `packbits` call for every
+coordinate's table of symbol bits, then one lookup per coordinate and
+limb (see `_pack_words`).
+
 Every distance here comes from packed words: from a set of words to one
 word in the greedy, and between all pairs of an oracle neighbourhood.  With
 m = ceil(log2 q), symbol a is written as the a-th smallest codeword of
@@ -24,7 +32,9 @@ bits, so a coordinate may straddle two limbs and one routine,
 serves every q and n.  The codewords are sorted and fixed in width, so
 limb-tuple order is lexicographic word order and the zero word is all
 zero limbs: the greedy breaks ties between restarts on the limb tuples
-and decodes only the winner back to symbols.
+and decodes only the winner back to symbols.  The oracle compares its
+neighbourhoods' words a block of rows at a time and keeps each row as an
+int bitset, so its memory stays bounded.
 
 The oracle computes A_q(n, {d, d+delta}) exactly, counting every code
 whose distances lie in {d, d+delta}, one-distance codes included: a code
@@ -36,16 +46,16 @@ clique contains u = 1^d 0^(n-d), the greedy's start word, or has only
 weight-(d+delta) words and contains the first of them, v.  The oracle
 fixes the same two words as the greedy (0 and u), or 0 and v, and runs
 branch and bound with greedy-coloring upper bounds on those two
-neighbourhoods only.  Within a neighbourhood it branches on one third
-word per orbit of the maps fixing 0 and u (or v), then deletes that
-orbit: the maps carry any clique through the orbit onto one through the
+neighbourhoods only; the coloring reads each vertex's non-neighbour
+mask, built once per clique search.  Within a neighbourhood it branches
+on one third word per orbit of the maps fixing 0 and u (or v), then
+deletes that orbit: the maps carry any clique through the orbit onto one through the
 chosen word.  It stops once a code reaches the `range` upper bound of
 `bounds.best_upper_bound`; `exact` and `not_well_defined` statuses count
 only codes with both distances, so they never stop it.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,6 +72,7 @@ from .core import (
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 MAX_CANDIDATES = 200_000  # random_greedy refuses larger candidate spaces
+_BLOCK_PAIRS = 1 << 18  # word pairs per block of the oracle's adjacency
 
 
 class SplitMix64:
@@ -129,28 +140,42 @@ def candidate_words(params: TwoDistParams) -> np.ndarray:
     Weight d comes first; within a weight, supports in combinations order,
     then nonzero values in product order.  The dtype is the smallest
     unsigned one that holds q - 1.
+
+    Supports are unranked in numpy, one support position per step for all
+    of them at once.  The support of rank r among the C(n, w) in
+    combinations order is {n-1-c_w < ... < n-1-c_1}, where c_w > ... > c_1
+    spell C(n, w) - 1 - r in the combinatorial number system: c_k is the
+    largest c with C(c, k) at most what is left after the larger terms.
+    The value of a word's j-th support position is digit j of its value
+    index in base q - 1, plus one.
     """
     q, n = params.q, params.n
     dtype = np.min_scalar_type(q - 1)
-    blocks = []
-    for w in (params.d, params.d2):
-        n_supports, n_values = math.comb(n, w), (q - 1) ** w
-        supports = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), w)),
-            np.intp,
-            count=n_supports * w,
-        ).reshape(n_supports, w)
-        values = np.fromiter(
-            itertools.chain.from_iterable(itertools.product(range(1, q), repeat=w)),
-            dtype,
-            count=n_values * w,
-        ).reshape(n_values, w)
-        block = np.zeros((len(supports), len(values), n), dtype=dtype)
-        rows = np.arange(len(supports))[:, None, None]
-        cols = np.arange(len(values))[None, :, None]
-        block[rows, cols, supports[:, None, :]] = values[None, :, :]
-        blocks.append(block.reshape(-1, n))
-    return np.concatenate(blocks)
+    sizes = [(w, math.comb(n, w), (q - 1) ** w) for w in (params.d, params.d2)]
+    words = np.zeros((sum(s * v for _, s, v in sizes), n), dtype=dtype)
+    # pascal[k, m] = C(m, k), capped at the larger C(n, w): every rank lies below
+    # the cap, so capping changes no search and keeps large n inside int64
+    cap = max(n_supports for _, n_supports, _ in sizes)
+    pascal = np.zeros((params.d2 + 1, n), dtype=np.int64)
+    pascal[0] = 1
+    for k in range(1, params.d2 + 1):
+        np.add.accumulate(pascal[k - 1, :-1], out=pascal[k, 1:])
+        np.minimum(pascal[k], cap, out=pascal[k])
+    start = 0
+    for w, n_supports, n_values in sizes:
+        block = words[start : start + n_supports * n_values].reshape(n_supports, n_values, n)
+        index = np.arange(n_values, dtype=np.min_scalar_type(max(n_values, q)))
+        values = index[:, None] // np.array([(q - 1) ** (w - 1 - j) for j in range(w)], index.dtype)
+        values %= q - 1
+        values += 1
+        rows = np.arange(n_supports)
+        rest = rows[::-1].copy()
+        for j in range(w):
+            c = pascal[w - j].searchsorted(rest, side="right") - 1
+            rest -= pascal[w - j].take(c)
+            block[rows, :, n - 1 - c] = values[:, j]
+        start += n_supports * n_values
+    return words
 
 
 def _symbol_code(q: int) -> np.ndarray:
@@ -170,23 +195,23 @@ def _pack_words(words: np.ndarray, q: int) -> np.ndarray:
     """(limbs, len(words)) uint64 array of the words' symbol-code bits.
 
     Row 0 is the most significant limb, so a word's limbs read as one
-    number compare as the word does, lexicographically.  Each piece of a
-    coordinate that falls in one limb is one lookup into that limb's bits
-    of each symbol.
+    number compare as the word does, lexicographically.  One `packbits`
+    call gives every coordinate's table of its bits of each symbol, per
+    limb; each piece of a coordinate that falls in one limb is then one
+    lookup into that table.
     """
     code = _symbol_code(q)
     size, n = words.shape
     w = code.shape[1]
     limbs = -(-n * w // 64)
-    pad = 64 * limbs - n * w
+    first = 64 * limbs - n * w + w * np.arange(n)  # each coordinate's first bit
+    bits = np.zeros((n, q, 64 * limbs), dtype=np.uint8)
+    bits[np.arange(n)[:, None], :, first[:, None] + np.arange(w)] = code.T
+    tables = np.packbits(bits, axis=2).view(">u8").astype(np.uint64)  # (n, q, limbs)
     packed = np.zeros((limbs, size), dtype=np.uint64)
     for i, column in enumerate(words.T):
-        lo = pad + i * w
-        bits = np.zeros((q, 64 * limbs), dtype=np.uint8)
-        bits[:, lo : lo + w] = code
-        table = np.packbits(bits, axis=1).view(">u8").astype(np.uint64).T
-        for j in range(lo // 64, (lo + w - 1) // 64 + 1):
-            packed[j] |= table[j].take(column)
+        for j in range(first[i] // 64, (first[i] + w - 1) // 64 + 1):
+            packed[j] |= tables[i, :, j].take(column)
     return packed
 
 
@@ -294,8 +319,11 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
 # exact oracle by maximum clique
 
 
-def _greedy_color_order(p_mask: int, adj: list[int]) -> tuple[list[int], list[int]]:
-    """Vertices of p_mask ordered by greedy color class, with color bounds."""
+def _greedy_color_order(p_mask: int, nonadj: list[int]) -> tuple[list[int], list[int]]:
+    """Vertices of p_mask ordered by greedy color class, with color bounds.
+
+    `nonadj[v]` is ~(adj[v] | 1 << v), the vertices v may share a color with.
+    """
     order: list[int] = []
     bounds: list[int] = []
     color = 0
@@ -304,10 +332,10 @@ def _greedy_color_order(p_mask: int, adj: list[int]) -> tuple[list[int], list[in
         color += 1
         available = remaining
         while available:
-            v = (available & -available).bit_length() - 1
-            bit = 1 << v
-            available &= ~bit & ~adj[v]
-            remaining &= ~bit
+            low = available & -available
+            v = low.bit_length() - 1
+            available &= nonadj[v]
+            remaining ^= low
             order.append(v)
             bounds.append(color)
     return order, bounds
@@ -315,10 +343,9 @@ def _greedy_color_order(p_mask: int, adj: list[int]) -> tuple[list[int], list[in
 
 def _pack(adj_bool: np.ndarray) -> list[int]:
     """Rows of a boolean matrix as int bitsets (bit j = column j)."""
-    return [
-        int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        for row in adj_bool
-    ]
+    packed = np.packbits(adj_bool, axis=1, bitorder="little")
+    data, step = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * step : (i + 1) * step], "little") for i in range(len(packed))]
 
 
 def _max_clique(adj: list[int], p_mask: int, best: int, stop: float) -> int:
@@ -326,21 +353,23 @@ def _max_clique(adj: list[int], p_mask: int, best: int, stop: float) -> int:
 
     The search returns as soon as it has a clique of size `stop`.
     """
+    nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    return _expand(adj, nonadj, 0, p_mask, best, stop)
 
-    def expand(size: int, p_mask: int):
-        nonlocal best
-        if not p_mask:
-            best = max(best, size)
-            return
-        order, bounds = _greedy_color_order(p_mask, adj)
-        for idx in range(len(order) - 1, -1, -1):
-            if size + bounds[idx] <= best or best >= stop:
-                return
-            v = order[idx]
-            expand(size + 1, p_mask & adj[v])
-            p_mask &= ~(1 << v)
 
-    expand(0, p_mask)
+def _expand(
+    adj: list[int], nonadj: list[int], size: int, p_mask: int, best: int, stop: float
+) -> int:
+    """`_max_clique` below a clique of `size` vertices whose common neighbours are p_mask."""
+    if not p_mask:
+        return max(best, size)
+    order, bounds = _greedy_color_order(p_mask, nonadj)
+    for idx in range(len(order) - 1, -1, -1):
+        if size + bounds[idx] <= best or best >= stop:
+            return best
+        v = order[idx]
+        best = _expand(adj, nonadj, size + 1, p_mask & adj[v], best, stop)
+        p_mask ^= 1 << v
     return best
 
 
@@ -361,7 +390,7 @@ def _orbit_keys(words: np.ndarray, centre: np.ndarray) -> np.ndarray:
     return (ones * base + zeros) * base + off
 
 
-def _orbits(near: np.ndarray, adj_bool: np.ndarray, centre: np.ndarray) -> list[tuple[int, int]]:
+def _orbits(near: np.ndarray, adj: list[int], centre: np.ndarray) -> list[tuple[int, int]]:
     """(first word, member bitset) per orbit of the stabiliser of {0, centre}.
 
     Orbits come largest neighbourhood first, ties in key order: a large
@@ -370,9 +399,24 @@ def _orbits(near: np.ndarray, adj_bool: np.ndarray, centre: np.ndarray) -> list[
     """
     _, reps, orbit = np.unique(_orbit_keys(near, centre), return_index=True, return_inverse=True)
     members = _pack(orbit[None, :] == np.arange(len(reps))[:, None])
-    degree = adj_bool[reps].sum(axis=1)
+    degree = [adj[rep].bit_count() for rep in reps]
     order = sorted(range(len(reps)), key=lambda k: -degree[k])
     return [(int(reps[k]), members[k]) for k in order]
+
+
+def _neighbour_sets(limbs: np.ndarray, good: np.ndarray) -> list[int]:
+    """Bitset of each packed word's neighbours in G, the words it is compatible with.
+
+    `_compatible` broadcasts a block of rows against all the words, at
+    most `_BLOCK_PAIRS` pairs at a time, and each block is packed at once,
+    so memory stays bounded however many words there are.
+    """
+    m = limbs.shape[1]
+    step = max(1, _BLOCK_PAIRS // max(1, m))
+    adj: list[int] = []
+    for start in range(0, m, step):
+        adj += _pack(_compatible(limbs[:, start : start + step, None], limbs[:, None, :], good))
+    return adj
 
 
 def _orbit_clique(
@@ -382,20 +426,18 @@ def _orbit_clique(
     """Clique number of G[near] if above `best`, else `best`.
 
     G joins two words whose packed XOR has a `good` popcount; `limbs` holds
-    `near` packed, and `_compatible` broadcasts it against itself into G's
-    matrix.  `near` is the neighbourhood of `centre` among a set of words
-    that the stabiliser H of {0, centre} keeps, so H keeps `near` too.
-    For each orbit of H on it in turn, search the cliques through the
-    orbit's first word among the words still alive, then delete the
-    orbit.  A maximum clique meets some first orbit, and an element of H
-    maps it onto a clique through that orbit's first word that still
-    avoids every earlier orbit, so nothing is lost.  The search ends once
-    a clique reaches `stop`.
+    `near` packed (see `_neighbour_sets`).  `near` is the neighbourhood of
+    `centre` among a set of words that the stabiliser H of {0, centre}
+    keeps, so H keeps `near` too.  For each orbit of H on it in turn,
+    search the cliques through the orbit's first word among the words
+    still alive, then delete the orbit.  A maximum clique meets some first
+    orbit, and an element of H maps it onto a clique through that orbit's
+    first word that still avoids every earlier orbit, so nothing is lost.
+    The search ends once a clique reaches `stop`.
     """
-    adj_bool = _compatible(limbs[:, None, :], limbs[:, :, None], good)
-    adj = _pack(adj_bool)
+    adj = _neighbour_sets(limbs, good)
     alive = (1 << len(near)) - 1
-    for rep, members in _orbits(near, adj_bool, centre):
+    for rep, members in _orbits(near, adj, centre):
         if best >= stop:
             break
         best = 1 + _max_clique(adj, adj[rep] & alive, best - 1, stop - 1)

@@ -21,6 +21,7 @@ from twodist.constructions import (
 from twodist.core import TwoDistParams, strength
 from twodist.feasibility import (
     LinearParams,
+    ScreenLine,
     check_oa2_quadratic,
     complementary_params,
     delsarte_form,
@@ -509,6 +510,27 @@ class TestLinearScreens:
             ("oa2-quadratic", "skip"),
             ("complementary-params", "fail"),
         ]
+
+    def test_abstaining_candidates_share_one_line(self):
+        # [17, 3, {8, 12}]_2 fits s = 3..9, and the gcd screen abstains at each
+        gcd = [line for line in linear_screens(LinearParams(2, 3, 17, 8, 12)).lines
+               if line.screen == "gcd-valuation"]
+        assert gcd == [ScreenLine(
+            "gcd-valuation", "abstain", "s=3..9 (abstain) n/a: k = 3 with repeated columns"
+        )]
+        at_five = linear_screens(LinearParams(2, 3, 17, 8, 12, s=5)).lines
+        assert ScreenLine(
+            "gcd-valuation", "abstain",
+            "s=5 d_c=8 n_c=18 (abstain) n/a: k = 3 with repeated columns",
+        ) in at_five
+
+    def test_given_s1_that_does_not_fit(self):
+        # n_c = 7 - 6 >= 0 but d_c = 4 - 6 < 0
+        result = linear_screens(LinearParams(2, 3, 6, 2, 6, s=1))
+        assert result.refuted
+        skipped = {line.screen: line.detail for line in result.lines if line.verdict == "skip"}
+        for screen in ("delsarte-form", "srg-integrality", "oa2-quadratic"):
+            assert skipped[screen] == "s=1 does not fit"
 
     def test_one_dimension(self):
         result = linear_screens(LinearParams(3, 1, 3, 1, 2))

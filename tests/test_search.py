@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from twodist.search import (
     SplitMix64,
     _compatible,
     _good_popcounts,
+    _greedy_color_order,
     _max_clique,
+    _neighbour_sets,
     _orbit_keys,
     _orbits,
     _pack,
@@ -70,7 +73,7 @@ class TestPrng:
         assert a != b
 
 
-# reference: the per-word loop the numpy enumeration replaced
+# reference: the per-word loop the numpy unranking replaced
 
 
 def reference_candidate_words(params):
@@ -83,11 +86,21 @@ def reference_candidate_words(params):
                 for pos, val in zip(support, values):
                     word[pos] = val
                 rows.append(word)
-    return np.array(rows, dtype=np.uint8)
+    return np.array(rows, dtype=np.min_scalar_type(q - 1)).reshape(-1, n)
 
 
 class TestCandidates:
-    @pytest.mark.parametrize("q,n,d,delta", small_instances((2, 3, 4, 5, 7), 6, 2000))
+    @pytest.mark.parametrize(
+        "q,n,d,delta",
+        small_instances((2, 3, 4, 5, 7), 6, 2000) + [
+            # the benchmark's greedy cases other than (4, 6, 4, 2), which is above
+            (3, 9, 6, 3), (2, 16, 8, 4), (2, 16, 6, 4), (3, 10, 6, 3),
+            # long words, many supports, wide alphabets
+            (9, 10, 2, 1), (2, 70, 1, 1), (3, 40, 2, 1), (2, 30, 3, 1), (257, 2, 1, 1),
+            # supports of one position (w = 1) and of every one (w = n)
+            (2, 8, 1, 7),
+        ],
+    )
     def test_matches_reference_loop(self, q, n, d, delta):
         params = P(q, n, d, delta)
         words, ref = candidate_words(params), reference_candidate_words(params)
@@ -371,9 +384,8 @@ def good_distances(params):
 
 
 def packed_adjacency(words, params):
-    """The oracle's adjacency matrix: the packed words broadcast against themselves."""
-    limbs = _pack_words(words, params.q)
-    return _compatible(limbs[:, None, :], limbs[:, :, None], _good_popcounts(params))
+    """The oracle's neighbour bitsets of `words`, computed from their packed form."""
+    return _neighbour_sets(_pack_words(words, params.q), _good_popcounts(params))
 
 
 def stabiliser_map(words, perm, symbols):
@@ -442,13 +454,13 @@ class TestOrbits:
         for words, centre in ((cands, cands[0]), (heavy, heavy[0])):
             w = int((centre != 0).sum())
             near = words[good[distances_to(words, centre)]]
-            adj_bool = packed_adjacency(near, params)
-            orbits = _orbits(near, adj_bool, centre)
+            orbits = _orbits(near, packed_adjacency(near, params), centre)
             union = 0
             for _, members in orbits:
                 assert not union & members
                 union |= members
             assert union == (1 << len(near)) - 1
+            adj_bool = reference_adjacency(near, {d, d + delta})
             degrees = [adj_bool[rep].sum() for rep, _ in orbits]
             assert degrees == sorted(degrees, reverse=True)
             for rep, members in orbits:
@@ -474,9 +486,8 @@ class TestOrbits:
         near = cands[good[distances_to(cands, centre)]]
         limbs = _pack_words(near, 2)
         assert search._orbit_clique(near, limbs, _good_popcounts(params), centre, 0, math.inf) == 8
-        adj_bool = packed_adjacency(near, params)
-        adj = _pack(adj_bool)
-        orbits = _orbits(near, adj_bool, centre)
+        adj = packed_adjacency(near, params)
+        orbits = _orbits(near, adj, centre)
         searched = 0
         assert len(orbits) > 2
         assert len(masks) == len(orbits)  # no stop, so every orbit is searched
@@ -512,9 +523,69 @@ class TestKernel:
     def test_adjacency_matches_reference(self, q, n, d, delta):
         params = P(q, n, d, delta)
         cands = candidate_words(params)
-        assert np.array_equal(
-            packed_adjacency(cands, params), reference_adjacency(cands, {d, d + delta})
-        )
+        assert packed_adjacency(cands, params) == _pack(reference_adjacency(cands, {d, d + delta}))
+
+    # 44 words: one row per block, or six rows per block and two in the last
+    @pytest.mark.parametrize("block_pairs", [1, 300])
+    def test_blocks_match_reference(self, monkeypatch, block_pairs):
+        monkeypatch.setattr(search, "_BLOCK_PAIRS", block_pairs)
+        params = P(3, 6, 4, 2)
+        cands = candidate_words(params)[::7]
+        assert packed_adjacency(cands, params) == _pack(reference_adjacency(cands, {4, 6}))
+
+    def test_memory_stays_bounded(self):
+        # 2,000 words broadcast in one block would hold a 32 MB uint64 XOR
+        params = P(2, 13, 2, 2)
+        words = (np.arange(2000)[:, None] >> np.arange(12, -1, -1) & 1).astype(np.uint8)
+        limbs, good = _pack_words(words, 2), _good_popcounts(params)
+        tracemalloc.start()
+        try:
+            adj = _neighbour_sets(limbs, good)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert adj == _pack(reference_adjacency(words, {2, 4}))
+
+
+# reference: the coloring loop before the non-neighbour masks
+
+
+def reference_greedy_color_order(p_mask, adj):
+    order, bounds = [], []
+    color = 0
+    remaining = p_mask
+    while remaining:
+        color += 1
+        available = remaining
+        while available:
+            v = (available & -available).bit_length() - 1
+            bit = 1 << v
+            available &= ~bit & ~adj[v]
+            remaining &= ~bit
+            order.append(v)
+            bounds.append(color)
+    return order, bounds
+
+
+@st.composite
+def graphs(draw, max_vertices=40):
+    """(p_mask, adjacency bitsets) of a random simple graph."""
+    m = draw(st.integers(0, max_vertices))
+    pairs = m * (m - 1) // 2
+    edges = draw(st.integers(0, 2**pairs - 1))  # bit i: is the i-th pair an edge
+    adj_bool = np.zeros((m, m), dtype=bool)
+    adj_bool[np.triu_indices(m, 1)] = [edges >> i & 1 for i in range(pairs)]
+    adj_bool |= adj_bool.T
+    return draw(st.integers(0, 2**m - 1)), _pack(adj_bool)
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_coloring_matches_reference_loop(graph):
+    p_mask, adj = graph
+    nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    assert _greedy_color_order(p_mask, nonadj) == reference_greedy_color_order(p_mask, adj)
 
 
 # packed words: every alphabet the symbol code widens for, from one limb to
@@ -561,3 +632,17 @@ def test_packed_distances_and_order_match_words(case):
         distances = (words != words[j]).sum(axis=1)
         assert np.array_equal(_compatible(packed, packed[:, j], popcounts), t * distances)
         assert [key < keys[j] for key in keys] == [row < rows[j] for row in rows]
+
+
+@given(graphs(max_vertices=12))
+@settings(max_examples=100, deadline=None)
+def test_max_clique_matches_brute_force(graph):
+    p_mask, adj = graph
+    vertices = [v for v in range(len(adj)) if p_mask >> v & 1]
+    clique_number = max(
+        size
+        for size in range(len(vertices) + 1)
+        for clique in itertools.combinations(vertices, size)
+        if all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
+    )
+    assert _max_clique(adj, p_mask, 0, math.inf) == clique_number
