@@ -435,7 +435,8 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     parameters (`_candidates`).  `delsarte-form`, `srg-integrality`,
     `oa2-quadratic` and the gcd clauses hold for projective codes only,
     so they run at s = 1 alone, and only when 1 is a candidate; otherwise
-    they report `skip`, saying so when s = 1 was given and does not fit.
+    they report `skip`, saying so when s = 1 does not fit, whether it was
+    given or s was left out.
     `gcd-valuation` reports one line per candidate, except that it
     abstains at every s > 1 and reports those candidates, a range since
     the bounds on s are an interval, in one line when there are several.
@@ -446,7 +447,7 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     """
     candidates = _candidates(lp)
     projective = any(c.s == 1 for c in candidates)
-    no_s1 = "s=1 does not fit" if lp.s == 1 else None
+    no_s1 = "s=1 does not fit" if lp.s in (None, 1) else None
     rows = []  # (screen, verdict, detail, the s a failure excludes, if any)
 
     def add(screen, verdict, detail, s=None):

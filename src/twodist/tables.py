@@ -216,9 +216,14 @@ def render_table(spec: TableSpec, options: CellOptions = CellOptions()) -> str:
 
 
 def cells_to_json(cells) -> str:
-    payload = []
-    for c in cells:
-        payload.append(
+    """`{"cells": [...]}` with one cell object per line.
+
+    Each cell is one `json.dumps` call with the default separators:
+    `indent` would route the whole payload through the pure-Python
+    encoder, while without it every line goes through the C encoder.
+    """
+    rows = ",\n".join(
+        json.dumps(
             {
                 "q": c.params.q,
                 "n": c.params.n,
@@ -232,7 +237,9 @@ def cells_to_json(cells) -> str:
                 "methods": [[m, v] for m, v in c.methods],
             }
         )
-    return json.dumps({"cells": payload}, indent=2) + "\n"
+        for c in cells
+    )
+    return '{"cells": [\n' + (rows + "\n" if rows else "") + "]}\n"
 
 
 def cells_from_json(text: str) -> list[TableCell]:

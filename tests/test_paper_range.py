@@ -17,13 +17,19 @@ from twodist.tables import TableSpec, render_table
 GOLDEN = Path(__file__).parent / "data" / "paper_range.tex"
 
 
-def render_paper_range() -> str:
-    parts = []
+def paper_range_specs():
+    """The latex spec of every (q, delta) grid of the paper's range."""
     for q in (2, 3, 4):
         n_max = 49 // q
         for delta in range(1, n_max):
-            parts.append(f"% q={q} delta={delta}\n")
-            parts.append(render_table(TableSpec(q, delta, delta + 1, n_max, fmt="latex")))
+            yield TableSpec(q, delta, delta + 1, n_max, fmt="latex")
+
+
+def render_paper_range() -> str:
+    parts = []
+    for spec in paper_range_specs():
+        parts.append(f"% q={spec.q} delta={spec.delta}\n")
+        parts.append(render_table(spec))
     return "".join(parts)
 
 

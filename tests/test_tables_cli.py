@@ -2,6 +2,7 @@ import json
 
 import pytest
 from test_core import CATALOG_BUILDS, construct
+from test_paper_range import paper_range_specs
 
 from twodist import constructions, feasibility
 from twodist.cli import main
@@ -127,6 +128,60 @@ class TestRender:
     def test_reversed_distance_range_refused(self):
         with pytest.raises(ValueError, match="d_max 3 is below d_min 5"):
             TableSpec(q=2, delta=2, n_min=8, n_max=9, d_min=5, d_max=3)
+
+
+def reference_cells_json(cells) -> str:
+    """The indented layout `cells_to_json` wrote before it went one cell per line."""
+    payload = [
+        {
+            "q": c.params.q,
+            "n": c.params.n,
+            "d": c.params.d,
+            "delta": c.params.delta,
+            "status": c.status,
+            "lower": None if c.lower is None else {"value": c.lower.value, "tag": c.lower.tag},
+            "upper": None if c.upper is None else {"value": c.upper.value, "tag": c.upper.tag},
+            "equidistant_size": c.equidistant_size,
+            "note": c.note,
+            "methods": [[m, v] for m, v in c.methods],
+        }
+        for c in cells
+    ]
+    return json.dumps({"cells": payload}, indent=2) + "\n"
+
+
+@pytest.fixture(scope="module")
+def paper_grids():
+    """The cells of every (q, delta) grid of the paper's range, 3,266 in all."""
+    return [table_cells(spec) for spec in paper_range_specs()]
+
+
+class TestCellsJson:
+    def test_paper_range_one_cell_per_line_matches_reference(self, paper_grids):
+        assert sum(map(len, paper_grids)) == 3266
+        for cells in paper_grids:
+            text = cells_to_json(cells)
+            expected = json.loads(reference_cells_json(cells))
+            assert json.loads(text) == expected
+            lines = text.splitlines()
+            assert len(lines) == len(cells) + 2
+            assert lines[0] == '{"cells": [' and lines[-1] == "]}"
+            middle = lines[1:-1]
+            assert all(line.endswith(",") for line in middle[:-1])
+            assert not middle[-1].endswith(",")
+            assert [json.loads(line.removesuffix(",")) for line in middle] == expected["cells"]
+
+    def test_empty_cell_list(self):
+        text = cells_to_json([])
+        assert json.loads(text) == json.loads(reference_cells_json([])) == {"cells": []}
+        assert text.splitlines() == ['{"cells": [', "]}"]
+
+    def test_cells_from_json_roundtrips_every_status(self, paper_grids):
+        cells = [c for grid in paper_grids for c in grid]
+        assert {c.status for c in cells} == {"not_well_defined", "value", "range"}
+        assert any(c.equidistant_size is not None for c in cells)
+        for grid in paper_grids:
+            assert cells_from_json(cells_to_json(grid)) == grid
 
 
 class TestReferenceSweep:
@@ -356,6 +411,14 @@ class TestCli:
         for screen in ("delsarte-form", "oa2-quadratic"):
             assert f"SKIP       {screen}: projective screen needs s=1" in out
         assert "SKIP       srg-integrality: projective screen needs s=1 and k>=2" in out
+
+    def test_feasible_omitted_s_without_s1_says_it_does_not_fit(self, capsys):
+        # [17, 3, {8, 12}]_2 with s left out has candidates s = 3..9
+        assert main(["feasible", *"--q 2 --k 3 --n 17 --w1 8 --w2 12".split()]) == 0
+        out = capsys.readouterr().out
+        for screen in ("delsarte-form", "srg-integrality", "oa2-quadratic"):
+            assert f"SKIP       {screen}: s=1 does not fit\n" in out
+        assert "projective screen needs" not in out
 
     @pytest.mark.parametrize("argv,rc", [
         ("--q 2 --k 4 --n 14 --w1 7 --w2 8 --s 1", 0),
