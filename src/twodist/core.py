@@ -3,19 +3,29 @@
 Everything here is exact: pair-distance counts are integers, and distance
 distributions and moments are `fractions.Fraction`s, never floats.  A
 `Code` validates its words once, in numpy, into one read-only word array,
-and every consumer reads that array: every word-pair distance in this
-module comes from one blocked numpy kernel, `distance_blocks`, and the
-text file format is written with one `tobytes()` and read with one
-`np.frombuffer`.  All types are immutable after construction and all
-operations are pure functions, so values can be shared freely between
-threads.
+and keeps only q, n and that array; its tuple of words is built on first
+read.  The text file format is written with one `tobytes()` and read with
+one `np.frombuffer`.
+
+Every word-pair distance in the package comes from one packed kernel,
+here and in `search`.  With m = ceil(log2 q), symbol a is written as the
+a-th smallest codeword of the binary simplex code of width 2^m - 1, so
+any two distinct symbols differ in exactly t = 2^(m-1) bits; a word is
+its symbols' bits in 64-bit limbs (`_pack_words`), and popcount(u ^ v)
+summed over the limbs is t * dist(u, v) (`_popcounts`).  A `Code` packs
+its words once; its distance counts and antipodality read each unordered
+pair once, from the half-matrix blocks of `_half_popcounts`.
+
+All types are immutable after construction and all operations are pure
+functions, so values can be shared freely between threads; a lazily
+cached attribute computed twice is computed equal.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -23,27 +33,124 @@ import numpy as np
 from .krawtchouk import kraw_eval
 
 MAX_ALPHABET = 9  # the text file format stores one base-q digit per symbol
-BLOCK_DISTANCES = 1 << 16  # distances held by one block of `distance_blocks`
+BLOCK_PAIRS = 1 << 14  # word pairs compared by one block of `_half_popcounts`
 
 
-def distance_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (start, D) with D[i, j] = Hamming distance of a[start + i] and b[j].
+def _symbol_code(q: int) -> np.ndarray:
+    """(q, 2^m - 1) bits of symbols 0..q-1: the q smallest simplex codewords.
 
-    `a` and `b` are 2-D symbol arrays with equal row length n.  Each block
-    covers whole rows of `a` and holds at most BLOCK_DISTANCES distances,
-    or a single row when `b` alone is longer.  Distances accumulate one
-    coordinate at a time in the smallest unsigned dtype that holds n.
+    Codeword x of the simplex code, 0 <= x < 2^m, has bit parity(x & j) in
+    column j = 1..2^m - 1, so two distinct codewords differ in 2^(m-1)
+    columns.  Rows are in increasing order read as bit strings, column 1
+    first.
     """
-    n = a.shape[1]
-    rows = max(1, BLOCK_DISTANCES // max(1, len(b)))
-    a_cols, b_cols = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    dtype = np.min_scalar_type(n)
-    for start in range(0, len(a), rows):
-        stop = min(len(a), start + rows)
-        dist = np.zeros((stop - start, len(b)), dtype=dtype)
-        for k in range(n):
-            dist += a_cols[k, start:stop, None] != b_cols[k]
-        yield start, dist
+    m = (q - 1).bit_length()
+    code = (np.bitwise_count(np.arange(2**m)[:, None] & np.arange(1, 2**m)) & 1).astype(np.uint8)
+    return code[np.lexsort(code.T[::-1])[:q]]
+
+
+def _popcount_unit(q: int) -> int:
+    """t = 2^(m-1), the bits in which two distinct symbols' simplex codewords differ."""
+    return 1 << ((q - 1).bit_length() - 1)
+
+
+@lru_cache(maxsize=64)
+def _symbol_tables(q: int, n: int) -> tuple[int, tuple[tuple[int, int, np.ndarray], ...]]:
+    """(limbs, lookups) for packing length-n words over q symbols.
+
+    Each lookup (i, j, table) says that coordinate i puts table[a] into
+    limb j when its symbol is a; a coordinate that straddles two limbs has
+    a lookup for each.  One `packbits` call builds every table, once per
+    (q, n) in a process.
+    """
+    code = _symbol_code(q)
+    w = code.shape[1]
+    limbs = -(-n * w // 64)
+    first = 64 * limbs - n * w + w * np.arange(n)  # each coordinate's first bit
+    bits = np.zeros((n, q, 64 * limbs), dtype=np.uint8)
+    bits[np.arange(n)[:, None], :, first[:, None] + np.arange(w)] = code.T
+    tables = np.packbits(bits, axis=2).view(">u8").astype(np.uint64)  # (n, q, limbs)
+    tables.flags.writeable = False
+    lookups = tuple(
+        (i, j, tables[i, :, j])
+        for i in range(n)
+        for j in range(first[i] // 64, (first[i] + w - 1) // 64 + 1)
+    )
+    return limbs, lookups
+
+
+def _pack_words(words: np.ndarray, q: int) -> np.ndarray:
+    """(limbs, len(words)) uint64 array of the words' symbol-code bits.
+
+    With m = ceil(log2 q), symbol a is written as the a-th smallest
+    codeword of the binary simplex code of width 2^m - 1 (see
+    `_symbol_code`), so symbol 0 is all zero bits and two distinct symbols
+    differ in exactly t = 2^(m-1) bits.  A word is its n symbols' bits,
+    coordinate 0 first, split into 64-bit limbs with zero bits padding the
+    front; row 0 is the most significant limb, so a word's limbs read as
+    one number compare as the word does, lexicographically.  Each piece of
+    a coordinate that falls in one limb is one lookup into a table built
+    once per (q, n).
+    """
+    size, n = words.shape
+    limbs, lookups = _symbol_tables(q, n)
+    packed = np.zeros((limbs, size), dtype=np.uint64)
+    columns = words.T
+    for i, j, table in lookups:
+        packed[j] |= table.take(columns[i])
+    return packed
+
+
+def _unpack_words(packed: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Inverse of `_pack_words`: the (len, n) symbol array of packed words.
+
+    Column 2^b of simplex codeword x is bit b of x, and the columns before
+    it depend only on the bits below b.  So sorted order compares bit 0 of
+    x first, then bit 1, and so on: the a-th codeword has x the m-bit
+    reversal of a, and its columns 1, 2, 4, ..., 2^(m-1) spell a in binary,
+    most significant bit first.  Only those m bits are read per coordinate.
+    """
+    m = (q - 1).bit_length()
+    w = 2**m - 1
+    pos = 64 * len(packed) - n * w + w * np.arange(n)[:, None] + 2 ** np.arange(m) - 1
+    bits = packed[pos // 64] >> (63 - pos % 64)[..., None].astype(np.uint64) & np.uint64(1)
+    digits = bits << np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None]
+    return digits.sum(axis=1).T.astype(np.min_scalar_type(q - 1))
+
+
+def _popcounts(limbs, word) -> np.ndarray:
+    """popcount(row ^ word) summed over the limbs: t times each Hamming distance.
+
+    `limbs` holds packed rows, one limb per entry, most significant first,
+    and `word` a packed word's limbs; either may broadcast against the
+    other.  Popcount adds over any split of the bits, so a coordinate may
+    straddle two limbs.
+    """
+    count = np.bitwise_count(limbs[0] ^ word[0])
+    if len(limbs) > 1:  # summed in place, in a dtype wide enough for 64 per limb
+        count = count.astype(np.min_scalar_type(64 * len(limbs)), copy=False)
+        for limb, x in zip(limbs[1:], word[1:]):
+            count += np.bitwise_count(limb ^ x)
+    return count
+
+
+def _half_popcounts(packed: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (start, P) with P[i, j] = `_popcounts` of words start + i and start + j.
+
+    `packed` is a (limbs, size) array from `_pack_words`.  Each block
+    takes whole rows from `start` and compares them with the words from
+    `start` onward, so every unordered pair of distinct words lies in
+    exactly one block: in its first len(P) columns, once in each order,
+    when both words are among the block's rows, and once after those
+    columns otherwise.  A block holds about BLOCK_PAIRS pairs, or a single
+    row when the rest alone is longer.
+    """
+    size = packed.shape[1]
+    start = 0
+    while start < size:
+        stop = min(size, start + max(1, BLOCK_PAIRS // (size - start)))
+        yield start, _popcounts(packed[:, start:stop, None], packed[:, None, start:])
+        start = stop
 
 
 class CodeFormatError(ValueError):
@@ -105,45 +212,76 @@ def _checked_words(q: int, n: int, words) -> np.ndarray:
     raise ValueError(f"word {w} does not have length {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Code:
     """A set of distinct words of fixed length over {0,...,q-1}.
 
-    `words` may also be given as a 2-D integer array; it is stored as a
-    tuple of tuples either way, and equality, hashing and repr read only
-    (q, n, words).  `array` holds the same words, validated once, as one
+    `words` may be a sequence of words or a 2-D integer array.  The code
+    keeps only q, n and `array`: the words, validated once, as one
     read-only (size, n) numpy array of the smallest dtype that holds
-    q - 1; every numpy consumer reads it.
+    q - 1, which every numpy consumer reads.  `words` gives them back as a
+    tuple of tuples of ints, built on first read; equality, hashing and
+    repr read (q, n, array) and mean what they meant for (q, n, words).
     """
 
     q: int
     n: int
-    words: tuple[tuple[int, ...], ...]
+    array: np.ndarray
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __init__(self, q: int, n: int, words):
+        if q < 2:
             raise ValueError("alphabet size must be at least 2")
-        if self.n < 1:
+        if n < 1:
             raise ValueError("length must be at least 1")
-        if not len(self.words):
+        if not len(words):
             raise ValueError("a code needs at least one word")
-        array = _checked_words(self.q, self.n, self.words)
-        if isinstance(self.words, np.ndarray):
-            object.__setattr__(self, "words", tuple(map(tuple, array.tolist())))
+        array = _checked_words(q, n, words)
         array.flags.writeable = False
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "array", array)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.q == other.q and self.n == other.n and np.array_equal(self.array, other.array)
+
+    def __hash__(self):
+        return hash((self.q, self.n, self.array.tobytes()))
+
+    def __repr__(self):
+        return f"Code(q={self.q!r}, n={self.n!r}, words={self.words!r})"
+
+    @cached_property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        """The words as a tuple of tuples of ints, built from `array` on first read."""
+        return tuple(map(tuple, self.array.tolist()))
 
     @property
     def size(self) -> int:
-        return len(self.words)
+        return len(self.array)
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """The words packed by `_pack_words`, read-only."""
+        packed = _pack_words(self.array, self.q)
+        packed.flags.writeable = False
+        return packed
 
     @cached_property
     def distance_counts(self) -> tuple[int, ...]:
-        """cnt[j] = number of ordered word pairs (x, y) at distance j, x = y included."""
-        cnt = np.zeros(self.n + 1, dtype=np.int64)
-        for _, dist in distance_blocks(self.array, self.array):
-            cnt += np.bincount(dist.ravel(), minlength=self.n + 1)
-        return tuple(int(c) for c in cnt)
+        """cnt[j] = number of ordered word pairs (x, y) at distance j, x = y included.
+
+        Each unordered pair is counted once, in `_half_popcounts`, and
+        doubled; a pair at distance j has popcount t * j.
+        """
+        t = _popcount_unit(self.q)
+        cnt = np.zeros(t * self.n + 1, dtype=np.int64)
+        for _, pops in _half_popcounts(self.packed):
+            # the square part holds ordered pairs already: twice all, less it once
+            cnt += 2 * np.bincount(pops.ravel(), minlength=len(cnt))
+            cnt -= np.bincount(pops[:, : len(pops)].ravel(), minlength=len(cnt))
+        return tuple(cnt[::t].tolist())
 
 
 @dataclass(frozen=True)
@@ -238,7 +376,8 @@ def verify_two_distance(code: Code, params: TwoDistParams) -> TwoDistReport:
         raise ValueError(
             f"code is over q={code.q}, n={code.n}; params ask for q={params.q}, n={params.n}"
         )
-    observed = distance_distribution(code).support()
+    cnt = code.distance_counts
+    observed = tuple(j for j in range(1, code.n + 1) if cnt[j])
     wanted = {params.d, params.d2}
     ok = set(observed) == wanted
     equidistant = len(observed) == 1 and set(observed) <= wanted
@@ -282,22 +421,28 @@ def is_antipodal(code: Code) -> bool:
 
     Each word must have exactly q - 1 words at distance n, so the cached
     pair counts must hold size * (q - 1) pairs at distance n; most codes
-    fail there without a second distance pass.  Then the groups exist iff
-    every word and its far words share the smallest index among them: on a
-    connected set of far pairs that index is one word m, and all the set
-    lies in m's group of q words.
+    fail there without a second distance pass.  Then the far pairs, those
+    whose packed popcount is t * n, come from the same half-matrix blocks
+    as the counts.  The groups exist iff every word has q - 1 far words
+    and each far pair's words share the smallest index among their far
+    words and themselves: on a connected set of far pairs that index is
+    one word m, and all the set lies in m's group of q words.
     """
     if code.size % code.q or code.distance_counts[code.n] != code.size * (code.q - 1):
         return False
-    far = []
-    for _, dist in distance_blocks(code.array, code.array):
-        is_far = dist == code.n
-        if (is_far.sum(axis=1) != code.q - 1).any():
-            return False
-        far.append(np.nonzero(is_far)[1].reshape(len(dist), code.q - 1))
-    far = np.concatenate(far)
-    lowest = np.minimum(np.arange(code.size), far.min(axis=1))
-    return bool((lowest[far] == lowest[:, None]).all())
+    far = _popcount_unit(code.q) * code.n
+    lo, hi = [], []
+    for start, pops in _half_popcounts(code.packed):
+        i, j = np.nonzero(pops == far)  # j <= i lies in the square part, seen as (j, i) too
+        keep = j > i
+        lo.append(i[keep] + start)
+        hi.append(j[keep] + start)
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    if (np.bincount(np.concatenate([lo, hi]), minlength=code.size) != code.q - 1).any():
+        return False
+    lowest = np.arange(code.size)
+    np.minimum.at(lowest, hi, lo)
+    return bool((lowest[lo] == lowest[hi]).all())
 
 
 # ---------------------------------------------------------------------------

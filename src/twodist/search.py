@@ -15,26 +15,21 @@ Candidates are built in numpy on every call, with no Python loop over
 words: the supports of each weight are unranked from the combinatorial
 number system one position at a time for all of them at once, and the
 nonzero values are the base-(q-1) digits of an index (see
-`candidate_words`).  Packing them takes one `packbits` call for every
-coordinate's table of symbol bits, then one lookup per coordinate and
-limb (see `_pack_words`).
+`candidate_words`).  They are packed by `core._pack_words`, one lookup
+per coordinate and limb into symbol tables built once per (q, n).
 
-Every distance here comes from packed words: from a set of words to one
-word in the greedy, and between all pairs of an oracle neighbourhood.  With
-m = ceil(log2 q), symbol a is written as the a-th smallest codeword of
-the binary simplex code of width w = 2^m - 1, so symbol 0 is w zero bits
-and any two distinct symbols differ in exactly t = 2^(m-1) bits.  A word
-is its n symbols' bits, coordinate 0 first, split into 64-bit limbs with
-the most significant limb first and zero bits padding the front.  Then
-popcount(u ^ v) = t * dist(u, v): popcount adds over any split of the
-bits, so a coordinate may straddle two limbs and one routine,
-`_compatible` (one XOR and one popcount per limb, then one lookup),
-serves every q and n.  The codewords are sorted and fixed in width, so
-limb-tuple order is lexicographic word order and the zero word is all
-zero limbs: the greedy breaks ties between restarts on the limb tuples
-and decodes only the winner back to symbols.  The oracle compares its
-neighbourhoods' words a block of rows at a time and keeps each row as an
-int bitset, so its memory stays bounded.
+Every distance here comes from the packed kernel of `core`: from a set of
+words to one word in the greedy, and between all pairs of an oracle
+neighbourhood.  Two packed words u and v have `core._popcounts` equal to
+t * dist(u, v), with t = 2^(m-1) and m = ceil(log2 q), for every q and n,
+and `_compatible` looks that popcount up in a table that is true only at
+t * d and t * (d + delta).  Packed words are fixed in width and their
+symbol codes sorted, so limb-tuple order is lexicographic word order and
+the zero word is all zero limbs: the greedy breaks ties between restarts
+on the limb tuples and decodes only the winner back to symbols
+(`core._unpack_words`).  The oracle compares its neighbourhoods' words a
+block of rows at a time and keeps each row as an int bitset, so its
+memory stays bounded.
 
 The oracle computes A_q(n, {d, d+delta}) exactly, counting every code
 whose distances lie in {d, d+delta}, one-distance codes included: a code
@@ -66,6 +61,10 @@ from .core import (
     Code,
     TwoDistParams,
     TwoDistReport,
+    _pack_words,
+    _popcount_unit,
+    _popcounts,
+    _unpack_words,
     verify_two_distance,
 )
 
@@ -178,79 +177,17 @@ def candidate_words(params: TwoDistParams) -> np.ndarray:
     return words
 
 
-def _symbol_code(q: int) -> np.ndarray:
-    """(q, 2^m - 1) bits of symbols 0..q-1: the q smallest simplex codewords.
-
-    Codeword x of the simplex code, 0 <= x < 2^m, has bit parity(x & j) in
-    column j = 1..2^m - 1, so two distinct codewords differ in 2^(m-1)
-    columns.  Rows are in increasing order read as bit strings, column 1
-    first.
-    """
-    m = (q - 1).bit_length()
-    code = (np.bitwise_count(np.arange(2**m)[:, None] & np.arange(1, 2**m)) & 1).astype(np.uint8)
-    return code[np.lexsort(code.T[::-1])[:q]]
-
-
-def _pack_words(words: np.ndarray, q: int) -> np.ndarray:
-    """(limbs, len(words)) uint64 array of the words' symbol-code bits.
-
-    Row 0 is the most significant limb, so a word's limbs read as one
-    number compare as the word does, lexicographically.  One `packbits`
-    call gives every coordinate's table of its bits of each symbol, per
-    limb; each piece of a coordinate that falls in one limb is then one
-    lookup into that table.
-    """
-    code = _symbol_code(q)
-    size, n = words.shape
-    w = code.shape[1]
-    limbs = -(-n * w // 64)
-    first = 64 * limbs - n * w + w * np.arange(n)  # each coordinate's first bit
-    bits = np.zeros((n, q, 64 * limbs), dtype=np.uint8)
-    bits[np.arange(n)[:, None], :, first[:, None] + np.arange(w)] = code.T
-    tables = np.packbits(bits, axis=2).view(">u8").astype(np.uint64)  # (n, q, limbs)
-    packed = np.zeros((limbs, size), dtype=np.uint64)
-    for i, column in enumerate(words.T):
-        for j in range(first[i] // 64, (first[i] + w - 1) // 64 + 1):
-            packed[j] |= tables[i, :, j].take(column)
-    return packed
-
-
-def _unpack_words(packed: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Inverse of `_pack_words`: the (len, n) symbol array of packed words.
-
-    Column 2^b of simplex codeword x is bit b of x, and the columns before
-    it depend only on the bits below b.  So sorted order compares bit 0 of
-    x first, then bit 1, and so on: the a-th codeword has x the m-bit
-    reversal of a, and its columns 1, 2, 4, ..., 2^(m-1) spell a in binary,
-    most significant bit first.  Only those m bits are read per coordinate.
-    """
-    m = (q - 1).bit_length()
-    w = 2**m - 1
-    pos = 64 * len(packed) - n * w + w * np.arange(n)[:, None] + 2 ** np.arange(m) - 1
-    bits = packed[pos // 64] >> (63 - pos % 64)[..., None].astype(np.uint64) & np.uint64(1)
-    digits = bits << np.arange(m - 1, -1, -1, dtype=np.uint64)[:, None]
-    return digits.sum(axis=1).T.astype(np.min_scalar_type(q - 1))
-
-
 def _good_popcounts(params: TwoDistParams) -> np.ndarray:
     """Lookup table over popcounts 0..t*n of packed XORs: True only at t*d and t*(d+delta)."""
-    t = 2 ** ((params.q - 1).bit_length() - 1)
+    t = _popcount_unit(params.q)
     good = np.zeros(t * params.n + 1, dtype=bool)
     good[[t * params.d, t * params.d2]] = True
     return good
 
 
 def _compatible(limbs, word, good: np.ndarray) -> np.ndarray:
-    """Mask of the packed rows whose popcount against `word` is `good`.
-
-    `limbs` holds the rows' limbs, most significant first, and `word` the
-    word's, either of them broadcast; the per-limb popcounts add up to t
-    times the distance.
-    """
-    count = np.bitwise_count(limbs[0] ^ word[0])
-    for limb, x in zip(limbs[1:], word[1:]):  # summed wider: uint8 wraps past 255
-        count = np.add(count, np.bitwise_count(limb ^ x), dtype=np.intp)
-    return good.take(count)
+    """Mask of the packed rows whose `_popcounts` against `word` is `good`."""
+    return good.take(_popcounts(limbs, word))
 
 
 def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:

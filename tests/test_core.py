@@ -1,10 +1,11 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twodist import constructions
@@ -13,6 +14,10 @@ from twodist.core import (
     Code,
     CodeFormatError,
     TwoDistParams,
+    _half_popcounts,
+    _pack_words,
+    _popcounts,
+    _unpack_words,
     distance_distribution,
     is_antipodal,
     moments,
@@ -446,6 +451,180 @@ class TestKernelEdgeCases:
         code = Code(2, 300, ((0,) * 300, (1,) * 300))
         assert code.distance_counts[300] == 2
         assert_matches_reference(code)
+
+
+# the packed kernel's edges: several half-matrix blocks, coordinates that
+# straddle two limbs, popcount sums above 255 and words of many limbs
+
+
+def random_code(q, n, size, seed):
+    """`size` distinct random words, in the order drawn."""
+    rng = np.random.default_rng(seed)
+    words = {}
+    while len(words) < size:
+        words.setdefault(tuple(rng.integers(0, q, n).tolist()))
+    return Code(q, n, tuple(words))
+
+
+def shuffled(code, seed):
+    """The code translated by a random word, its coordinates and words permuted."""
+    rng = np.random.default_rng(seed)
+    moved = translate(code, tuple(rng.integers(0, code.q, code.n).tolist()))
+    array = moved.array[rng.permutation(code.size)][:, rng.permutation(code.n)]
+    return Code(code.q, code.n, array)
+
+
+class TestPackedKernel:
+    @pytest.mark.parametrize("q, n, size", [
+        (2, 14, 700),  # 700 words: the half matrix spans several blocks
+        (3, 9, 300),
+        (17, 3, 200),  # 93 bits: coordinate 0 straddles the two limbs
+        (27, 3, 300),
+        (17, 20, 60),  # popcounts up to 16 * 20 = 320, past uint8
+        (2, 300, 40),  # five limbs, distances past 255
+    ])
+    def test_counts_and_antipodality_match_reference(self, q, n, size):
+        code = random_code(q, n, size, seed=q * n + size)
+        assert code.distance_counts == reference_counts(code)
+        assert is_antipodal(code) == reference_antipodal(code)
+        if size > 256:
+            assert len(list(_half_popcounts(code.packed))) > 1
+
+    def test_half_blocks_cover_each_pair_once(self):
+        packed = random_code(3, 6, 300, seed=1).packed
+        seen = np.zeros((300, 300), dtype=int)
+        block = np.zeros(300, dtype=int)
+        for k, (start, pops) in enumerate(_half_popcounts(packed)):
+            rows = len(pops)
+            seen[start : start + rows, start:] += 1
+            block[start : start + rows] = k
+            assert np.array_equal(pops, _popcounts(packed[:, start : start + rows, None],
+                                                   packed[:, None, start:]))
+        # once per unordered pair; both orders only when the pair shares a block
+        assert block[-1] > 0 and (seen <= 1).all()
+        assert (seen | seen.T).all()
+        assert np.array_equal(seen & seen.T, block[:, None] == block)
+
+    @pytest.mark.parametrize(
+        "build", [b for b in CATALOG_BUILDS if b[0] == "dm_code"], ids=lambda b: "-".join(map(str, b))
+    )
+    def test_dm_codes_are_antipodal(self, build):
+        # shuffling scatters each group of q far words across the blocks
+        code = shuffled(construct(build), seed=sum(build[1:]))
+        assert is_antipodal(code)
+        if code.size <= 128:
+            assert reference_antipodal(code)
+
+    @pytest.mark.parametrize("words", [
+        ("00", "11", "02", "10", "01", "12"),  # two far words each, but a 6-cycle
+        ("000", "001", "002", "010", "110", "221"),  # far degrees 1, 1, 2, 1, 3, 4
+        ("000", "111", "222", "112", "221", "120"),  # 000 far from four words, 120 from none
+    ])
+    def test_count_test_passes_yet_not_antipodal(self, words):
+        code = Code(3, len(words[0]), bits(*words))
+        assert code.size % 3 == 0 and code.distance_counts[code.n] == 2 * code.size
+        assert not is_antipodal(code) and not reference_antipodal(code)
+        assert not is_antipodal(shuffled(code, seed=3))
+
+
+# packed words: every alphabet the symbol code widens for, from one limb to
+# several, with coordinates that straddle limbs
+
+
+@st.composite
+def word_sets(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5, 9, 17, 64, 65, 257)))
+    width = 2 ** (q - 1).bit_length() - 1
+    n = draw(st.integers(1, max(3, 320 // width)))
+    words = draw(
+        st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=6)
+    )
+    return q, np.array([[0] * n, *words], dtype=np.min_scalar_type(q - 1))
+
+
+def straddling(q, n):
+    rng = np.random.default_rng(q * n)
+    words = rng.integers(0, q, size=(6, n))
+    words[0] = 0
+    return q, words.astype(np.min_scalar_type(q - 1))
+
+
+@given(word_sets())
+@example(straddling(4, 22))  # 66 bits: coordinate 0 straddles the two limbs
+@example(straddling(9, 10))  # 150 bits in three limbs
+@example(straddling(257, 3))  # 1533 bits: coordinates span eight limbs each
+@settings(max_examples=150, deadline=None)
+def test_packed_distances_and_order_match_words(case):
+    q, words = case
+    n = words.shape[1]
+    width = 2 ** (q - 1).bit_length() - 1
+    t = (width + 1) // 2  # bits in which two distinct symbols differ
+    packed = _pack_words(words, q)
+    assert packed.shape == (-(-n * width // 64), len(words))
+    assert not packed[:, 0].any()
+    unpacked = _unpack_words(packed, q, n)
+    assert unpacked.dtype == words.dtype and np.array_equal(unpacked, words)
+    keys = [tuple(packed[:, i].tolist()) for i in range(len(words))]
+    rows = [tuple(r) for r in words.tolist()]
+    for j in range(len(words)):
+        distances = (words != words[j]).sum(axis=1)
+        assert np.array_equal(_popcounts(packed, packed[:, j]), t * distances)
+        assert [key < keys[j] for key in keys] == [row < rows[j] for row in rows]
+
+
+# the Code contract: (q, n, array) is all a code keeps; words, equality,
+# hashing and repr read as they did when the tuple of words was stored
+
+
+class TestCodeContract:
+    @pytest.mark.parametrize("build", CATALOG_BUILDS[::4], ids=lambda b: "-".join(map(str, b)))
+    def test_array_and_tuples_give_equal_codes(self, build):
+        made = construct(build)
+        code = made.span() if isinstance(made, GeneratorMatrix) else made
+        words = tuple(tuple(int(s) for s in w) for w in code.array.tolist())
+        from_tuples = Code(code.q, code.n, words)
+        from_array = Code(code.q, code.n, np.array(words, dtype=np.int64))
+        assert from_array == from_tuples == code
+        assert hash(from_array) == hash(from_tuples) == hash(code)
+        assert from_array.words == from_tuples.words == code.words == words
+        assert all(type(s) is int for w in from_array.words for s in w)
+
+    def test_words_as_given_hold_python_ints(self):
+        given_words = ((np.int64(0), 1, True), (2, np.uint8(1), 0))
+        code = Code(3, 3, given_words)
+        assert code.words == given_words == ((0, 1, 1), (2, 1, 0))
+        assert all(type(s) is int for w in code.words for s in w)
+
+    def test_order_alphabet_and_type_tell_codes_apart(self):
+        code = Code(3, 2, bits("01", "10"))
+        assert code != Code(3, 2, bits("10", "01"))
+        assert code != Code(4, 2, bits("01", "10"))
+        assert code != Code(3, 2, bits("01"))
+        assert code != code.words and code != "01 10"
+
+    def test_repr(self):
+        code = Code(3, 2, np.array([[0, 1], [2, 0]]))
+        assert repr(code) == "Code(q=3, n=2, words=((0, 1), (2, 0)))"
+
+    def test_array_built_code_builds_no_tuples_until_read(self):
+        code = Code(2, 3, np.array([[0, 0, 0], [1, 1, 1]]))
+        same = Code(2, 3, bits("000", "111"))
+        assert code == same and hash(code) == hash(same) and code.size == 2
+        assert verify_two_distance(code, TwoDistParams(2, 3, 1, 2)).observed == (3,)
+        assert is_antipodal(code) and read_code(write_code(code)) == code
+        assert "words" not in vars(code)
+        assert code.words == bits("000", "111")
+
+    @pytest.mark.parametrize("name", ["q", "n", "array", "words", "packed", "size", "other"])
+    def test_attributes_cannot_be_assigned(self, name):
+        code = Code(2, 3, bits("000", "111"))
+        assert code.words and code.packed.size  # cached attributes stay frozen too
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(code, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(code, name)
+        assert code == Code(2, 3, bits("000", "111"))
+        assert not code.array.flags.writeable and not code.packed.flags.writeable
 
 
 # the array-backed Code and its file format against the word-by-word code

@@ -4,17 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodist import search
 from twodist.bounds import best_upper_bound
-from twodist.core import TwoDistParams
+from twodist.core import TwoDistParams, _pack_words
 from twodist.search import (
     MAX_CANDIDATES,
     SearchConfig,
     SplitMix64,
-    _compatible,
     _good_popcounts,
     _greedy_color_order,
     _max_clique,
@@ -22,8 +21,6 @@ from twodist.search import (
     _orbit_keys,
     _orbits,
     _pack,
-    _pack_words,
-    _unpack_words,
     candidate_count,
     candidate_words,
     exhaustive_maximum,
@@ -586,52 +583,6 @@ def test_coloring_matches_reference_loop(graph):
     p_mask, adj = graph
     nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
     assert _greedy_color_order(p_mask, nonadj) == reference_greedy_color_order(p_mask, adj)
-
-
-# packed words: every alphabet the symbol code widens for, from one limb to
-# several, with coordinates that straddle limbs
-
-
-@st.composite
-def word_sets(draw):
-    q = draw(st.sampled_from((2, 3, 4, 5, 9, 17, 64, 65, 257)))
-    width = 2 ** (q - 1).bit_length() - 1
-    n = draw(st.integers(1, max(3, 320 // width)))
-    words = draw(
-        st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=1, max_size=6)
-    )
-    return q, np.array([[0] * n, *words], dtype=np.min_scalar_type(q - 1))
-
-
-def straddling(q, n):
-    rng = np.random.default_rng(q * n)
-    words = rng.integers(0, q, size=(6, n))
-    words[0] = 0
-    return q, words.astype(np.min_scalar_type(q - 1))
-
-
-@given(word_sets())
-@example(straddling(4, 22))  # 66 bits: coordinate 0 straddles the two limbs
-@example(straddling(9, 10))  # 150 bits in three limbs
-@example(straddling(257, 3))  # 1533 bits: coordinates span eight limbs each
-@settings(max_examples=150, deadline=None)
-def test_packed_distances_and_order_match_words(case):
-    q, words = case
-    n = words.shape[1]
-    width = 2 ** (q - 1).bit_length() - 1
-    t = (width + 1) // 2  # bits in which two distinct symbols differ
-    packed = _pack_words(words, q)
-    assert packed.shape == (-(-n * width // 64), len(words))
-    assert not packed[:, 0].any()
-    unpacked = _unpack_words(packed, q, n)
-    assert unpacked.dtype == words.dtype and np.array_equal(unpacked, words)
-    popcounts = np.arange(t * n + 1)  # as the lookup table, the popcounts themselves
-    keys = [tuple(packed[:, i].tolist()) for i in range(len(words))]
-    rows = [tuple(r) for r in words.tolist()]
-    for j in range(len(words)):
-        distances = (words != words[j]).sum(axis=1)
-        assert np.array_equal(_compatible(packed, packed[:, j], popcounts), t * distances)
-        assert [key < keys[j] for key in keys] == [row < rows[j] for row in rows]
 
 
 @given(graphs(max_vertices=12))
