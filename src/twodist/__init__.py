@@ -13,7 +13,7 @@ from .core import (
     verify_two_distance,
     write_code,
 )
-from .krawtchouk import kraw_column, kraw_eval
+from .krawtchouk import kraw_eval, kraw_rows
 from .bounds import (
     BoundReport,
     ExternalBounds,

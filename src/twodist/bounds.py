@@ -25,15 +25,27 @@ from fractions import Fraction
 from pathlib import Path
 
 from .core import BoundStatus, TwoDistParams
-from .krawtchouk import kraw_column, kraw_eval
+from .krawtchouk import kraw_eval, kraw_rows
 from . import feasibility
 
 
 def _lp_constraints(params: TwoDistParams):
-    """Rows (a, b, c) meaning a*A_d + b*A_e + c >= 0, plus the two axes."""
-    n, q = params.n, params.q
-    k_d, k_e, k_0 = (kraw_column(n, q, z) for z in (params.d, params.d2, 0))
-    return [(1, 0, 0), (0, 1, 0), *zip(k_d[1:], k_e[1:], k_0[1:])]
+    """Rows (a, b, c) meaning a*A_d + b*A_e + c >= 0: the two axes and the rows that can bind.
+
+    Row i is (K_i(d), K_i(e), K_i(0)) for i = 1..n, and only the rows with
+    a < 0 or b < 0 are kept.  A dropped row has a, b >= 0 and
+    c = K_i(0) = (q-1)^i C(n, i) > 0, so its slack a*x + b*y + c is at
+    least c > 0 on the whole quadrant x, y >= 0.  Where its slack falls
+    along an edge, x or y falls too, and that axis's slack reaches 0
+    strictly before the row's does.  So the row never stops the walk of
+    `_lp_solve` and never enters a tie: the walk, its vertex and the
+    optimum are those of all n rows.
+    """
+    rows = [(1, 0, 0), (0, 1, 0)]
+    for row in kraw_rows(params.n, params.q, params.d, params.d2):
+        if row[0] < 0 or row[1] < 0:
+            rows.append(row)
+    return rows
 
 
 def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fraction]]:
@@ -44,7 +56,9 @@ def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fractio
     region is bounded, as `_lp_solve` requires: the rows satisfy
     sum_{i=0..n} K_i(z) = q^n [z = 0], the generating function
     (1 + (q-1)t)^(n-z) (1-t)^z at t = 1, so rows 1..n add up to
-    q^n - 1 - A_d - A_e >= 0.
+    q^n - 1 - A_d - A_e >= 0.  The rows `_lp_constraints` drops are
+    positive on the whole quadrant, so the rows it keeps cut out the same
+    region.
     """
     return _lp_solve(_lp_constraints(params))
 
@@ -78,9 +92,29 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     optimal: on a convex polygon a linear objective has no local maximum
     along the boundary other than the global one.  An edge with b = a just
     before it is optimal too, and the walk has crossed it to its far end.
+
+    The first edge needs no full scan.  At the origin along the x-axis,
+    direction (1, 0), a row's slack is c and its rate is -a, so the first
+    stops are the rows with a < 0 of least c / (-a); the axes, with
+    a >= 0, never stop it.
     """
-    r, (x, y, det) = 1, (0, 0, 1)
+    stops, stop_slack, stop_rate = [], 0, 1
+    for k, (a, _, c) in enumerate(rows):
+        if a >= 0:
+            continue
+        if not stops or c * stop_rate < stop_slack * -a:
+            stops, stop_slack, stop_rate = [k], c, -a
+        elif c * stop_rate == stop_slack * -a:
+            stops.append(k)
+    r = 1
     while True:
+        x, y, det = _lp_meet(rows[r], rows[stops[0]])
+        r = next(
+            k for k in stops
+            if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
+        )
+        if rows[r][1] < rows[r][0]:
+            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
         ux, uy = rows[r][1], -rows[r][0]
         stops, stop_slack, stop_rate = [], 0, 1
         for k, (a, b, c) in enumerate(rows):
@@ -92,13 +126,6 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
                 stops, stop_slack, stop_rate = [k], slack, rate
             elif slack * stop_rate == stop_slack * rate:
                 stops.append(k)
-        x, y, det = _lp_meet(rows[r], rows[stops[0]])
-        r = next(
-            k for k in stops
-            if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
-        )
-        if rows[r][1] < rows[r][0]:
-            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
 
 
 def lp_bound(params: TwoDistParams) -> int:

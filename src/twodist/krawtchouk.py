@@ -32,23 +32,34 @@ def kraw_eval(n: int, q: int, i: int, z: int) -> int:
     return total
 
 
-def kraw_column(n: int, q: int, z: int) -> list[int]:
-    """[K_0(z), ..., K_n(z)] for the (n, q) Hamming scheme, exact.
+def kraw_rows(n: int, q: int, d: int, e: int) -> list[tuple[int, int, int]]:
+    """[(K_i(d), K_i(e), K_i(0)) for i = 1..n] for the (n, q) Hamming scheme, exact.
 
-    One pass of the three-term recurrence
+    One loop runs the three-term recurrence
 
-        (i+1) K_{i+1}(z) = ((n-i)(q-1) + i - qz) K_i(z) - (q-1)(n-i+1) K_{i-1}(z),
+        (i+1) K_{i+1}(z) = ((n-i)(q-1) + i - qz) K_i(z) - (q-1)(n-i+1) K_{i-1}(z)
 
-    whose right-hand side is always divisible by i+1.
+    at z = d and z = e, whose right-hand sides are always divisible by
+    i+1, and takes K_i(0) = (q-1)^i C(n, i) from the ratio
+    K_{i+1}(0) = K_i(0) (q-1)(n-i) / (i+1).
     """
-    if not (0 <= z <= n):
-        raise ValueError(f"point z={z} outside 0..{n}")
+    if not (0 <= d <= n and 0 <= e <= n):
+        raise ValueError(f"points d={d}, e={e} not both in 0..{n}")
     if q < 2:
         raise ValueError("q must be at least 2")
-    col = [1]
-    prev, cur = 0, 1
-    for i in range(n):
-        nxt = ((n - i) * (q - 1) + i - q * z) * cur - (q - 1) * (n - i + 1) * prev
-        prev, cur = cur, nxt // (i + 1)
-        col.append(cur)
-    return col
+    m = q - 1
+    rows = []
+    prev_d = prev_e = 0
+    cur_d = cur_e = k_0 = 1
+    # at degree i = j - 1: s_z = (n-i)(q-1) + i - qz, u = (q-1)(n-i) and t = (q-1)(n-i+1)
+    s_d, s_e, u = n * m - q * d, n * m - q * e, n * m
+    for j in range(1, n + 1):
+        t = u + m
+        prev_d, cur_d = cur_d, (s_d * cur_d - t * prev_d) // j
+        prev_e, cur_e = cur_e, (s_e * cur_e - t * prev_e) // j
+        k_0 = k_0 * u // j
+        rows.append((cur_d, cur_e, k_0))
+        s_d -= m - 1
+        s_e -= m - 1
+        u -= m
+    return rows

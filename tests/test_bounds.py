@@ -18,7 +18,7 @@ from twodist.bounds import (
     sphere_bound,
 )
 from twodist.core import TwoDistParams
-from twodist.krawtchouk import kraw_eval
+from twodist.krawtchouk import kraw_eval, kraw_rows
 
 
 def P(q, n, d, delta):
@@ -136,10 +136,19 @@ class TestLpBound:
                 assert_optimal(reference_rows(params), lp_optimum(params))
 
     def test_matches_reference_on_sweep_sample(self):
+        # _lp_constraints keeps the axes and only the rows that can bind: a < 0 or b < 0
         for params in SWEEP[::50]:
             rows = reference_rows(params)
-            assert _lp_constraints(params) == rows, params
+            binding = rows[:2] + [(a, b, c) for a, b, c in rows[2:] if a < 0 or b < 0]
+            assert _lp_constraints(params) == binding, params
             assert_optimal(rows, lp_optimum(params))
+
+    def test_pruned_rows_walk_like_all_rows(self):
+        # dropping the rows with a, b >= 0 changes neither the optimum nor the vertex
+        for params in SWEEP:
+            n, q, d, e = params.n, params.q, params.d, params.d2
+            rows = [(1, 0, 0), (0, 1, 0), *kraw_rows(n, q, d, e)]
+            assert lp_optimum(params) == _lp_solve(rows), params
 
     def test_matches_reference_on_degenerate_rows(self):
         rng = random.Random(7)

@@ -26,7 +26,7 @@ from twodist.core import (
     verify_two_distance,
     write_code,
 )
-from twodist.krawtchouk import kraw_column
+from twodist.krawtchouk import kraw_eval
 
 
 # references: the pure-Python pair loop, column-subset strength, pairwise
@@ -97,11 +97,11 @@ def reference_antipodal(code):
 def reference_moments(code):
     """[M_0, ..., M_n] with M_i the sum over ordered pairs (x, y) of K_i(d(x, y)) / r_i."""
     n, q = code.n, code.q
-    columns = [kraw_column(n, q, z) for z in range(n + 1)]  # columns[z][i] = K_i(z)
+    dists = [hamming(x, y) for x in code.words for y in code.words]
+    columns = {z: [kraw_eval(n, q, i, z) for i in range(n + 1)] for z in set(dists)}  # K_i(z)
     totals = [0] * (n + 1)
-    for x in code.words:
-        for y in code.words:
-            totals = list(map(int.__add__, totals, columns[hamming(x, y)]))
+    for z in dists:
+        totals = list(map(int.__add__, totals, columns[z]))
     return [Fraction(t, (q - 1) ** i * math.comb(n, i)) for i, t in enumerate(totals)]
 
 

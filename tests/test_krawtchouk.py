@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from twodist.krawtchouk import kraw_column, kraw_eval
+from twodist.krawtchouk import kraw_eval, kraw_rows
 
 
 class TestEval:
@@ -40,15 +40,25 @@ class TestEval:
         with pytest.raises(ValueError):
             kraw_eval(5, 2, 2, 6)
         with pytest.raises(ValueError):
-            kraw_column(5, 2, 6)
+            kraw_rows(5, 2, 6, 1)
         with pytest.raises(ValueError):
-            kraw_column(5, 1, 0)
+            kraw_rows(5, 2, 1, 6)
+        with pytest.raises(ValueError):
+            kraw_rows(5, 2, -1, 1)
+        with pytest.raises(ValueError):
+            kraw_rows(5, 1, 0, 1)
 
     @pytest.mark.parametrize("q", range(2, 10))
     def test_column_matches_eval(self, q):
+        # kraw_rows' three columns at d, e and 0: every (d, e) for n <= 20, every point to n = 40
         for n in range(1, 41):
-            for z in range(n + 1):
-                assert kraw_column(n, q, z) == [kraw_eval(n, q, i, z) for i in range(n + 1)]
+            table = [[kraw_eval(n, q, i, z) for i in range(1, n + 1)] for z in range(n + 1)]
+            assert table[0] == [(q - 1) ** i * math.comb(n, i) for i in range(1, n + 1)]
+            pairs = [(d, e) for d in range(n + 1) for e in range(n + 1)] if n <= 20 else [
+                (z, n - z) for z in range(n + 1)
+            ]
+            for d, e in pairs:
+                assert kraw_rows(n, q, d, e) == list(zip(table[d], table[e], table[0])), (n, d, e)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -70,4 +80,7 @@ def test_column_sums_vanish_off_zero():
     for q in range(2, 10):
         for n in range(1, 65):
             for z in range(n + 1):
-                assert sum(kraw_column(n, q, z)) == (q**n if z == 0 else 0), (q, n, z)
+                k_z, k_n, k_0 = zip(*kraw_rows(n, q, z, n - z))
+                assert 1 + sum(k_z) == (q**n if z == 0 else 0), (q, n, z)
+                assert 1 + sum(k_n) == (q**n if z == n else 0), (q, n, z)
+                assert 1 + sum(k_0) == q**n, (q, n, z)
