@@ -93,21 +93,25 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     along the boundary other than the global one.  An edge with b = a just
     before it is optimal too, and the walk has crossed it to its far end.
 
-    The first edge needs no full scan.  At the origin along the x-axis,
-    direction (1, 0), a row's slack is c and its rate is -a, so the first
-    stops are the rows with a < 0 of least c / (-a); the axes, with
-    a >= 0, never stop it.
+    One stop scan finds every edge, the first included.  Along the line
+    of row (a_r, b_r, c_r) a row's rate is b*a_r - a*b_r.  The walk starts
+    at (X, Y, det) = (0, 0, 1) on row 1, the x-axis, heading along (1, 0),
+    where a row's slack is c and its rate -a.
     """
-    stops, stop_slack, stop_rate = [], 0, 1
-    for k, (a, _, c) in enumerate(rows):
-        if a >= 0:
-            continue
-        if not stops or c * stop_rate < stop_slack * -a:
-            stops, stop_slack, stop_rate = [k], c, -a
-        elif c * stop_rate == stop_slack * -a:
-            stops.append(k)
-    r = 1
+    x, y, det, r = 0, 0, 1, 1
     while True:
+        ar, br, _ = rows[r]
+        # the least slack / rate so far starts at 1 / 0, above every finite ratio
+        stops, stop_slack, stop_rate = [], 1, 0
+        for k, (a, b, c) in enumerate(rows):
+            rate = b * ar - a * br
+            if rate <= 0:
+                continue
+            slack = a * x + b * y + c * det
+            if slack * stop_rate < stop_slack * rate:
+                stops, stop_slack, stop_rate = [k], slack, rate
+            elif slack * stop_rate == stop_slack * rate:
+                stops.append(k)
         x, y, det = _lp_meet(rows[r], rows[stops[0]])
         r = next(
             k for k in stops
@@ -115,17 +119,6 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
         )
         if rows[r][1] < rows[r][0]:
             return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
-        ux, uy = rows[r][1], -rows[r][0]
-        stops, stop_slack, stop_rate = [], 0, 1
-        for k, (a, b, c) in enumerate(rows):
-            rate = -(a * ux + b * uy)
-            if rate <= 0:
-                continue
-            slack = a * x + b * y + c * det
-            if not stops or slack * stop_rate < stop_slack * rate:
-                stops, stop_slack, stop_rate = [k], slack, rate
-            elif slack * stop_rate == stop_slack * rate:
-                stops.append(k)
 
 
 def lp_bound(params: TwoDistParams) -> int:

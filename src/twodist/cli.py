@@ -210,6 +210,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if (args.d is None) != (args.delta is None):
+        raise ValueError("check takes --d and --delta together or neither")
     code = read_code(Path(args.file).read_text())
     dist = distance_distribution(code)
     observed = dist.support()
@@ -219,7 +221,7 @@ def _cmd_check(args) -> int:
     print(f"antipodal: {is_antipodal(code)}")
     nonzero = {j: str(dist.a(j)) for j in range(code.n + 1) if dist.a(j) > 0}
     print(f"distribution: {nonzero}")
-    if args.d is not None and args.delta is not None:
+    if args.d is not None:
         params = TwoDistParams(code.q, code.n, args.d, args.delta)
         report = verify_two_distance(code, params)
         if report.ok:
@@ -293,7 +295,11 @@ def main(argv=None) -> int:
         "construct": _cmd_construct,
         "feasible": _cmd_feasible,
     }
+    # formats rendered besides the text report; table's spec checks its own, so any passes here
+    formats = {"bound": ("json",), "feasible": ("json",), "table": (args.format,)}
     try:
+        if args.format is not None and args.format not in formats.get(args.command, ()):
+            raise ValueError(f"unsupported format {args.format!r}")
         return handlers[args.command](args)
     # CodeFormatError and ExternalBoundsError are ValueErrors; OSError covers
     # unreadable inputs and unwritable outputs

@@ -42,7 +42,7 @@ weight-(d+delta) words and contains the first of them, v.  The oracle
 fixes the same two words as the greedy (0 and u), or 0 and v, and runs
 branch and bound with greedy-coloring upper bounds on those two
 neighbourhoods only; the coloring reads each vertex's non-neighbour
-mask, built once per clique search.  Within a neighbourhood it branches
+mask, built once per neighbourhood.  Within a neighbourhood it branches
 on one third word per orbit of the maps fixing 0 and u (or v), then
 deletes that orbit: the maps carry any clique through the orbit onto one through the
 chosen word.  It stops once a code reaches the `range` upper bound of
@@ -285,19 +285,14 @@ def _pack(adj_bool: np.ndarray) -> list[int]:
     return [int.from_bytes(data[i * step : (i + 1) * step], "little") for i in range(len(packed))]
 
 
-def _max_clique(adj: list[int], p_mask: int, best: int, stop: float) -> int:
-    """Clique number of the subgraph on p_mask if above `best`, else `best`.
-
-    The search returns as soon as it has a clique of size `stop`.
-    """
-    nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
-    return _expand(adj, nonadj, 0, p_mask, best, stop)
-
-
 def _expand(
     adj: list[int], nonadj: list[int], size: int, p_mask: int, best: int, stop: float
 ) -> int:
-    """`_max_clique` below a clique of `size` vertices whose common neighbours are p_mask."""
+    """`size` plus the clique number of the subgraph on p_mask if above `best`, else `best`.
+
+    p_mask holds the common neighbours of a clique of `size` vertices.  The
+    search returns as soon as it has a clique of size `stop`.
+    """
     if not p_mask:
         return max(best, size)
     order, bounds = _greedy_color_order(p_mask, nonadj)
@@ -373,11 +368,12 @@ def _orbit_clique(
     The search ends once a clique reaches `stop`.
     """
     adj = _neighbour_sets(limbs, good)
+    nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
     alive = (1 << len(near)) - 1
     for rep, members in _orbits(near, adj, centre):
         if best >= stop:
             break
-        best = 1 + _max_clique(adj, adj[rep] & alive, best - 1, stop - 1)
+        best = 1 + _expand(adj, nonadj, 0, adj[rep] & alive, best - 1, stop - 1)
         alive &= ~members
     return best
 

@@ -14,9 +14,9 @@ from twodist.search import (
     MAX_CANDIDATES,
     SearchConfig,
     SplitMix64,
+    _expand,
     _good_popcounts,
     _greedy_color_order,
-    _max_clique,
     _neighbour_sets,
     _orbit_keys,
     _orbits,
@@ -248,10 +248,16 @@ class TestGreedyReference:
 # symmetry-broken oracle replaced
 
 
+def clique_number(adj, p_mask):
+    """Clique number of the subgraph on p_mask, by the oracle's branch and bound."""
+    nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    return _expand(adj, nonadj, 0, p_mask, 0, math.inf)
+
+
 def reference_exhaustive_maximum(params):
     cands = reference_candidate_words(params)
     adj = _pack(reference_adjacency(cands, {params.d, params.d2}))
-    return 1 + _max_clique(adj, (1 << len(adj)) - 1, 0, math.inf)
+    return 1 + clique_number(adj, (1 << len(adj)) - 1)
 
 
 class TestOracle:
@@ -472,14 +478,16 @@ class TestOrbits:
         cands = candidate_words(params)
         good = good_distances(params)
         centre = cands[0]
-        masks = []
-        inner = search._max_clique
+        masks, nonadjs = [], []
+        inner = search._expand
 
-        def recording(adj, p_mask, best, stop):
-            masks.append(p_mask)
-            return inner(adj, p_mask, best, stop)
+        def recording(adj, nonadj, size, p_mask, best, stop):
+            if size == 0:  # one search per orbit; deeper calls are its branches
+                masks.append(p_mask)
+                nonadjs.append(nonadj)
+            return inner(adj, nonadj, size, p_mask, best, stop)
 
-        monkeypatch.setattr(search, "_max_clique", recording)
+        monkeypatch.setattr(search, "_expand", recording)
         near = cands[good[distances_to(cands, centre)]]
         limbs = _pack_words(near, 2)
         assert search._orbit_clique(near, limbs, _good_popcounts(params), centre, 0, math.inf) == 8
@@ -492,6 +500,9 @@ class TestOrbits:
             assert mask == adj[rep] & ~searched
             searched |= members
         assert any(adj[rep] & ~mask for (rep, _), mask in zip(orbits, masks))
+        # the non-neighbour masks are built once for the whole neighbourhood
+        assert all(nonadj is nonadjs[0] for nonadj in nonadjs)
+        assert nonadjs[0] == [~(row | 1 << v) for v, row in enumerate(adj)]
 
 
 # references: the broadcast distance code the shared kernel replaced
@@ -590,10 +601,10 @@ def test_coloring_matches_reference_loop(graph):
 def test_max_clique_matches_brute_force(graph):
     p_mask, adj = graph
     vertices = [v for v in range(len(adj)) if p_mask >> v & 1]
-    clique_number = max(
+    brute_force = max(
         size
         for size in range(len(vertices) + 1)
         for clique in itertools.combinations(vertices, size)
         if all(adj[u] >> v & 1 for u, v in itertools.combinations(clique, 2))
     )
-    assert _max_clique(adj, p_mask, 0, math.inf) == clique_number
+    assert clique_number(adj, p_mask) == brute_force

@@ -447,6 +447,32 @@ class TestCli:
         names = {s["screen"] for s in payload["screens"]}
         assert {"delsarte-form", "macwilliams-mu", "srg-integrality", "gcd-valuation"} <= names
 
+    @pytest.mark.parametrize("argv", [
+        ["--format", "xml", "bound", "--q", "2", "--n", "8", "--d", "4", "--delta", "2"],
+        ["--format", "csv", "bound", "--q", "2", "--n", "8", "--d", "4", "--delta", "2"],
+        ["--format", "xml", "feasible", "--q", "2", "--k", "4", "--n", "9", "--w1", "4",
+         "--w2", "6"],
+        ["--format", "json", "search", "--q", "2", "--n", "8", "--d", "4", "--delta", "2"],
+        ["--format", "json", "oracle", "--q", "2", "--n", "5", "--d", "2", "--delta", "2"],
+        ["--format", "json", "check", "code.txt"],
+        ["--format", "json", "construct", "dm", "2", "1", "2"],
+        ["--format", "JSON", "table", "--q", "2", "--delta", "2", "--n-min", "6", "--n-max", "6"],
+    ])
+    def test_unrendered_format_is_usage_error(self, capsys, argv):
+        assert main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: unsupported format {argv[1]!r}\n"
+
+    @pytest.mark.parametrize("flag", ["--d", "--delta"])
+    def test_check_lone_distance_flag_is_usage_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "dm.txt"
+        assert main(["construct", "dm", "2", "1", "2", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(path), flag, "3"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: check takes --d and --delta together or neither\n"
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["bound", "--q", "2"]) == 1
         err = capsys.readouterr().err
