@@ -331,13 +331,11 @@ def best_upper_bound(
     excluded from the minimum, being valid for antipodal codes only.
     """
     sv = feasibility.special_values(params)
-    if sv.status is not None and sv.status.kind == "not_well_defined":
+    if sv.status is not None:  # both exact families are realizable
         return BoundReport(sv.status, ())
     if not feasibility.two_distance_realizable(params):
         status = BoundStatus.not_well_defined(note="no three-word code realizes both distances")
         return BoundReport(status, ())
-    if sv.status is not None and sv.status.kind == "exact":
-        return BoundReport(sv.status, ())
 
     opt, vertex = lp_optimum(params)
     entries = [BoundEntry("lp", math.floor(opt), certificate=(vertex,))]

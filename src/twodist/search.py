@@ -208,8 +208,6 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     if total > MAX_CANDIDATES:
         raise ValueError(f"candidate space has {total} words, above the cap {MAX_CANDIDATES}")
     cands = candidate_words(params)
-    if len(cands) == 0:
-        raise ValueError("candidate space is empty")
     good = _good_popcounts(params)
     packed = _pack_words(cands, params.q)
     start = packed[:, 0]  # 1^d 0^(n-d); good[0] is False, so it drops out

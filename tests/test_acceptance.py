@@ -129,7 +129,7 @@ def test_criterion_06_constructions_verify():
     assert (g1.n, g1.k) == (12, 4)
     assert g1.weight_distribution() == {6: 12, 8: 3}
 
-    comp = complementary_code(g)  # joint equidistance at 8 verified internally
+    comp = complementary_code(g)  # every point s = 1 times beside g: the simplex, equidistant at 8
     joint_rows = np.hstack([g.rows, comp.rows])
     from twodist.constructions import GeneratorMatrix
 
