@@ -108,24 +108,33 @@ class Field:
         p, m = self.p, self.m
         place = p ** np.arange(m)
         digits = np.arange(q)[:, None] // place % p  # digits[a, i] = a_i
-        # shifts[i, b] holds the digits of x^i * b: shift up one place, then
-        # reduce x^m by the monic modulus, for all b at once
-        shifts = np.empty((m, q, m), dtype=np.int64)
-        shifts[0] = digits
-        for i in range(1, m):
-            top = shifts[i - 1, :, -1:]
-            shifts[i, :, 0] = 0
-            shifts[i, :, 1:] = shifts[i - 1, :, :-1]
-            shifts[i] = (shifts[i] - top * self.modulus[:m]) % p
-        # digit j of a * b = sum_i a_i (x^i b)_j, one digit plane at a time
-        add = np.zeros((q, q), dtype=np.int64)
-        mul = np.zeros((q, q), dtype=np.int64)
-        for j in range(m):
-            add += (digits[:, j, None] + digits[:, j]) % p * place[j]
-            mul += digits @ shifts[:, :, j] % p * place[j]
+        # x * b for all b: shift the digits up one place, then reduce x^m by
+        # the monic modulus
+        up = np.zeros_like(digits)
+        up[:, 1:] = digits[:, :-1]
+        times_x = (up - digits[:, -1:] * self.modulus[:m]) % p @ place
+        # Both tables are additive in a.  With a = c p^k + r and r < p^k,
+        # a + b = c x^k + (r + b) and a * b = c (x^k b) + r b, so row a is
+        # row c p^k read through row r, which is built before it.  Row c p^k
+        # adds c to digit k in `add`, and is c-fold x^k b in `mul`.
         dtype = np.min_scalar_type(q - 1)
-        self.add = add.astype(dtype)
-        self.mul = mul.astype(dtype)
+        add = np.zeros((q, q), dtype=dtype)
+        add[0] = np.arange(q)
+        for k in range(m):
+            low = p**k
+            for c in range(1, p):
+                add[c * low] = np.arange(q) + ((digits[:, k] + c) % p - digits[:, k]) * low
+                add[c * low + 1 : (c + 1) * low] = add[c * low].take(add[1:low])
+        mul = np.zeros((q, q), dtype=dtype)
+        shifted = np.arange(q)  # x^k b
+        for k in range(m):
+            if k:
+                shifted = times_x[shifted]
+            low = p**k
+            for c in range(1, p):
+                mul[c * low] = add[mul[(c - 1) * low], shifted]
+                mul[c * low + 1 : (c + 1) * low] = add[mul[c * low], mul[1:low]]
+        self.add, self.mul = add, mul
         # the first (only) zero of each addition row, the first one of each product row
         self.neg = (self.add == 0).argmax(axis=1).astype(dtype)
         self.inv = (self.mul == 1).argmax(axis=1).astype(dtype)

@@ -4,12 +4,17 @@ The greedy search fixes the zero word and the word 1^d 0^(n-d), which is
 without loss of generality (translation plus coordinate and symbol
 relabelings).  Candidates are all words of weight d or d+delta; each
 restart grows the code by uniformly random compatible candidates until
-maximal.  A restart keeps only the rows still compatible with every pick
-and filters them against each new pick, so its work shrinks with the live
-set; there is no adjacency matrix.  Restart r draws from its own
+maximal.  A restart keeps only the rows still compatible with every pick,
+so its work shrinks with the live set; there is no adjacency matrix.
+Restarts run side by side, a chunk at a time: the live rows of a chunk's
+restarts sit in one array per limb, each restart's rows together, and
+one step picks a row for every restart still growing, tests all live
+rows against their own restart's pick in one pass and filters them all
+at once.  A chunk holds at most `_CHUNK_ROWS` (2^16) live rows, so its
+memory is bounded whatever the restarts.  Restart r draws from its own
 SplitMix64 stream derived from (seed, r), and the search reads no clock,
 so the result is a pure function of the parameters and (seed, restarts,
-stop_at), whatever the machine's speed or load.
+stop_at), whatever the machine's speed or load or the chunk size.
 
 Candidates are built in numpy on every call, with no Python loop over
 words: the supports of each weight are unranked from the combinatorial
@@ -22,8 +27,8 @@ Every distance here comes from the packed kernel of `core`: from a set of
 words to one word in the greedy, and between all pairs of an oracle
 neighbourhood.  Two packed words u and v have `core._popcounts` equal to
 t * dist(u, v), with t = 2^(m-1) and m = ceil(log2 q), for every q and n,
-and `_compatible` looks that popcount up in a table that is true only at
-t * d and t * (d + delta).  Packed words are fixed in width and their
+and `_compatible` tests that popcount for equality with t * d and with
+t * (d + delta).  Packed words are fixed in width and their
 symbol codes sorted, so limb-tuple order is lexicographic word order and
 the zero word is all zero limbs: the greedy breaks ties between restarts
 on the limb tuples and decodes only the winner back to symbols
@@ -42,7 +47,8 @@ weight-(d+delta) words and contains the first of them, v.  The oracle
 fixes the same two words as the greedy (0 and u), or 0 and v, and runs
 branch and bound with greedy-coloring upper bounds on those two
 neighbourhoods only; the coloring reads each vertex's non-neighbour
-mask, built once per neighbourhood.  Within a neighbourhood it branches
+mask, built once per neighbourhood, and leaves out the color classes
+that cannot lead to a larger clique.  Within a neighbourhood it branches
 on one third word per orbit of the maps fixing 0 and u (or v), then
 deletes that orbit: the maps carry any clique through the orbit onto one through the
 chosen word.  It stops once a code reaches the `range` upper bound of
@@ -72,6 +78,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
 MAX_CANDIDATES = 200_000  # random_greedy refuses larger candidate spaces
 _BLOCK_PAIRS = 1 << 18  # word pairs per block of the oracle's adjacency
+_CHUNK_ROWS = 1 << 16  # live rows per chunk of greedy restarts run side by side
 
 
 class SplitMix64:
@@ -146,48 +153,104 @@ def candidate_words(params: TwoDistParams) -> np.ndarray:
     spell C(n, w) - 1 - r in the combinatorial number system: c_k is the
     largest c with C(c, k) at most what is left after the larger terms.
     The value of a word's j-th support position is digit j of its value
-    index in base q - 1, plus one.
+    index in base q - 1, plus one, and each step writes that digit into all
+    the words of all supports in one assignment.  A binary word of weight
+    w > n/2 is all ones but for a set of n - w zeros, and combinations
+    order on supports is the reverse of it on their complements, so those
+    words unrank their n - w zeros instead, from the last support back.
     """
     q, n = params.q, params.n
     dtype = np.min_scalar_type(q - 1)
     sizes = [(w, math.comb(n, w), (q - 1) ** w) for w in (params.d, params.d2)]
     words = np.zeros((sum(s * v for _, s, v in sizes), n), dtype=dtype)
+    unranked = [n - w if q == 2 and 2 * w > n else w for w, _, _ in sizes]
     # pascal[k, m] = C(m, k), capped at the larger C(n, w): every rank lies below
     # the cap, so capping changes no search and keeps large n inside int64
     cap = max(n_supports for _, n_supports, _ in sizes)
-    pascal = np.zeros((params.d2 + 1, n), dtype=np.int64)
+    pascal = np.zeros((max(unranked) + 1, n), dtype=np.int64)
     pascal[0] = 1
-    for k in range(1, params.d2 + 1):
+    for k in range(1, len(pascal)):
         np.add.accumulate(pascal[k - 1, :-1], out=pascal[k, 1:])
         np.minimum(pascal[k], cap, out=pascal[k])
     start = 0
-    for w, n_supports, n_values in sizes:
-        block = words[start : start + n_supports * n_values].reshape(n_supports, n_values, n)
+    for (w, n_supports, n_values), k in zip(sizes, unranked):
+        block = words[start : start + n_supports * n_values]
         index = np.arange(n_values, dtype=np.min_scalar_type(max(n_values, q)))
         values = index[:, None] // np.array([(q - 1) ** (w - 1 - j) for j in range(w)], index.dtype)
         values %= q - 1
         values += 1
-        rows = np.arange(n_supports)
-        rest = rows[::-1].copy()
-        for j in range(w):
-            c = pascal[w - j].searchsorted(rest, side="right") - 1
-            rest -= pascal[w - j].take(c)
-            block[rows, :, n - 1 - c] = values[:, j]
+        # columns[i, v] is flat entry i + v*n: row s*V*n + p of it holds
+        # coordinate p of the V words on support s, so one row per support
+        # and coordinate writes a value digit into all of its words
+        flat, item = block.reshape(-1), block.itemsize
+        shape = (len(flat) - (n_values - 1) * n, n_values)
+        columns = np.ndarray(shape, dtype, flat, 0, (item, n * item))
+        last = np.arange(n - 1, len(flat), n_values * n)  # coordinate n-1 of each support
+        rest = np.arange(n_supports)
+        if k == w:
+            rest = rest[::-1].copy()
+        else:
+            block[:] = 1
+        for j in range(k):
+            c = pascal[k - j].searchsorted(rest, side="right") - 1
+            rest -= pascal[k - j].take(c)
+            columns[last - c] = values[:, j] if k == w else 0
         start += n_supports * n_values
     return words
 
 
-def _good_popcounts(params: TwoDistParams) -> np.ndarray:
-    """Lookup table over popcounts 0..t*n of packed XORs: True only at t*d and t*(d+delta)."""
+def _good_popcounts(params: TwoDistParams) -> tuple[int, int]:
+    """The popcounts t*d and t*(d+delta) of packed XORs at the two allowed distances."""
     t = _popcount_unit(params.q)
-    good = np.zeros(t * params.n + 1, dtype=bool)
-    good[[t * params.d, t * params.d2]] = True
-    return good
+    return t * params.d, t * params.d2
 
 
-def _compatible(limbs, word, good: np.ndarray) -> np.ndarray:
-    """Mask of the packed rows whose `_popcounts` against `word` is `good`."""
-    return good.take(_popcounts(limbs, word))
+def _compatible(limbs, word, good: tuple[int, int]) -> np.ndarray:
+    """Mask of the packed rows whose `_popcounts` against `word` is one of `good`."""
+    count = _popcounts(limbs, word)
+    return (count == good[0]) | (count == good[1])
+
+
+def _greedy_chunk(
+    base: np.ndarray, good: tuple[int, int], rngs: list[SplitMix64]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, picks): every pick of the restarts drawing from `rngs`, run side by side.
+
+    `base` is the (limbs, rows) array of the packed rows every restart
+    starts from.  Column i of `picks` is a packed word that restart
+    owner[i] picked.  The first pick of each restart is tested against `base` in one
+    broadcast block.  After that the live rows of all restarts sit in one
+    array per limb, each restart's rows together and in restart order, so
+    a step draws one row per restart inside its segment, spreads each pick
+    over its segment, runs one compatibility pass over all live rows,
+    counts what each segment keeps and filters them all at once.
+    `compress` keeps row order, so each restart draws exactly what it would
+    draw alone.
+    """
+    if not base.shape[1]:
+        return np.zeros(0, dtype=np.intp), base[:, :0]
+    owner = list(range(len(rngs)))
+    picks = base.take([rng.randbelow(base.shape[1]) for rng in rngs], axis=1)
+    keep = _compatible(base[:, None, :], picks[:, :, None], good)
+    owners, picked = owner.copy(), [picks]
+    live = keep.sum(axis=1)
+    rows = base.take(keep.nonzero()[1], axis=1)
+    while True:
+        counts = live.tolist()
+        if 0 in counts:  # some restarts are maximal: drop them
+            owner = [r for r, m in zip(owner, counts) if m]
+            if not owner:
+                return np.array(owners), np.concatenate(picked, axis=1)
+            counts = [m for m in counts if m]
+            live = live.compress(live > 0)
+        starts = live.cumsum() - live
+        draws = [s + rngs[r].randbelow(m) for r, s, m in zip(owner, starts.tolist(), counts)]
+        picks = rows.take(draws, axis=1)
+        keep = _compatible(rows, picks.repeat(live, axis=1), good)
+        live = np.add.reduceat(keep, starts, dtype=np.intp)
+        rows = rows.compress(keep, axis=1)
+        owners += owner
+        picked.append(picks)
 
 
 def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
@@ -196,48 +259,48 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     Each restart starts from the candidates compatible with the start word
     and, after each uniformly random pick among them, keeps only the rows
     compatible with that pick too.  Rows are packed words (see the module
-    docstring), one array per limb, and boolean filtering keeps candidate
-    order, so a pick depends only on the live set and the restart's stream.
-    Ties between restarts break toward the lexicographically smallest
-    sorted word list, compared as limb tuples.  The search stops after
-    `restarts` restarts, or earlier once a code reaches `stop_at` words;
-    there is no wall-clock stop, so the result is a pure function of
-    (seed, restarts, stop_at).  The returned code is re-verified.
+    docstring).  Restarts run side by side, a chunk of them at a time (see
+    `_greedy_chunk`), with at most `_CHUNK_ROWS` live rows in a chunk; a
+    pick depends only on its restart's live rows and stream, so chunking
+    changes no pick.  Ties between restarts break toward the
+    lexicographically smallest sorted word list, compared as limb tuples,
+    scanning restarts in order.  The search stops after `restarts`
+    restarts, or earlier once a code reaches `stop_at` words; with
+    `stop_at` the chunks grow from one restart, doubling each time, so an
+    early stop runs at most about twice the restarts it needs.  There is no
+    wall-clock stop, so the result is a pure function of (seed, restarts,
+    stop_at).  The returned code is re-verified.
     """
     total = candidate_count(params)
     if total > MAX_CANDIDATES:
         raise ValueError(f"candidate space has {total} words, above the cap {MAX_CANDIDATES}")
-    cands = candidate_words(params)
     good = _good_popcounts(params)
-    packed = _pack_words(cands, params.q)
-    start = packed[:, 0]  # 1^d 0^(n-d); good[0] is False, so it drops out
-    keep = _compatible(packed, start, good)
-    base_rows = [limb[keep] for limb in packed]
+    packed = _pack_words(candidate_words(params), params.q)
+    start = packed[:, 0]  # 1^d 0^(n-d); it is at distance 0 from itself, so it drops out
+    base = packed.compress(_compatible(packed, start, good), axis=1)
     fixed = [(0,) * len(packed), tuple(start.tolist())]  # in every restart's code
+    stop = math.inf if cfg.stop_at is None else cfg.stop_at
+    widest = max(1, _CHUNK_ROWS // max(1, base.shape[1]))
+    width = widest if cfg.stop_at is None else 1
 
-    best_words: list[tuple[int, ...]] | None = None
-    best_restart = 0
-    restarts_run = 0
-    for restart in range(cfg.restarts):
-        restarts_run = restart + 1
-        rng = restart_stream(cfg.seed, restart)
-        words = fixed.copy()
-        rows = base_rows
-        while len(rows[0]):
-            i = rng.randbelow(len(rows[0]))
-            word = [limb.item(i) for limb in rows]
-            words.append(tuple(word))
-            keep = _compatible(rows, word, good)
-            rows = [limb[keep] for limb in rows]
-        words.sort()
-        if best_words is None or len(words) > len(best_words) or (
-            len(words) == len(best_words) and words < best_words
-        ):
-            best_words = words
-            best_restart = restart
-        if cfg.stop_at is not None and len(best_words) >= cfg.stop_at:
-            break
-    assert best_words is not None
+    best_words: list[tuple[int, ...]] = []
+    best_restart = restarts_run = 0
+    while restarts_run < cfg.restarts and len(best_words) < stop:
+        last = min(cfg.restarts, restarts_run + width)
+        owner, picks = _greedy_chunk(
+            base, good, [restart_stream(cfg.seed, r) for r in range(restarts_run, last)]
+        )
+        picks = picks.take(owner.argsort(kind="stable"), axis=1)  # each restart's picks together
+        sizes = np.bincount(owner, minlength=last - restarts_run)
+        for size, end in zip(sizes.tolist(), sizes.cumsum().tolist()):
+            if len(best_words) >= stop:
+                break
+            if len(fixed) + size >= len(best_words):
+                words = sorted(fixed + list(map(tuple, picks[:, end - size : end].T.tolist())))
+                if len(words) > len(best_words) or words < best_words:
+                    best_words, best_restart = words, restarts_run
+            restarts_run += 1
+        width = min(2 * width, widest)
     symbols = _unpack_words(np.array(best_words, dtype=np.uint64).T, params.q, params.n)
     code = Code(params.q, params.n, symbols)
     report = verify_two_distance(code, params)
@@ -254,10 +317,14 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
 # exact oracle by maximum clique
 
 
-def _greedy_color_order(p_mask: int, nonadj: list[int]) -> tuple[list[int], list[int]]:
+def _greedy_color_order(p_mask: int, nonadj: list[int], k_min: int) -> tuple[list[int], list[int]]:
     """Vertices of p_mask ordered by greedy color class, with color bounds.
 
     `nonadj[v]` is ~(adj[v] | 1 << v), the vertices v may share a color with.
+    Vertices of a color below `k_min` are colored, so they still leave the
+    later classes, but are left out of the order (San Segundo et al.'s
+    BBMC): a caller that needs a clique of more than k_min - 1 from p_mask
+    has nothing to gain from them.
     """
     order: list[int] = []
     bounds: list[int] = []
@@ -266,6 +333,12 @@ def _greedy_color_order(p_mask: int, nonadj: list[int]) -> tuple[list[int], list
     while remaining:
         color += 1
         available = remaining
+        if color < k_min:
+            while available:
+                low = available & -available
+                available &= nonadj[low.bit_length() - 1]
+                remaining ^= low
+            continue
         while available:
             low = available & -available
             v = low.bit_length() - 1
@@ -289,11 +362,15 @@ def _expand(
     """`size` plus the clique number of the subgraph on p_mask if above `best`, else `best`.
 
     p_mask holds the common neighbours of a clique of `size` vertices.  The
-    search returns as soon as it has a clique of size `stop`.
+    search returns as soon as it has a clique of size `stop`.  The coloring
+    leaves out the classes below best - size + 1: the loop below walks the
+    order from its highest color down and returns at the first vertex with
+    size + color <= best, and `best` only grows, so it would have returned
+    before branching on any of them.  The search tree is the same.
     """
     if not p_mask:
         return max(best, size)
-    order, bounds = _greedy_color_order(p_mask, nonadj)
+    order, bounds = _greedy_color_order(p_mask, nonadj, best - size + 1)
     for idx in range(len(order) - 1, -1, -1):
         if size + bounds[idx] <= best or best >= stop:
             return best

@@ -124,6 +124,36 @@ def test_large_tables_match_reference_on_sampled_pairs(q):
         assert f.mul[a, b] == reference_mul(f, a, b)
 
 
+# reference: the digit-plane construction the additive one replaced, with the
+# product's digit j read as sum_i a_i (x^i b)_j, one int64 matrix product per digit
+
+
+def reference_tables(f):
+    q, p, m = f.q, f.p, f.m
+    place = p ** np.arange(m)
+    digits = np.arange(q)[:, None] // place % p
+    shifts = np.empty((m, q, m), dtype=np.int64)
+    shifts[0] = digits
+    for i in range(1, m):
+        top = shifts[i - 1, :, -1:]
+        shifts[i, :, 0] = 0
+        shifts[i, :, 1:] = shifts[i - 1, :, :-1]
+        shifts[i] = (shifts[i] - top * f.modulus[:m]) % p
+    add = np.zeros((q, q), dtype=np.int64)
+    mul = np.zeros((q, q), dtype=np.int64)
+    for j in range(m):
+        add += (digits[:, j, None] + digits[:, j]) % p * place[j]
+        mul += digits @ shifts[:, :, j] % p * place[j]
+    return add, mul
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257) if prime_power(q)] + [729, 1024])
+def test_tables_match_digit_plane_reference(q):
+    f = GF(q)
+    add, mul = reference_tables(f)
+    assert np.array_equal(f.add, add) and np.array_equal(f.mul, mul)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 16, 27, 256, 257])
 def test_tables_are_read_only_in_the_smallest_dtype(q):
     f = GF(q)

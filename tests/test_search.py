@@ -64,6 +64,22 @@ class TestPrng:
         assert seq1 == seq2
         assert set(seq1) <= set(range(7))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000, 2**32 + 5, 2**63 + 1])
+    def test_randbelow_matches_rejection_reference(self, n):
+        # reject the top 2^64 mod n outputs, so that every residue mod n is
+        # equally likely, and draw again; at n = 2^63 + 1 that is half of them
+        g, ref = SplitMix64(2024), SplitMix64(2024)
+        rejected = 0
+        for _ in range(200):
+            while True:
+                v = ref.next_u64()
+                if v < 2**64 - 2**64 % n:
+                    break
+                rejected += 1
+            assert g.randbelow(n) == v % n
+            assert g.state == ref.state  # the same number of outputs consumed
+        assert (rejected > 50) == (n == 2**63 + 1)
+
     def test_streams_differ_by_restart(self):
         a = restart_stream(1, 0).next_u64()
         b = restart_stream(1, 1).next_u64()
@@ -242,6 +258,53 @@ class TestGreedyReference:
             P(2, 8, 4, 4), SearchConfig(seed=3, restarts=500, stop_at=16)
         )
         assert res.size == 16 and res.restarts_run < 500
+
+
+class TestLockstep:
+    """Restarts run side by side in chunks; every result is still the reference's."""
+
+    @staticmethod
+    def restarts_per_chunk(monkeypatch, params, restarts):
+        """Cap the live rows so that a chunk holds `restarts` restarts."""
+        good = _good_popcounts(params)
+        packed = _pack_words(candidate_words(params), params.q)
+        base = int(search._compatible(packed, packed[:, 0], good).sum())
+        monkeypatch.setattr(search, "_CHUNK_ROWS", restarts * base)
+
+    def test_restarts_span_chunks(self, monkeypatch):
+        params = P(2, 8, 4, 2)
+        self.restarts_per_chunk(monkeypatch, params, 3)
+        # chunks of 3, 3, 3 and 1 restarts; one restart alone
+        assert_greedy_matches_reference(
+            params, SearchConfig(seed=1, restarts=10), SearchConfig(seed=2, restarts=1)
+        )
+
+    def test_stop_at_inside_and_at_the_end_of_a_chunk(self, monkeypatch):
+        params = P(2, 8, 4, 2)
+        self.restarts_per_chunk(monkeypatch, params, 3)
+        # with stop_at the chunks hold 1, 2, 3, 3, ... restarts, so they end
+        # after restarts 1, 3, 6, 9, 12, 15, ...: seeds 1 and 11 stop on a
+        # chunk's last restart, seeds 5 and 9 on the first of three
+        results = assert_greedy_matches_reference(
+            params, *(SearchConfig(seed=s, restarts=40, stop_at=10) for s in (1, 11, 5, 9))
+        )
+        assert [res.restarts_run for res in results] == [6, 15, 7, 13]
+
+    def test_words_above_one_limb(self, monkeypatch):
+        # 150-bit words in three limbs, two restarts per chunk
+        params = P(9, 10, 2, 1)
+        self.restarts_per_chunk(monkeypatch, params, 2)
+        assert_greedy_matches_reference(
+            params, SearchConfig(seed=1, restarts=3), SearchConfig(seed=10, restarts=3, stop_at=72)
+        )
+
+    @pytest.mark.parametrize("stop_at", [None, 2])
+    def test_no_candidate_fits_the_start_word(self, stop_at):
+        # the weight-1 words and 111 are all at distance 2 from 100
+        res = random_greedy(P(2, 3, 1, 2), SearchConfig(seed=1, restarts=3, stop_at=stop_at))
+        assert res.code.words == ((0, 0, 0), (1, 0, 0))
+        assert res.report.equidistant and res.restart_index == 0
+        assert res.restarts_run == (3 if stop_at is None else 1)
 
 
 # reference: the clique search on the whole compatibility graph, which the
@@ -593,7 +656,7 @@ def graphs(draw, max_vertices=40):
 def test_coloring_matches_reference_loop(graph):
     p_mask, adj = graph
     nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
-    assert _greedy_color_order(p_mask, nonadj) == reference_greedy_color_order(p_mask, adj)
+    assert _greedy_color_order(p_mask, nonadj, 1) == reference_greedy_color_order(p_mask, adj)
 
 
 @given(graphs(max_vertices=12))
