@@ -2,10 +2,15 @@
 
 Everything here is exact: pair-distance counts are integers, and distance
 distributions and moments are `fractions.Fraction`s, never floats.  A
-`Code` validates its words once, in numpy, into one read-only word array,
-and keeps only q, n and that array; its tuple of words is built on first
-read.  The text file format is written with one `tobytes()` and read with
-one `np.frombuffer`.
+`Code` validates its words once into one read-only word array, and keeps
+only q, n and that array; its tuple of words is built on first read.  The
+text file format is written with one `tobytes()` and read with one
+`np.frombuffer`.
+
+Bad input meets one rule: valid input passes one numpy test, and other
+input is scanned to its first fault: for `Code` the first bad word (by
+length, integer symbols, range, then repeat), for `read_code` the first
+bad line (by length, ASCII digits, then range; a repeat names the word).
 
 Every word-pair distance in the package comes from one packed kernel,
 here and in `search`.  With m = ceil(log2 q), symbol a is written as the
@@ -157,71 +162,65 @@ class CodeFormatError(ValueError):
     """Raised for malformed code files."""
 
 
-def _first(mask: np.ndarray) -> int:
-    """Index of the first true entry of a 1-D mask, or its length when there is none."""
-    return int(mask.argmax()) if mask.any() else len(mask)
-
-
-def _is_symbol(s, q: int) -> bool:
-    return isinstance(s, (int, np.integer)) and 0 <= s < q
-
-
 def _checked_words(q: int, n: int, words) -> np.ndarray:
     """The words as a (size, n) array of the smallest dtype that holds q - 1.
 
-    `words` is a sequence of words or a 2-D array; a 2-D array of a
-    non-integer dtype is read as the sequence of its rows.  Raises
-    ValueError naming the first word that has the wrong length, has a
-    non-integer symbol (1.0 included), has a symbol outside 0..q-1, or
-    repeats an earlier word; a word-by-word scan would stop at the same
-    word with the same message.  Repeats are found through each row's
-    bytes.
+    Words that numpy reads as a 2-D integer array of width n, all symbols
+    in 0..q-1 and no row repeated (found through each row's bytes), pass
+    in one test; other input goes to `_scanned`, which names the first bad word.
     """
-    if isinstance(words, np.ndarray) and words.ndim == 2 and words.dtype.kind not in "iub":
-        words = list(map(tuple, words.tolist()))
-    if isinstance(words, np.ndarray):
-        stop = len(words) if words.shape[1:] == (n,) else 0
-        arr = words[:stop].reshape(stop, n)
-    else:
-        stop = _first(np.fromiter(map(len, words), dtype=np.intp, count=len(words)) != n)
-        arr = np.array(words[:stop]).reshape(stop, n)
-        if arr.dtype.kind not in "iub":  # a non-integer symbol, or one beyond 64 bits
-            rows = next(
-                (i for i, w in enumerate(words[:stop]) if not all(_is_symbol(s, q) for s in w)),
-                stop,
-            )
-            arr = np.array(words[:rows], dtype=np.int64).reshape(rows, n)
-    in_range = _first(((arr < 0) | (arr >= q)).any(axis=1))
-    array = arr[:in_range].astype(np.min_scalar_type(q - 1), order="C")
-    keys = array.view(np.dtype((np.void, array.itemsize * n))).ravel().tolist()
-    # the first repeat, else the first word out of range, else the first of wrong length
-    bad = len(keys)
-    if len(set(keys)) < len(keys):
-        seen: set[bytes] = set()
-        bad = next(i for i, key in enumerate(keys) if key in seen or seen.add(key))
-    if bad == len(words):
-        return array
-    w = words[bad]
-    w = tuple(w.tolist()) if isinstance(w, np.ndarray) else w
-    if bad < in_range:
-        raise ValueError(f"duplicate word {w}")
-    if bad < stop and not all(isinstance(s, (int, np.integer)) for s in w):
-        raise ValueError(f"word {w} has non-integer symbols")
-    if bad < stop:
-        raise ValueError(f"word {w} has symbols outside 0..{q - 1}")
-    raise ValueError(f"word {w} does not have length {n}")
+    dtype = np.min_scalar_type(q - 1)
+    try:
+        arr = np.asarray(words)
+    except ValueError:  # words of different lengths, which numpy cannot stack
+        arr = np.empty(0)
+    integer = arr.ndim == 2 and arr.shape[1] == n and arr.dtype.kind in "iub"
+    if integer and not ((arr < 0) | (arr >= q)).any():
+        array = arr.astype(dtype, order="C")
+        keys = array.view(np.dtype((np.void, array.itemsize * n))).ravel().tolist()
+        if len(set(keys)) == len(keys):
+            return array
+    return np.array(_scanned(q, n, words), dtype=dtype)
+
+
+def _scanned(q: int, n: int, words) -> list[tuple]:
+    """The words as tuples; ValueError names the first bad one.
+
+    Each word is checked for its length, then for integer symbols (1.0 is
+    not one), then for symbols in 0..q-1, then for repeating an earlier
+    word.  A numpy row is named as the tuple of its entries.
+    """
+    rows: dict[tuple, None] = {}  # the words so far, in order
+    for i in range(len(words)):  # by index: a set of words has no order and is refused
+        w = words[i]
+        if isinstance(w, np.ndarray):
+            w = tuple(w.tolist()) if w.ndim else w.item()
+        if not hasattr(w, "__len__") or len(w) != n:
+            raise ValueError(f"word {w} does not have length {n}")
+        if not all(isinstance(s, (int, np.integer)) for s in w):
+            raise ValueError(f"word {w} has non-integer symbols")
+        if not all(0 <= s < q for s in w):
+            raise ValueError(f"word {w} has symbols outside 0..{q - 1}")
+        row = tuple(w)
+        if row in rows:
+            raise ValueError(f"duplicate word {w}")
+        rows[row] = None
+    return list(rows)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
 class Code:
     """A set of distinct words of fixed length over {0,...,q-1}.
 
-    `words` may be a sequence of words or a 2-D integer array.  The code
-    keeps only q, n and `array`: the words, validated once, as one
-    read-only (size, n) numpy array of the smallest dtype that holds
-    q - 1, which every numpy consumer reads.  `words` gives them back as a
-    tuple of tuples of ints, built on first read; equality, hashing and
-    repr read (q, n, array) and mean what they meant for (q, n, words).
+    `words` may be a sequence of words or a 2-D integer array.  A
+    ValueError names the first bad word, each word checked for its
+    length, then integer symbols, then symbols in 0..q-1, then repeating
+    an earlier word.  The code keeps only q, n and `array`: the words,
+    validated once, as one read-only (size, n) numpy array of the
+    smallest dtype that holds q - 1, which every numpy consumer reads.
+    `words` gives them back as a tuple of tuples of ints, built on first
+    read; equality, hashing and repr read (q, n, array) and mean what they
+    meant for (q, n, words).
     """
 
     q: int
@@ -462,12 +461,11 @@ def write_code(code: Code) -> str:
 def read_code(text: str) -> Code:
     """Parse the text file format; the header and the words take ASCII digits only.
 
-    Errors name the first bad line, as a line-by-line parse would.
+    Errors name the first bad line; when every line has length n, one pass
+    over all symbols stands in for the line checks unless it finds a fault.
     """
     header = None
-    lines: list[str] = []
-    linenos: list[int] = []
-    wrong_length = None
+    numbered: list[tuple[int, str]] = []  # (line number, line) of each word
     q = n = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -488,26 +486,25 @@ def read_code(text: str) -> Code:
                 raise CodeFormatError(f"line {lineno}: n must be positive")
             header = (q, n)
             continue
-        if len(line) != n:
-            wrong_length = f"line {lineno}: expected {n} digits, got {len(line)}"
-            break
-        lines.append(line)
-        linenos.append(lineno)
+        numbered.append((lineno, line))
     if header is None:
         raise CodeFormatError("missing header line 'q=<int> n=<int>'")
-    # one code point per symbol; anything below '0' wraps to a large value
-    symbols = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-    symbols = symbols.reshape(len(lines), n) - ord("0")
-    bad = (symbols >= q).any(axis=1)
-    if bad.any():
-        row = int(bad.argmax())
-        if (symbols[row] > 9).any():
-            raise CodeFormatError(f"line {linenos[row]}: non-digit symbol in {lines[row]!r}")
-        raise CodeFormatError(f"line {linenos[row]}: symbol out of range for q={q}")
-    if wrong_length is not None:
-        raise CodeFormatError(wrong_length)
-    if not lines:
+    if not numbered:
         raise CodeFormatError("no codewords in file")
+    lines = [line for _, line in numbered]
+    same_length = set(map(len, lines)) == {n}
+    if same_length:
+        # one code point per symbol; anything below '0' wraps to a large value
+        symbols = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        symbols = symbols.reshape(len(lines), n) - ord("0")
+    if not same_length or (symbols >= q).any():
+        for lineno, line in numbered:
+            if len(line) != n:
+                raise CodeFormatError(f"line {lineno}: expected {n} digits, got {len(line)}")
+            if not (line.isascii() and line.isdigit()):
+                raise CodeFormatError(f"line {lineno}: non-digit symbol in {line!r}")
+            if any(int(c) >= q for c in line):
+                raise CodeFormatError(f"line {lineno}: symbol out of range for q={q}")
     try:
         return Code(q, n, symbols)
     except ValueError as exc:

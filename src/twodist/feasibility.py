@@ -285,6 +285,9 @@ class ComplementaryParams:
     degenerate: bool  # d_c = 0 or n_c = 0: complementary collapses
 
 
+_NO_S_FITS = "no column multiplicity s fits: n_c >= 0, d_c >= 0, s <= n - w1 (k >= 2)"
+
+
 def _candidates(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
     """The complementary parameters at every column multiplicity s that fits.
 
@@ -315,7 +318,7 @@ def complementary_params(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
     """
     out = _candidates(lp)
     if not out:
-        raise ValueError("no column multiplicity s fits: n_c >= 0, d_c >= 0, s <= n - w1 (k >= 2)")
+        raise ValueError(_NO_S_FITS)
     return out
 
 
@@ -374,13 +377,18 @@ def gcd_screen(lp: LinearParams) -> GcdScreen:
     delta).  One verdict is reported per candidate s (see `_candidates`);
     the parameters are refuted only if every candidate fails.
     """
+    return _gcd_screen(lp, _candidates(lp))
+
+
+def _gcd_screen(lp: LinearParams, candidates) -> GcdScreen:
+    """`gcd_screen` on the candidates `_candidates(lp)` returns."""
     if lp.k < 2:
         raise ValueError("gcd screen needs k >= 2")
     q, k, n, d, delta, p = lp.q, lp.k, lp.n, lp.w1, lp.delta, lp.p
     gamma_d, gamma_delta = p_adic_valuation(p, d), p_adic_valuation(p, delta)
     gd, gdel = math.gcd(q, d), math.gcd(q, delta)
     verdicts = []
-    for c in _candidates(lp):
+    for c in candidates:
         if c.s > 1:
             clause = ClauseVerdict("abstain", True, None, f"k = {k} with repeated columns")
             verdicts.append(GcdVerdict(c.s, c.n_c, c.d_c, (clause,), "abstain"))
@@ -481,7 +489,7 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     elif not candidates:
         add("gcd-valuation", "skip", "no candidate s")
     else:
-        per_s = gcd_screen(lp).per_s
+        per_s = _gcd_screen(lp, candidates).per_s
         abstains = [v for v in per_s if v.verdict == "abstain"]
         if len(abstains) > 1:
             per_s = [v for v in per_s if v.verdict != "abstain"]
@@ -507,14 +515,14 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     else:
         add("oa2-quadratic", "skip", "needs q^k divisible by q^2 and larger than q^2")
 
-    try:
+    if candidates:
         detail = "; ".join(
             f"s={c.s}: n_c={c.n_c} d_c={c.d_c}" + (" (degenerate)" if c.degenerate else "")
-            for c in complementary_params(lp)
+            for c in candidates
         )
         add("complementary-params", "pass", detail)
-    except ValueError as exc:
-        add("complementary-params", "fail", str(exc))
+    else:
+        add("complementary-params", "fail", _NO_S_FITS)
 
     excluded = {s for _, verdict, _, s in rows if verdict == "fail"}
     refuted = mw.status == "infeasible" or all(c.s in excluded for c in candidates)

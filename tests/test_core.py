@@ -147,6 +147,7 @@ class TestCodeValidation:
         (((0, 1), (0, "1")), r"\(0, '1'\)"),
         (np.array([[0.5, 1], [1, 1]]), r"\(0\.5, 1\.0\)"),
         (np.array([[1.0, 0], [1, 1]]), r"\(1\.0, 0\.0\)"),
+        (["01", "10"], "01"),
     ])
     def test_rejects_non_integer_symbols(self, words, first):
         with pytest.raises(ValueError, match=rf"word {first} has non-integer symbols"):
@@ -157,6 +158,11 @@ class TestCodeValidation:
             Code(2, 2, ((0, 2), (0.5, 1)))
         with pytest.raises(ValueError, match=r"duplicate word \(0, 1\)"):
             Code(2, 2, ((0, 1), (0, 1), (0.5, 1)))
+
+    def test_set_of_words_refused(self):
+        # a set has no word order for the array or for the first bad word
+        with pytest.raises(TypeError):
+            Code(2, 2, {(0, 1), (1, 0)})
 
     def test_integer_object_array_accepted(self):
         code = Code(2, 2, np.array([[0, 1], [1, 1]], dtype=object))
@@ -703,36 +709,63 @@ def outcome(fn, *args):
 
 @st.composite
 def raw_words(draw):
-    """(q, n, words) where words may be ragged, out of range, not integers or repeated."""
+    """(q, n, words, named): words as Code is given them, and as its errors name them.
+
+    A word may be ragged, out of range, not integers (a string such as
+    "01" included), hold bools or repeat an earlier word.  The words come
+    as a tuple, as numpy rows (named as the tuples of their entries), as
+    a 1-D object array of words, or as a 2-D object array of symbols.
+    """
     q = draw(st.integers(2, 4))
     n = draw(st.integers(1, 4))
-    symbol = st.one_of(st.integers(0, q - 1), st.sampled_from([-1, q, q + 5, 2**70, 0.5, 1.0]))
+    symbol = st.one_of(
+        st.integers(0, q - 1), st.sampled_from([-1, q, q + 5, 2**70, 0.5, 1.0, True, False])
+    )
     length = st.one_of(st.just(n), st.integers(max(0, n - 1), n + 1))
-    word = length.flatmap(lambda k: st.lists(symbol, min_size=k, max_size=k).map(tuple))
+    word = st.one_of(
+        length.flatmap(lambda k: st.lists(symbol, min_size=k, max_size=k).map(tuple)),
+        length.flatmap(lambda k: st.text(alphabet="01x", min_size=k, max_size=k)),
+    )
     pool = draw(st.lists(word, min_size=1, max_size=6))
     if draw(st.booleans()):
-        return q, n, tuple(pool)
-    return q, n, tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+        words = tuple(pool)
+    else:
+        words = tuple(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8)))
+    form = draw(st.sampled_from(["tuple", "rows", "1-D objects", "2-D objects"]))
+    if form == "rows":
+        rows = [np.array(w) for w in words]
+        return q, n, rows, tuple(tuple(r.tolist()) if r.ndim else r.tolist() for r in rows)
+    if form == "1-D objects":
+        array = np.empty(len(words), dtype=object)
+        for i, w in enumerate(words):
+            array[i] = w
+        return q, n, array, words
+    if form == "2-D objects" and all(isinstance(w, tuple) and len(w) == n for w in words):
+        return q, n, np.array(words, dtype=object), words
+    return q, n, words, words
 
 
 @given(raw_words())
 @settings(max_examples=400, deadline=None)
 def test_validation_matches_reference(case):
-    q, n, words = case
-    expected = outcome(reference_check, q, n, words)
+    q, n, words, named = case
+    expected = outcome(reference_check, q, n, named)
     got = outcome(lambda: Code(q, n, words).words)
-    assert got == (words if expected is None else expected)
-    if all(len(w) == n for w in words) and all(
-        type(s) is int and abs(s) < 2**63 for w in words for s in w
+    assert got == (named if expected is None else expected)
+    if all(len(w) == n for w in named) and all(
+        type(s) is int and abs(s) < 2**63 for w in named for s in w
     ):
         # the same words as one integer array: same verdict, same message
-        got = outcome(lambda: Code(q, n, np.array(words, dtype=np.int64).reshape(-1, n)).words)
-        assert got == (words if expected is None else expected)
+        got = outcome(lambda: Code(q, n, np.array(named, dtype=np.int64).reshape(-1, n)).words)
+        assert got == (named if expected is None else expected)
 
 
 @st.composite
 def code_texts(draw):
-    """Code files whose digit lines may be short, long, out of range, repeated or not digits."""
+    """Code files whose digit lines may be short, long, out of range, repeated or not digits.
+
+    Blank and comment-only lines may come between the words.
+    """
     q = draw(st.integers(2, 9))
     n = draw(st.integers(1, 4))
     good = st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(
@@ -742,7 +775,9 @@ def code_texts(draw):
     comment = st.sampled_from(["", "  # note", "#"])
     pool = draw(st.lists(st.tuples(st.one_of(good, good, noisy), comment).map("".join),
                          min_size=1, max_size=5))
-    lines = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=7))
+    filler = st.sampled_from(["", "   ", "# a comment", "  # indented comment"])
+    lines = draw(st.lists(st.one_of(st.sampled_from(pool), st.sampled_from(pool), filler),
+                          min_size=1, max_size=9))
     return "\n".join([f"q={q} n={n}", *lines]) + "\n"
 
 
@@ -793,6 +828,8 @@ class TestWordArray:
     def test_array_of_wrong_width_names_first_word(self):
         with pytest.raises(ValueError, match=r"word \(0, 1, 0\) does not have length 2"):
             Code(2, 2, np.array([[0, 1, 0], [1, 1, 1]]))
+        with pytest.raises(ValueError, match=r"word 0 does not have length 1"):
+            Code(2, 1, np.array([0, 1]))
 
 
 class TestAsciiDigits:
