@@ -11,7 +11,7 @@ Method tags used throughout (and printed in tables):
     lp      full linear programming bound (all Krawtchouk constraints)
     plotkin degree-1 certificate
     d2      degree-2 closed-form bound
-    dd      single-step refinement of d2 by distance-distribution parity
+    dd      single-step refinement of an integer d2 by its forced distance distribution
     sc      two-distance spherical code bound
     gr      Gray-Rankin bound (valid for antipodal codes only, never
             aggregated as a general upper bound)
@@ -176,11 +176,19 @@ def d2_bound(params: TwoDistParams) -> D2Bound | None:
 def dd_refine(params: TwoDistParams, bound: int) -> int:
     """Single-step refinement of an integer-attained degree-2 bound.
 
-    Precondition: `bound` is the d2 value with a strict degree-1
-    coefficient, so a code of that size would be an orthogonal array of
-    strength 2 and its distance distribution must solve M_1 = M_2 = 0
-    with A_d + A_e = bound - 1 in nonnegative integers.  When the system
-    refutes this, returns bound - 1; otherwise bound.
+    Precondition: `bound` is the d2 value N = f(0) / f_0 with a strict
+    degree-1 coefficient, so a code of that size would be an orthogonal
+    array of strength 2 and its distance distribution, on {0, d, e}, must
+    solve M_1 = M_2 = 0 in nonnegative integers.  The degree-2 certificate
+    f = f_0 + f_1 K_1 + f_2 K_2 vanishes at d and e, so every such
+    distribution has
+        f(0) = sum_j A_j f(j) = f_0 (1 + A_d + A_e) + f_1 M_1 + f_2 M_2.
+    A solution therefore lies on the line A_d + A_e = N - 1, and on that
+    line M_1 = 0 forces M_2 = 0 (f has degree 2, so f_2 != 0).  M_1 = 0
+    meets the line at
+        A_d = -(K_1(0) + (N - 1) K_1(e)) / (K_1(d) - K_1(e)),
+    where K_1(d) - K_1(e) = q delta > 0.  Returns N when that A_d is an
+    integer in 0..N-1, and N - 1 otherwise.
     """
     d2 = d2_bound(params)
     if d2 is None or not d2.strict:
@@ -190,34 +198,9 @@ def dd_refine(params: TwoDistParams, bound: int) -> int:
             "dd_refine requires the exact integer degree-2 value "
             f"(got bound={bound}, d2={d2.exact})"
         )
-    sol = _strength2_distribution(params)
-    if sol is None:
-        return bound - 1
-    a_d, a_e = sol
-    ok = (
-        a_d >= 0
-        and a_e >= 0
-        and a_d.denominator == 1
-        and a_e.denominator == 1
-        and a_d + a_e == bound - 1
-    )
-    return bound if ok else bound - 1
-
-
-def _strength2_distribution(params: TwoDistParams) -> tuple[Fraction, Fraction] | None:
-    """Solve M_1 = M_2 = 0 for (A_d, A_e); None when no unique solution fits."""
-    n, q, d, e = params.n, params.q, params.d, params.d2
-    rows = [
-        (kraw_eval(n, q, i, d), kraw_eval(n, q, i, e), kraw_eval(n, q, i, 0))
-        for i in (1, 2)
-    ]
-    (a1, b1, c1), (a2, b2, c2) = rows
-    det = a1 * b2 - a2 * b1
-    if det == 0:
-        return None
-    a_d = Fraction(-c1 * b2 + c2 * b1, det)
-    a_e = Fraction(-a1 * c2 + a2 * c1, det)
-    return a_d, a_e
+    k_0, k_d, k_e = (kraw_eval(params.n, params.q, 1, z) for z in (0, params.d, params.d2))
+    a_d, rest = divmod(-(k_0 + (bound - 1) * k_e), k_d - k_e)
+    return bound if rest == 0 and 0 <= a_d <= bound - 1 else bound - 1
 
 
 def gray_rankin_bound(q: int, n: int, d: int) -> int | None:
@@ -233,8 +216,6 @@ def gray_rankin_bound(q: int, n: int, d: int) -> int | None:
     if denom <= 0:
         return None
     num = q * (q * d - (q - 2) * n) * (n - d)
-    if num < 0:
-        return None
     return math.floor(Fraction(q * num, denom))
 
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Code, TwoDistParams
+from .feasibility import p_adic_valuation
 from .fields import GF, prime_power
 
 # largest space q^k that projective_points enumerates and the catalog considers
@@ -147,39 +148,15 @@ def from_multiplicities(q: int, points: np.ndarray, m: np.ndarray | int) -> Gene
 # difference matrices and their codes
 
 
-@dataclass(frozen=True, eq=False)
-class DifferenceMatrix:
-    """q*mu x q*mu matrix over Z_p^l; distinct-row differences are balanced.
-
-    `entries` is kept as one read-only intp array, as given: the class
-    does not check the difference property, which `difference_matrix`
-    proves for the matrices it builds.
-    """
-
-    q: int
-    mu: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries)
-        if entries.dtype.kind not in "iub":
-            raise ValueError("entries must be integers")
-        entries = entries.astype(np.intp)  # a copy, frozen below
-        entries.flags.writeable = False
-        object.__setattr__(self, "entries", entries)
-
-    def order(self) -> int:
-        return self.q * self.mu
-
-
-def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
+def difference_matrix(p: int, ell: int, h: int) -> np.ndarray:
     """D(p^ell, p^h): rows/columns indexed by GF(p^(ell+h)), entry phi(x*y).
 
-    phi(z) = z mod p^ell keeps the low ell base-p digits of z.  Field
-    addition is digit-wise mod p, so phi is an additive map onto the
-    additive group of GF(p^ell) (the elementary abelian group of order
-    p^ell, same digit encoding), and each value has exactly p^h
-    preimages, one per choice of the high h digits.  For rows x != x',
+    The matrix is returned as one read-only intp array.  phi(z) = z mod
+    p^ell keeps the low ell base-p digits of z.  Field addition is
+    digit-wise mod p, so phi is an additive map onto the additive group
+    of GF(p^ell) (the elementary abelian group of order p^ell, same digit
+    encoding), and each value has exactly p^h preimages, one per choice
+    of the high h digits.  For rows x != x',
         D[x][y] - D[x'][y] = phi(x*y) - phi(x'*y) = phi((x - x')*y),
     and as y runs over the field, (x - x')*y runs over every element once
     because row x - x' != 0 of the multiplication table is a permutation.
@@ -195,8 +172,9 @@ def difference_matrix(p: int, ell: int, h: int) -> DifferenceMatrix:
     field = GF(p ** (ell + h))
     if not (np.sort(field.mul[1:], axis=1) == np.arange(field.q)).all():
         raise AssertionError("a nonzero row of the multiplication table is not a permutation")
-    q, mu = p**ell, p**h
-    return DifferenceMatrix(q=q, mu=mu, entries=field.mul.astype(np.intp) % q)
+    entries = field.mul.astype(np.intp) % p**ell
+    entries.flags.writeable = False
+    return entries
 
 
 def dm_code(p: int, ell: int, h: int) -> Code:
@@ -208,11 +186,10 @@ def dm_code(p: int, ell: int, h: int) -> Code:
     regardless of the added constants, and same-row translates differ
     everywhere.
     """
-    dm = difference_matrix(p, ell, h)
-    q = dm.q
+    entries, q = difference_matrix(p, ell, h), p**ell
     # word (row, c) is add[row, c]; rows vary slowest, as in the loop over rows then c
-    words = GF(q).add[dm.entries[:, None, :], np.arange(q)[None, :, None]]
-    return Code(q, dm.order(), words.reshape(-1, dm.order()))
+    words = GF(q).add[entries[:, None, :], np.arange(q)[None, :, None]]
+    return Code(q, len(entries), words.reshape(-1, len(entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,14 +396,6 @@ class CatalogEntry:
     family: str
 
 
-def _is_power_of(p: int, x: int) -> bool:
-    if x < 1:
-        return False
-    while x % p == 0:
-        x //= p
-    return x == 1
-
-
 def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]:
     """All catalog families matching (q, n, d, delta), larger sizes first.
 
@@ -440,7 +409,7 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
     if pm is not None:
         p = pm[0]
         # difference-matrix code: delta = mu (a power of p), d = (q-1)mu, n >= q mu
-        if _is_power_of(p, delta) and d == (q - 1) * delta and n >= q * delta:
+        if d == (q - 1) * delta and delta == p ** p_adic_valuation(p, delta) and n >= q * delta:
             entries.append(CatalogEntry(q * q * delta, "dm"))
         # pencil code: d = q, any delta, length q+1+delta
         if d == q and n >= q + 1 + delta:
@@ -459,20 +428,19 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
                 if delta % base:
                     continue
                 h = delta // base  # >= 1, as delta >= 1 is a multiple of base
-                # removal: d = s q^(m-1) - delta
+                # removal: d = s q^(m-1) - delta; h <= s makes nat >= s(q^m - q^r)/(q-1) > 0
                 if (d + delta) % top == 0:
                     s = (d + delta) // top
-                    if 1 <= h <= s:
+                    if h <= s:
                         nat = (s * (q**m - 1) - h * (q**r - 1)) // (q - 1)
-                        if 0 < nat <= n:
-                            entries.append(CatalogEntry(q**m, "su1"))
-                # union: d = s q^(m-1)
-                if d % top == 0 and h % p:
-                    s = d // top
-                    if s >= 1:
-                        nat = (s * (q**m - 1) + h * (q**r - 1)) // (q - 1)
                         if nat <= n:
                             entries.append(CatalogEntry(q**m, "su1"))
+                # union: d = s q^(m-1), s >= 1 as d >= 1
+                if d % top == 0 and h % p:
+                    s = d // top
+                    nat = (s * (q**m - 1) + h * (q**r - 1)) // (q - 1)
+                    if nat <= n:
+                        entries.append(CatalogEntry(q**m, "su1"))
     # su2: prime alphabet only
     if pm is not None and pm[1] == 1:
         p = q
@@ -528,7 +496,7 @@ def equidistant_lower_bound(q: int, n: int, d: int) -> CatalogEntry | None:
     # difference-matrix equidistant: d = (q-1)mu, length q mu - 1
     if d % (q - 1) == 0:
         mu = d // (q - 1)
-        if _is_power_of(p, mu) and q * mu - 1 <= n:
+        if mu == p ** p_adic_valuation(p, mu) and q * mu - 1 <= n:
             entry = CatalogEntry(q * mu, "dm")
             if best is None or entry.size > best.size:
                 best = entry

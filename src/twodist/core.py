@@ -39,6 +39,7 @@ from .krawtchouk import kraw_eval
 
 MAX_ALPHABET = 9  # the text file format stores one base-q digit per symbol
 BLOCK_PAIRS = 1 << 14  # word pairs compared by one block of `_half_popcounts`
+_MAX_Q = 1 << 10  # largest q: `_symbol_code`'s 2^m x (2^m - 1) bits stay within 2^20 entries
 
 
 def _symbol_code(q: int) -> np.ndarray:
@@ -197,7 +198,7 @@ def _scanned(q: int, n: int, words) -> list[tuple]:
             w = tuple(w.tolist()) if w.ndim else w.item()
         if not hasattr(w, "__len__") or len(w) != n:
             raise ValueError(f"word {w} does not have length {n}")
-        if not all(isinstance(s, (int, np.integer)) for s in w):
+        if not all(isinstance(s, (int, np.integer, np.bool_)) for s in w):
             raise ValueError(f"word {w} has non-integer symbols")
         if not all(0 <= s < q for s in w):
             raise ValueError(f"word {w} has symbols outside 0..{q - 1}")
@@ -212,10 +213,11 @@ def _scanned(q: int, n: int, words) -> list[tuple]:
 class Code:
     """A set of distinct words of fixed length over {0,...,q-1}.
 
-    `words` may be a sequence of words or a 2-D integer array.  A
-    ValueError names the first bad word, each word checked for its
-    length, then integer symbols, then symbols in 0..q-1, then repeating
-    an earlier word.  The code keeps only q, n and `array`: the words,
+    `words` may be a sequence of words or a 2-D integer array, and q is
+    at most 1024 (the distance kernel's symbol bits).  A ValueError
+    names the first bad word, each word checked for its length, then
+    integer symbols, then symbols in 0..q-1, then repeating an earlier
+    word.  The code keeps only q, n and `array`: the words,
     validated once, as one read-only (size, n) numpy array of the
     smallest dtype that holds q - 1, which every numpy consumer reads.
     `words` gives them back as a tuple of tuples of ints, built on first
@@ -230,6 +232,8 @@ class Code:
     def __init__(self, q: int, n: int, words):
         if q < 2:
             raise ValueError("alphabet size must be at least 2")
+        if q > _MAX_Q:
+            raise ValueError(f"alphabet size {q} is above the supported maximum {_MAX_Q}")
         if n < 1:
             raise ValueError("length must be at least 1")
         if not len(words):

@@ -19,8 +19,7 @@ _TAG_ORDER = ("ext", "dd", "d2", "sc", "lp", "plotkin", "exact")
 
 
 def _order_tags(methods) -> str:
-    ranked = sorted(methods, key=lambda m: _TAG_ORDER.index(m) if m in _TAG_ORDER else 99)
-    return ",".join(ranked)
+    return ",".join(sorted(methods, key=_TAG_ORDER.index))
 
 
 @dataclass(frozen=True)
@@ -127,13 +126,9 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
     if eq_entry is not None and lower < eq_entry.size <= upper:
         eq_size = eq_entry.size
 
-    if lower == upper:
-        return TableCell(
-            params, "value", CellBound(lower, lower_tag), CellBound(upper, upper_tag),
-            methods=methods,
-        )
     return TableCell(
-        params, "range", CellBound(lower, lower_tag), CellBound(upper, upper_tag),
+        params, "value" if lower == upper else "range",
+        CellBound(lower, lower_tag), CellBound(upper, upper_tag),
         equidistant_size=eq_size, methods=methods,
     )
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -73,6 +74,17 @@ def reference_lp(rows):
                 if obj > best:
                     best, best_pt = obj, (x, y)
     return best, best_pt
+
+
+def reference_strength2_distribution(params):
+    """(A_d, A_e) solving M_1 = M_2 = 0 by Cramer's rule on Krawtchouk rows 1 and 2."""
+    n, q, d, e = params.n, params.q, params.d, params.d2
+    (a1, b1, c1), (a2, b2, c2) = (
+        (kraw_eval(n, q, i, d), kraw_eval(n, q, i, e), kraw_eval(n, q, i, 0)) for i in (1, 2)
+    )
+    det = a1 * b2 - a2 * b1
+    assert det != 0, params
+    return Fraction(c2 * b1 - c1 * b2, det), Fraction(a2 * c1 - a1 * c2, det)
 
 
 def assert_optimal(rows, result):
@@ -224,6 +236,33 @@ class TestDdRefine:
     )
     def test_non_refutations(self, params, start):
         assert dd_refine(params, start) == start
+
+    @pytest.mark.parametrize(
+        "params,start,point",
+        [
+            (P(2, 12, 7, 3), 10, (10, -1)),  # a negative coordinate
+            (P(2, 10, 5, 3), 16, (Fraction(40, 3), Fraction(5, 3))),  # a fractional one
+        ],
+    )
+    def test_refutation_kinds(self, params, start, point):
+        assert reference_strength2_distribution(params) == point
+        assert dd_refine(params, start) == start - 1
+
+    def test_matches_two_moment_solve_on_sweep(self):
+        # every cell with a strict, integer d2 value N for q = 2..9 and n <= 40
+        cells = 0
+        for q, n in itertools.product(range(2, 10), range(2, 41)):
+            for d, e in itertools.combinations(range(1, n + 1), 2):
+                params = P(q, n, d, e - d)
+                d2 = d2_bound(params)
+                if d2 is None or not d2.strict or not d2.attains_integer:
+                    continue
+                cells += 1
+                a_d, a_e = reference_strength2_distribution(params)
+                assert a_d + a_e == d2.value - 1, params
+                fits = min(a_d, a_e) >= 0 and a_d.denominator == a_e.denominator == 1
+                assert dd_refine(params, d2.value) == d2.value - (not fits), params
+        assert cells == 2367
 
     def test_requires_strict_degree1(self):
         with pytest.raises(ValueError):

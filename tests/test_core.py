@@ -141,6 +141,15 @@ class TestCodeValidation:
         with pytest.raises(ValueError):
             Code(2, 2, ())
 
+    @pytest.mark.parametrize("q,words", [(1025, ((0,), (1,))), (2**65, ((0,), (5,)))])
+    def test_rejects_alphabet_above_limit(self, q, words):
+        # refused before the 2^m x (2^m - 1) symbol bits of the distance kernel are built
+        with pytest.raises(ValueError, match=rf"alphabet size {q} is above the supported maximum"):
+            Code(q, 1, words)
+
+    def test_largest_alphabet_accepted(self):
+        assert Code(1024, 1, ((0,), (1023,))).distance_counts == (2, 2)
+
     @pytest.mark.parametrize("words,first", [
         (((0.5, 1), (1, 1)), r"\(0\.5, 1\)"),
         (((0, 1), (1.0, 1)), r"\(1\.0, 1\)"),
@@ -148,6 +157,7 @@ class TestCodeValidation:
         (np.array([[0.5, 1], [1, 1]]), r"\(0\.5, 1\.0\)"),
         (np.array([[1.0, 0], [1, 1]]), r"\(1\.0, 0\.0\)"),
         (["01", "10"], "01"),
+        ([(np.True_, 0), (0, 0.5)], r"\(0, 0\.5\)"),  # a numpy bool is an integer symbol
     ])
     def test_rejects_non_integer_symbols(self, words, first):
         with pytest.raises(ValueError, match=rf"word {first} has non-integer symbols"):

@@ -141,6 +141,20 @@ class TestQuadratic:
         r = check_oa2_quadratic(2, 8, 5, 2, 4)
         assert not r.ok and r.residual == -4
 
+    def test_residual_is_scaled_second_moment_residual(self):
+        # every projective set with q^k > q^2, k = 3..5 and n <= 20: wherever both run,
+        # the quadratic fails exactly when the second moment (the SRG counting test) does
+        checked = 0
+        for q, k in itertools.product((2, 3, 4, 5, 7, 8, 9), range(3, 6)):
+            scale = Fraction(-q * q, q**k - q * q)
+            for n in range(1, min(21, (q**k - 1) // (q - 1) + 1)):
+                for w1, w2 in itertools.combinations(range(1, n + 1), 2):
+                    mw = macwilliams_mu(LinearParams(q, k, n, w1, w2, s=1))
+                    qc = check_oa2_quadratic(q, q**k, n, w1, w2)
+                    assert qc.residual == scale * mw.second_moment_residual, (q, k, n, w1, w2)
+                    checked += 1
+        assert checked == 24_920
+
     def test_requires_divisible_size(self):
         with pytest.raises(ValueError):
             check_oa2_quadratic(2, 6, 5, 2, 4)
