@@ -66,23 +66,27 @@ def _symbol_tables(q: int, n: int) -> tuple[int, tuple[tuple[int, int, np.ndarra
 
     Each lookup (i, j, table) says that coordinate i puts table[a] into
     limb j when its symbol is a; a coordinate that straddles two limbs has
-    a lookup for each.  One `packbits` call builds every table, once per
-    (q, n) in a process.
+    a lookup for each.  A coordinate's tables depend only on where its bits
+    start within its first limb, so one `packbits` call per such offset
+    builds them, over the few limbs one coordinate touches: memory stays
+    about q * 2^m bytes whatever n is.  Built once per (q, n) in a process.
     """
     code = _symbol_code(q)
     w = code.shape[1]
     limbs = -(-n * w // 64)
-    first = 64 * limbs - n * w + w * np.arange(n)  # each coordinate's first bit
-    bits = np.zeros((n, q, 64 * limbs), dtype=np.uint8)
-    bits[np.arange(n)[:, None], :, first[:, None] + np.arange(w)] = code.T
-    tables = np.packbits(bits, axis=2).view(">u8").astype(np.uint64)  # (n, q, limbs)
-    tables.flags.writeable = False
-    lookups = tuple(
-        (i, j, tables[i, :, j])
-        for i in range(n)
-        for j in range(first[i] // 64, (first[i] + w - 1) // 64 + 1)
-    )
-    return limbs, lookups
+    by_offset: dict[int, np.ndarray] = {}  # offset -> (limbs touched, q) tables
+    lookups = []
+    for i in range(n):
+        first = 64 * limbs - n * w + w * i  # the coordinate's first bit
+        offset = first % 64
+        if offset not in by_offset:
+            bits = np.zeros((q, 64 * -(-(offset + w) // 64)), dtype=np.uint8)
+            bits[:, offset : offset + w] = code
+            tables = np.ascontiguousarray(np.packbits(bits, axis=1).view(">u8").T, dtype=np.uint64)
+            tables.flags.writeable = False
+            by_offset[offset] = tables
+        lookups += [(i, first // 64 + k, table) for k, table in enumerate(by_offset[offset])]
+    return limbs, tuple(lookups)
 
 
 def _pack_words(words: np.ndarray, q: int) -> np.ndarray:

@@ -16,12 +16,12 @@ SplitMix64 stream derived from (seed, r), and the search reads no clock,
 so the result is a pure function of the parameters and (seed, restarts,
 stop_at), whatever the machine's speed or load or the chunk size.
 
-Candidates are built in numpy on every call, with no Python loop over
-words: the supports of each weight are unranked from the combinatorial
-number system one position at a time for all of them at once, and the
-nonzero values are the base-(q-1) digits of an index (see
-`candidate_words`).  They are packed by `core._pack_words`, one lookup
-per coordinate and limb into symbol tables built once per (q, n).
+Candidates are built already packed, in numpy on every call, with no
+Python loop over words and no array of symbols: each weight's block of
+64-bit limbs is written from the last coordinate to the first, one
+broadcast OR per coordinate of a tail of the block one weight below with
+that coordinate's nonzero symbols, read from the symbol tables `core`
+builds once per (q, n) (see `packed_candidates`).
 
 Every distance here comes from the packed kernel of `core`: from a set of
 words to one word in the greedy, and between all pairs of an oracle
@@ -67,9 +67,9 @@ from .core import (
     Code,
     TwoDistParams,
     TwoDistReport,
-    _pack_words,
     _popcount_unit,
     _popcounts,
+    _symbol_tables,
     _unpack_words,
     verify_two_distance,
 )
@@ -140,63 +140,51 @@ def candidate_count(params: TwoDistParams) -> int:
     )
 
 
-def candidate_words(params: TwoDistParams) -> np.ndarray:
-    """All words of weight d or d+delta, in a fixed lexicographic order.
+def packed_candidates(params: TwoDistParams) -> np.ndarray:
+    """All words of weight d or d+delta, packed: a (limbs, N) uint64 array.
 
-    Weight d comes first; within a weight, supports in combinations order,
-    then nonzero values in product order.  The dtype is the smallest
-    unsigned one that holds q - 1.
+    Column c is the packed word (see `core._pack_words`) of the c-th word
+    in a fixed lexicographic order: weight d first; within a weight,
+    supports in combinations order, then nonzero values in product order,
+    first position most significant.
 
-    Supports are unranked in numpy, one support position per step for all
-    of them at once.  The support of rank r among the C(n, w) in
-    combinations order is {n-1-c_w < ... < n-1-c_1}, where c_w > ... > c_1
-    spell C(n, w) - 1 - r in the combinatorial number system: c_k is the
-    largest c with C(c, k) at most what is left after the larger terms.
-    The value of a word's j-th support position is digit j of its value
-    index in base q - 1, plus one, and each step writes that digit into all
-    the words of all supports in one assignment.  A binary word of weight
-    w > n/2 is all ones but for a set of n - w zeros, and combinations
-    order on supports is the reverse of it on their complements, so those
-    words unrank their n - w zeros instead, from the last support back.
+    In that order the words of weight k on coordinates i..n-1 are first
+    those with coordinate i nonzero, each weight-(k-1) word on i+1..n-1
+    ORed with each of coordinate i's q - 1 nonzero symbols, then the words
+    of weight k on i+1..n-1.  So each weight's block is written from its
+    end, one coordinate i at a time from the last, and the weight-(k-1)
+    words on i+1..n-1 are a tail of the block one weight below.  The
+    coordinates before i add at most i to a weight, so weight k is built
+    only down to i = w - k, with w the least of d and d+delta at or above
+    k; its block then holds C(n-w+k, k) (q-1)^k words, no more than the
+    weight-w block.
     """
-    q, n = params.q, params.n
-    dtype = np.min_scalar_type(q - 1)
-    sizes = [(w, math.comb(n, w), (q - 1) ** w) for w in (params.d, params.d2)]
-    words = np.zeros((sum(s * v for _, s, v in sizes), n), dtype=dtype)
-    unranked = [n - w if q == 2 and 2 * w > n else w for w, _, _ in sizes]
-    # pascal[k, m] = C(m, k), capped at the larger C(n, w): every rank lies below
-    # the cap, so capping changes no search and keeps large n inside int64
-    cap = max(n_supports for _, n_supports, _ in sizes)
-    pascal = np.zeros((max(unranked) + 1, n), dtype=np.int64)
-    pascal[0] = 1
-    for k in range(1, len(pascal)):
-        np.add.accumulate(pascal[k - 1, :-1], out=pascal[k, 1:])
-        np.minimum(pascal[k], cap, out=pascal[k])
-    start = 0
-    for (w, n_supports, n_values), k in zip(sizes, unranked):
-        block = words[start : start + n_supports * n_values]
-        index = np.arange(n_values, dtype=np.min_scalar_type(max(n_values, q)))
-        values = index[:, None] // np.array([(q - 1) ** (w - 1 - j) for j in range(w)], index.dtype)
-        values %= q - 1
-        values += 1
-        # columns[i, v] is flat entry i + v*n: row s*V*n + p of it holds
-        # coordinate p of the V words on support s, so one row per support
-        # and coordinate writes a value digit into all of its words
-        flat, item = block.reshape(-1), block.itemsize
-        shape = (len(flat) - (n_values - 1) * n, n_values)
-        columns = np.ndarray(shape, dtype, flat, 0, (item, n * item))
-        last = np.arange(n - 1, len(flat), n_values * n)  # coordinate n-1 of each support
-        rest = np.arange(n_supports)
-        if k == w:
-            rest = rest[::-1].copy()
+    q, n, d, e = params.q, params.n, params.d, params.d2
+    limbs, lookups = _symbol_tables(q, n)
+    heads = np.zeros((n, limbs, 1, q - 1, 1), dtype=np.uint64)  # coordinate i's nonzero symbols
+    for i, j, table in lookups:
+        heads[i, j, 0, :, 0] = table[1:]
+    out = np.empty((limbs, candidate_count(params)), dtype=np.uint64)
+    split = math.comb(n, d) * (q - 1) ** d
+    finals = {d: out[:, :split], e: out[:, split:]}
+    prev = np.zeros((limbs, 1), dtype=np.uint64)  # the one word of weight 0
+    for k in range(1, e + 1):
+        w = d if k <= d else e
+        values = (q - 1) ** (k - 1)  # value tuples of a weight-(k-1) support
+        if k in finals:
+            block = finals[k]
         else:
-            block[:] = 1
-        for j in range(k):
-            c = pascal[k - j].searchsorted(rest, side="right") - 1
-            rest -= pascal[k - j].take(c)
-            columns[last - c] = values[:, j] if k == w else 0
-        start += n_supports * n_values
-    return words
+            block = np.empty((limbs, math.comb(n - w + k, k) * values * (q - 1)), dtype=np.uint64)
+        end = block.shape[1]
+        for i in range(n - k, w - k - 1, -1):
+            size = math.comb(n - 1 - i, k - 1) * values  # weight k-1 on i+1..n-1
+            sub = prev[:, prev.shape[1] - size :].reshape(limbs, -1, 1, values)
+            start = end - size * (q - 1)
+            # the reshape only splits the last axis, so `out` is a view into `block`
+            np.bitwise_or(sub, heads[i], out=block[:, start:end].reshape(limbs, -1, q - 1, values))
+            end = start
+        prev = block
+    return out
 
 
 def _good_popcounts(params: TwoDistParams) -> tuple[int, int]:
@@ -275,7 +263,7 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     if total > MAX_CANDIDATES:
         raise ValueError(f"candidate space has {total} words, above the cap {MAX_CANDIDATES}")
     good = _good_popcounts(params)
-    packed = _pack_words(candidate_words(params), params.q)
+    packed = packed_candidates(params)
     start = packed[:, 0]  # 1^d 0^(n-d); it is at distance 0 from itself, so it drops out
     base = packed.compress(_compatible(packed, start, good), axis=1)
     fixed = [(0,) * len(packed), tuple(start.tolist())]  # in every restart's code
@@ -501,13 +489,14 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
             f"candidate space has {total} words, above the limit {max_vertices}"
         )
     stop = _proven_bound(params) - 2
-    cands = candidate_words(params)
-    packed = _pack_words(cands, params.q)
+    packed = packed_candidates(params)
     good = _good_popcounts(params)
     best = 0
     # v then u: the weight-(d+delta) words, then all candidates
     for first in (math.comb(params.n, params.d) * (params.q - 1) ** params.d, 0):
-        words, limbs = cands[first:], packed[:, first:]
-        near = _compatible(limbs, limbs[:, 0], good)
-        best = _orbit_clique(words[near], limbs[:, near], good, words[0], best, stop)
+        limbs = packed[:, first:]
+        near = limbs.compress(_compatible(limbs, limbs[:, 0], good), axis=1)
+        # the centre, then its neighbourhood, decoded for `_orbit_keys`
+        words = _unpack_words(np.concatenate([limbs[:, :1], near], axis=1), params.q, params.n)
+        best = _orbit_clique(words[1:], near, good, words[0], best, stop)
     return 2 + best

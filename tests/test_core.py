@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from twodist.core import (
     _half_popcounts,
     _pack_words,
     _popcounts,
+    _symbol_tables,
     _unpack_words,
     distance_distribution,
     is_antipodal,
@@ -520,6 +522,19 @@ class TestPackedKernel:
         assert block[-1] > 0 and (seen <= 1).all()
         assert (seen | seen.T).all()
         assert np.array_equal(seen & seen.T, block[:, None] == block)
+
+    def test_symbol_tables_stay_small_for_wide_alphabets(self):
+        # 16 coordinates of 1,023 bits each: a bit array over every coordinate,
+        # symbol and limb would hold 16 * 1024 * 256 * 64 bytes, 268 MB
+        _symbol_tables.cache_clear()
+        tracemalloc.start()
+        try:
+            counts = Code(1024, 16, ((0,) * 16, (1023,) * 16)).distance_counts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert counts[16] == 2
 
     @pytest.mark.parametrize(
         "build", [b for b in CATALOG_BUILDS if b[0] == "dm_code"], ids=lambda b: "-".join(map(str, b))

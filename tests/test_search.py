@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from twodist import search
 from twodist.bounds import best_upper_bound
-from twodist.core import TwoDistParams, _pack_words
+from twodist.core import TwoDistParams, _pack_words, _unpack_words
 from twodist.search import (
     MAX_CANDIDATES,
     SearchConfig,
@@ -22,8 +22,8 @@ from twodist.search import (
     _orbits,
     _pack,
     candidate_count,
-    candidate_words,
     exhaustive_maximum,
+    packed_candidates,
     random_greedy,
     restart_stream,
 )
@@ -86,7 +86,12 @@ class TestPrng:
         assert a != b
 
 
-# reference: the per-word loop the numpy unranking replaced
+def decoded_candidates(params):
+    """The candidates as a (N, n) symbol array, decoded from the packed builder."""
+    return _unpack_words(packed_candidates(params), params.q, params.n)
+
+
+# reference: the per-word loop the packed builder replaced
 
 
 def reference_candidate_words(params):
@@ -112,22 +117,46 @@ class TestCandidates:
             (9, 10, 2, 1), (2, 70, 1, 1), (3, 40, 2, 1), (2, 30, 3, 1), (257, 2, 1, 1),
             # supports of one position (w = 1) and of every one (w = n)
             (2, 8, 1, 7),
+            # 66-bit words: two limbs, the first holding only two bits
+            (4, 22, 2, 1),
         ],
     )
     def test_matches_reference_loop(self, q, n, d, delta):
         params = P(q, n, d, delta)
-        words, ref = candidate_words(params), reference_candidate_words(params)
-        assert words.dtype == ref.dtype and words.shape == ref.shape
-        assert words.tobytes() == ref.tobytes()
+        packed, ref = packed_candidates(params), _pack_words(reference_candidate_words(params), q)
+        assert packed.dtype == ref.dtype and packed.shape == ref.shape
+        assert packed.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize(
+        "q,n,d,delta", [(2, 8, 4, 2), (3, 6, 4, 2), (4, 22, 2, 1), (2, 8, 1, 7)]
+    )
+    def test_first_word_is_the_start_word(self, q, n, d, delta):
+        first = decoded_candidates(P(q, n, d, delta))[0]
+        assert first.tolist() == [1] * d + [0] * (n - d)
+
+    # d + delta near n: without pruning, the weights near n/2 on the way
+    # would hold C(60, 30) words
+    @pytest.mark.parametrize("q,n,d,delta", [(2, 60, 1, 59), (2, 40, 2, 37)])
+    def test_far_weights_stay_small(self, q, n, d, delta):
+        params = P(q, n, d, delta)
+        tracemalloc.start()
+        try:
+            packed = packed_candidates(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert packed.shape == (1, candidate_count(params))
+        assert packed.tobytes() == _pack_words(reference_candidate_words(params), q).tobytes()
 
     def test_alphabet_above_256(self):
-        words = candidate_words(P(257, 2, 1, 1))
+        words = decoded_candidates(P(257, 2, 1, 1))
         assert words.dtype == np.uint16 and int(words.max()) == 256
         assert len(np.unique(words, axis=0)) == len(words) == 257**2 - 1
 
     def test_count_matches_enumeration(self):
         params = P(3, 5, 2, 1)
-        assert candidate_count(params) == len(candidate_words(params))
+        assert candidate_count(params) == packed_candidates(params).shape[1]
 
     def test_equal_distance_pair_counted_once(self):
         # d == d+delta impossible, but d and d2 may coincide in weight sets
@@ -267,7 +296,7 @@ class TestLockstep:
     def restarts_per_chunk(monkeypatch, params, restarts):
         """Cap the live rows so that a chunk holds `restarts` restarts."""
         good = _good_popcounts(params)
-        packed = _pack_words(candidate_words(params), params.q)
+        packed = packed_candidates(params)
         base = int(search._compatible(packed, packed[:, 0], good).sum())
         monkeypatch.setattr(search, "_CHUNK_ROWS", restarts * base)
 
@@ -497,7 +526,7 @@ class TestOrbits:
     @pytest.mark.parametrize("q,n,d,delta", [(2, 9, 4, 2), (3, 6, 4, 2), (4, 5, 3, 1), (3, 7, 2, 3)])
     def test_stabiliser_keeps_keys_and_neighbourhood(self, q, n, d, delta):
         params = P(q, n, d, delta)
-        cands = candidate_words(params)
+        cands = decoded_candidates(params)
         good = good_distances(params)
         rng = np.random.default_rng(7)
         for centre in (cands[0], cands[math.comb(n, d) * (q - 1) ** d]):  # u and v
@@ -514,7 +543,7 @@ class TestOrbits:
     @pytest.mark.parametrize("q,n,d,delta", [(2, 9, 4, 2), (3, 6, 4, 2), (4, 5, 3, 1)])
     def test_each_key_is_one_orbit(self, q, n, d, delta):
         params = P(q, n, d, delta)
-        cands = candidate_words(params)
+        cands = decoded_candidates(params)
         heavy = cands[math.comb(n, d) * (q - 1) ** d :]
         good = good_distances(params)
         for words, centre in ((cands, cands[0]), (heavy, heavy[0])):
@@ -538,7 +567,7 @@ class TestOrbits:
 
     def test_searched_orbits_stay_deleted(self, monkeypatch):
         params = P(2, 8, 4, 2)
-        cands = candidate_words(params)
+        cands = decoded_candidates(params)
         good = good_distances(params)
         centre = cands[0]
         masks, nonadjs = [], []
@@ -593,7 +622,7 @@ class TestKernel:
     )
     def test_adjacency_matches_reference(self, q, n, d, delta):
         params = P(q, n, d, delta)
-        cands = candidate_words(params)
+        cands = decoded_candidates(params)
         assert packed_adjacency(cands, params) == _pack(reference_adjacency(cands, {d, d + delta}))
 
     # 44 words: one row per block, or six rows per block and two in the last
@@ -601,7 +630,7 @@ class TestKernel:
     def test_blocks_match_reference(self, monkeypatch, block_pairs):
         monkeypatch.setattr(search, "_BLOCK_PAIRS", block_pairs)
         params = P(3, 6, 4, 2)
-        cands = candidate_words(params)[::7]
+        cands = decoded_candidates(params)[::7]
         assert packed_adjacency(cands, params) == _pack(reference_adjacency(cands, {4, 6}))
 
     def test_memory_stays_bounded(self):

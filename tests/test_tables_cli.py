@@ -1,16 +1,21 @@
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 from test_core import CATALOG_BUILDS, construct
 from test_paper_range import paper_range_specs
 
-from twodist import constructions, feasibility
+from twodist import constructions, feasibility, search
 from twodist.cli import main
 from twodist.core import TwoDistParams, read_code, write_code
 from twodist.search import SearchConfig
 from twodist.tables import (
+    CellBound,
     CellOptions,
     TableSpec,
+    _equidistant_lp_bound,
     cell_text,
     cells_from_json,
     cells_to_json,
@@ -30,6 +35,28 @@ TWO_WEIGHT_BUILDS = [
     if isinstance(g := construct(b), constructions.GeneratorMatrix)
     and len(g.weight_distribution()) == 2
 ]
+
+
+def equidistant_maximum(q, n, dist):
+    """Most words in a q-ary length-n code with all distances equal to `dist`.
+
+    Translated to hold the zero word, such a code is the zero word plus a
+    clique of the weight-`dist` words joined at distance `dist`.
+    """
+    words = np.array(
+        [w for w in itertools.product(range(q), repeat=n) if n - w.count(0) == dist]
+    )
+    adj = search._pack((words[:, None, :] != words[None, :, :]).sum(axis=2) == dist)
+    nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
+    return 1 + search._expand(adj, nonadj, 0, (1 << len(adj)) - 1, 0, math.inf)
+
+
+@pytest.mark.parametrize(
+    "q,n", [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 7)] + [(4, 3), (4, 4), (5, 3)]
+)
+def test_equidistant_lp_bound_holds(q, n):
+    for dist in range(1, n + 1):
+        assert _equidistant_lp_bound(n, q, dist) >= equidistant_maximum(q, n, dist)
 
 
 class TestComputeCell:
@@ -56,6 +83,32 @@ class TestComputeCell:
     def test_oracle_cell(self):
         cell = compute_cell(P(2, 7, 2, 2), CellOptions(oracle_max_vertices=100))
         assert cell.status == "value" and cell.upper.value == 22
+
+    @pytest.mark.parametrize(
+        "params,value",
+        [((2, 7, 2, 2), 22), ((2, 8, 4, 2), 10), ((2, 13, 2, 2), 79), ((3, 6, 4, 2), 18)],
+    )
+    def test_oracle_above_both_equidistant_bounds_is_exact(self, params, value):
+        cell = compute_cell(P(*params), CellOptions(oracle_max_vertices=1000))
+        exact = CellBound(value, "exact")
+        assert (cell.status, cell.lower, cell.upper) == ("value", exact, exact)
+
+    # each oracle value is that of an equidistant code; the largest codes
+    # with both distances have 6, 5, 4 and 4 words
+    @pytest.mark.parametrize(
+        "params,upper",
+        [
+            ((2, 7, 4, 2), CellBound(8, "d2,lp,plotkin")),  # the [7, 3, 4] simplex code
+            ((2, 9, 4, 3), CellBound(8, "oracle")),
+            ((2, 10, 6, 2), CellBound(6, "lp,plotkin")),
+            ((2, 7, 4, 1), CellBound(8, "d2,lp,plotkin")),
+        ],
+    )
+    def test_oracle_within_an_equidistant_bound_only_caps(self, params, upper):
+        cell = compute_cell(P(*params), CellOptions(oracle_max_vertices=1000))
+        assert (cell.status, cell.lower, cell.upper) == (
+            "range", CellBound(3, "construction"), upper
+        )
 
     def test_negative_oracle_cap_refused(self):
         with pytest.raises(ValueError, match="must not be negative"):
