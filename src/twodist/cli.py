@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -280,6 +281,17 @@ def _cmd_feasible(args) -> int:
     return NO if result.refuted else OK
 
 
+def _discard_stdout() -> None:
+    """Point the file descriptor under `sys.stdout`, if it has one, at devnull."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # io.UnsupportedOperation is an OSError
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -300,7 +312,15 @@ def main(argv=None) -> int:
     try:
         if args.format is not None and args.format not in formats.get(args.command, ()):
             raise ValueError(f"unsupported format {args.format!r}")
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # so that a reader gone early shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head -1`): stop quietly, as the
+        # Python docs advise for SIGPIPE, with stdout sent to devnull so the
+        # interpreter's flush at exit finds nothing to fail on
+        _discard_stdout()
+        return FAIL
     # CodeFormatError and ExternalBoundsError are ValueErrors; OSError covers
     # unreadable inputs and unwritable outputs
     except (OSError, ValueError) as exc:

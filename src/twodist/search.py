@@ -10,11 +10,18 @@ Restarts run side by side, a chunk at a time: the live rows of a chunk's
 restarts sit in one array per limb, each restart's rows together, and
 one step picks a row for every restart still growing, tests all live
 rows against their own restart's pick in one pass and filters them all
-at once.  A chunk holds at most `_CHUNK_ROWS` (2^16) live rows, so its
-memory is bounded whatever the restarts.  Restart r draws from its own
-SplitMix64 stream derived from (seed, r), and the search reads no clock,
-so the result is a pure function of the parameters and (seed, restarts,
-stop_at), whatever the machine's speed or load or the chunk size.
+at once; the first step gathers each restart's rows from one flat
+`flatnonzero` of its (restarts, rows) mask.  A chunk holds at most
+`_CHUNK_ROWS` (2^16) live rows, so its memory is bounded whatever the
+restarts.  Restart r draws from its own SplitMix64 stream derived from
+(seed, r).  SplitMix64 is counter-based, so the outputs of a chunk's
+streams are made in numpy, a block of steps at a time, and read as
+plain ints; a draw below m takes v mod m at once for every output v at
+or below 2^64 - 1 - (base rows), and only above that line the exact
+rejection test (see `_Streams`).  Each draw reads the output a scalar
+SplitMix64 stream would, and the search reads no clock, so the result is
+a pure function of the parameters and (seed, restarts, stop_at), whatever
+the machine's speed or load or the chunk size.
 
 Candidates are built already packed, in numpy on every call, with no
 Python loop over words and no array of symbols: each weight's block of
@@ -74,41 +81,90 @@ from .core import (
     verify_two_distance,
 )
 
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)  # SplitMix64's increment
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
 MAX_CANDIDATES = 200_000  # random_greedy refuses larger candidate spaces
 _BLOCK_PAIRS = 1 << 18  # word pairs per block of the oracle's adjacency
 _CHUNK_ROWS = 1 << 16  # live rows per chunk of greedy restarts run side by side
+_FIRST_BLOCK = 16  # stream outputs per restart in a chunk's first block
 
 
-class SplitMix64:
-    """SplitMix64 PRNG: 64-bit state advanced by the golden-ratio constant."""
-
-    def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + _GOLDEN) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
-
-    def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection sampling."""
-        if n <= 0:
-            raise ValueError("n must be positive")
-        threshold = ((1 << 64) // n) * n
-        while True:
-            v = self.next_u64()
-            if v < threshold:
-                return v % n
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function, in place on a uint64 array (arithmetic wraps mod 2^64)."""
+    z ^= z >> 30
+    z *= _MIX1
+    z ^= z >> 27
+    z *= _MIX2
+    z ^= z >> 31
+    return z
 
 
-def restart_stream(seed: int, restart: int) -> SplitMix64:
-    """Independent per-restart stream: state mixed from seed and index."""
-    mixer = SplitMix64((seed ^ (restart * _GOLDEN)) & _MASK)
-    return SplitMix64(mixer.next_u64())
+class _Streams:
+    """The SplitMix64 streams of a chunk of restarts, made a block of outputs at a time.
+
+    SplitMix64 with state s gives mix(s + t * gamma) mod 2^64 as its t-th
+    output, t = 1, 2, ..., so any outputs of any streams come from one
+    `_mix` over a uint64 array.  Restart r's state is the first output of
+    the stream with state (seed ^ r * gamma) mod 2^64; only the low 64 bits
+    of the seed count.  A block holds the next `cols` outputs of each
+    restart still growing, read through one `tolist`; `cols` starts at
+    `_FIRST_BLOCK` and doubles with each block, up to `top`.
+
+    A draw below m <= `top` rejects an output v unless
+    v < 2^64 - (2^64 mod m), so that every residue is equally likely, and
+    reads the next output instead.  As 2^64 mod m < m <= top, every output
+    at or below `line` = 2^64 - 1 - top is accepted, so a block with no
+    output above it draws v mod m straight away.  Otherwise each draw of
+    the block takes the exact test; a rejected output is dropped from its
+    restart's row and the row refilled from that restart's stream.  Each
+    draw so reads the same output as a scalar SplitMix64 stream would.
+
+    Restarts that stop drawing never come back, so a block holds a row for
+    every restart that draws from it.  It has at most `top` columns, so a
+    chunk of at most `_CHUNK_ROWS` // `top` restarts holds at most
+    `_CHUNK_ROWS` outputs.
+    """
+
+    def __init__(self, seed: int, first: int, last: int, top: int):
+        restarts = np.arange(first, last, dtype=np.uint64)
+        self.states = _mix((restarts * _GOLDEN ^ np.uint64(seed & _MASK)) + _GOLDEN)
+        self.next = np.ones(last - first, dtype=np.uint64)  # t of each stream's next output to make
+        self.top, self.line = top, _MASK - top
+        self.rows: list[list[int]] = [[] for _ in range(last - first)]
+        self.cols = self.pos = 0  # the block's width and the next column to read
+        self.high = False  # whether the block holds an output above `line`
+
+    def draw(self, restarts: list[int], counts: list[int], offsets: list[int]) -> list[int]:
+        """offsets[i] plus a uniform draw below counts[i] from restarts[i]'s stream."""
+        if self.pos == self.cols:
+            self._block(restarts)
+        j, rows = self.pos, self.rows
+        self.pos += 1
+        if self.high:
+            return [s + self._accepted(r, j, m) % m for r, s, m in zip(restarts, offsets, counts)]
+        return [s + rows[r][j] % m for r, s, m in zip(restarts, offsets, counts)]
+
+    def _block(self, restarts: list[int]) -> None:
+        self.cols = min(self.top, 2 * self.cols or _FIRST_BLOCK)
+        steps = self.next[restarts]
+        self.next[restarts] = steps + self.cols
+        t = steps[:, None] + np.arange(self.cols, dtype=np.uint64)
+        block = _mix(self.states[restarts][:, None] + t * _GOLDEN)
+        self.high = bool(block.max() > self.line)
+        for r, row in zip(restarts, block.tolist()):
+            self.rows[r] = row
+        self.pos = 0
+
+    def _accepted(self, r: int, j: int, m: int) -> int:
+        """The output restart r's draw below m accepts, read from column j on."""
+        row, threshold = self.rows[r], (1 << 64) - (1 << 64) % m
+        while row[j] >= threshold:
+            del row[j]
+            step = self.next[r : r + 1]  # a view: the refill advances the stream
+            row.append(_mix(self.states[r : r + 1] + step * _GOLDEN).item())
+            step += 1
+        return row[j]
 
 
 @dataclass(frozen=True)
@@ -200,9 +256,9 @@ def _compatible(limbs, word, good: tuple[int, int]) -> np.ndarray:
 
 
 def _greedy_chunk(
-    base: np.ndarray, good: tuple[int, int], rngs: list[SplitMix64]
+    base: np.ndarray, good: tuple[int, int], streams: _Streams
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, picks): every pick of the restarts drawing from `rngs`, run side by side.
+    """(owner, picks): every pick of the restarts drawing from `streams`, run side by side.
 
     `base` is the (limbs, rows) array of the packed rows every restart
     starts from.  Column i of `picks` is a packed word that restart
@@ -217,12 +273,12 @@ def _greedy_chunk(
     """
     if not base.shape[1]:
         return np.zeros(0, dtype=np.intp), base[:, :0]
-    owner = list(range(len(rngs)))
-    picks = base.take([rng.randbelow(base.shape[1]) for rng in rngs], axis=1)
+    owner = list(range(len(streams.states)))
+    picks = base.take(streams.draw(owner, [base.shape[1]] * len(owner), [0] * len(owner)), axis=1)
     keep = _compatible(base[:, None, :], picks[:, :, None], good)
     owners, picked = owner.copy(), [picks]
     live = keep.sum(axis=1)
-    rows = base.take(keep.nonzero()[1], axis=1)
+    rows = base.take(np.flatnonzero(keep) % base.shape[1], axis=1)
     while True:
         counts = live.tolist()
         if 0 in counts:  # some restarts are maximal: drop them
@@ -232,8 +288,7 @@ def _greedy_chunk(
             counts = [m for m in counts if m]
             live = live.compress(live > 0)
         starts = live.cumsum() - live
-        draws = [s + rngs[r].randbelow(m) for r, s, m in zip(owner, starts.tolist(), counts)]
-        picks = rows.take(draws, axis=1)
+        picks = rows.take(streams.draw(owner, counts, starts.tolist()), axis=1)
         keep = _compatible(rows, picks.repeat(live, axis=1), good)
         live = np.add.reduceat(keep, starts, dtype=np.intp)
         rows = rows.compress(keep, axis=1)
@@ -275,9 +330,8 @@ def random_greedy(params: TwoDistParams, cfg: SearchConfig) -> SearchResult:
     best_restart = restarts_run = 0
     while restarts_run < cfg.restarts and len(best_words) < stop:
         last = min(cfg.restarts, restarts_run + width)
-        owner, picks = _greedy_chunk(
-            base, good, [restart_stream(cfg.seed, r) for r in range(restarts_run, last)]
-        )
+        streams = _Streams(cfg.seed, restarts_run, last, base.shape[1])
+        owner, picks = _greedy_chunk(base, good, streams)
         picks = picks.take(owner.argsort(kind="stable"), axis=1)  # each restart's picks together
         sizes = np.bincount(owner, minlength=last - restarts_run)
         for size, end in zip(sizes.tolist(), sizes.cumsum().tolist()):

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,19 +14,19 @@ from twodist.core import TwoDistParams, _pack_words, _unpack_words
 from twodist.search import (
     MAX_CANDIDATES,
     SearchConfig,
-    SplitMix64,
     _expand,
     _good_popcounts,
     _greedy_color_order,
+    _mix,
     _neighbour_sets,
     _orbit_keys,
     _orbits,
     _pack,
+    _Streams,
     candidate_count,
     exhaustive_maximum,
     packed_candidates,
     random_greedy,
-    restart_stream,
 )
 
 
@@ -45,17 +46,61 @@ def small_instances(qs, n_max, max_candidates):
     ]
 
 
+# reference: the scalar generator the library's block-made streams replaced
+
+GOLDEN = 0x9E3779B97F4A7C15
+MASK = (1 << 64) - 1
+
+
+class SplitMix64:
+    """SplitMix64 PRNG: 64-bit state advanced by the golden-ratio constant."""
+
+    def __init__(self, seed: int):
+        self.state = seed & MASK
+
+    def next_u64(self) -> int:
+        self.state = (self.state + GOLDEN) & MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    def randbelow(self, n: int) -> int:
+        """Uniform integer in [0, n) by rejection sampling."""
+        if n <= 0:
+            raise ValueError("n must be positive")
+        threshold = ((1 << 64) // n) * n
+        while True:
+            v = self.next_u64()
+            if v < threshold:
+                return v % n
+
+
+def restart_stream(seed: int, restart: int) -> SplitMix64:
+    """Independent per-restart stream: state mixed from seed and index."""
+    mixer = SplitMix64((seed ^ (restart * GOLDEN)) & MASK)
+    return SplitMix64(mixer.next_u64())
+
+
+# the published SplitMix64 sequence for seed 1234567
+PUBLISHED = [
+    6457827717110365317,
+    3203168211198807973,
+    9817491932198370423,
+    4593380528125082431,
+    16408922859458223821,
+]
+
+
 class TestPrng:
     def test_reference_vector(self):
-        # published SplitMix64 sequence for seed 1234567
         g = SplitMix64(1234567)
-        assert [g.next_u64() for _ in range(5)] == [
-            6457827717110365317,
-            3203168211198807973,
-            9817491932198370423,
-            4593380528125082431,
-            16408922859458223821,
-        ]
+        assert [g.next_u64() for _ in range(5)] == PUBLISHED
+
+    def test_mix_gives_the_reference_vector(self):
+        # output t of the stream with state s is mix(s + t * gamma)
+        steps = np.arange(1, 6, dtype=np.uint64)
+        assert _mix(np.uint64(1234567) + steps * search._GOLDEN).tolist() == PUBLISHED
 
     def test_randbelow_range_and_determinism(self):
         g1, g2 = SplitMix64(99), SplitMix64(99)
@@ -84,6 +129,41 @@ class TestPrng:
         a = restart_stream(1, 0).next_u64()
         b = restart_stream(1, 1).next_u64()
         assert a != b
+
+    # only the low 64 bits of a seed count: 2^64 + 1 is seed 1
+    @pytest.mark.parametrize("seed", [1, -1, 0, 2**64 + 1, 10**23])
+    def test_states_match_restart_stream(self, seed):
+        streams = _Streams(seed, 3, 40, 100)
+        assert streams.states.tolist() == [restart_stream(seed, r).state for r in range(3, 40)]
+
+    # at m = 2^63 + 1 about half of all outputs are rejected, at m = 2^64 - 1
+    # no output is below the acceptance line, and at m = 1 every one is
+    @pytest.mark.parametrize("m", [2**63 + 1, 2**64 - 1, 1])
+    def test_draws_match_randbelow(self, m):
+        refs = [restart_stream(7, r) for r in range(3)]
+        streams = _Streams(7, 0, 3, m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(100):  # blocks of 16, 32 and 64 columns
+                assert streams.draw([0, 1, 2], [m] * 3, [0, 10, 20]) == [
+                    s + ref.randbelow(m) for s, ref in zip((0, 10, 20), refs)
+                ]
+                for r, ref in enumerate(refs):  # the same number of outputs consumed
+                    read = int(streams.next[r]) - 1 - (len(streams.rows[r]) - streams.pos)
+                    assert ref.state == (int(streams.states[r]) + read * GOLDEN) & MASK
+        assert (read > 150) == (m == 2**63 + 1)
+
+    def test_restarts_leave_a_block_at_different_steps(self):
+        # restarts 0 and 2 stop after one and after nine draws; the others
+        # read on into their second block
+        refs = [restart_stream(3, r) for r in range(4)]
+        streams = _Streams(3, 0, 4, 1000)
+        for step in range(30):
+            owner = [r for r in range(4) if not (r == 0 and step) and not (r == 2 and step > 8)]
+            counts = [5 + r for r in owner]
+            assert streams.draw(owner, counts, [0] * len(owner)) == [
+                refs[r].randbelow(m) for r, m in zip(owner, counts)
+            ]
 
 
 def decoded_candidates(params):
@@ -288,6 +368,19 @@ class TestGreedyReference:
         )
         assert res.size == 16 and res.restarts_run < 500
 
+    # up to 77 picks a restart, read from blocks of 16, 32 and 64 outputs;
+    # only the low 64 bits of a seed count, so 2^64 + 1 runs as seed 1
+    @pytest.mark.parametrize("seed", [-1, 0, 2**64 + 1, 10**23])
+    def test_runs_longer_than_a_block(self, seed):
+        [res] = assert_greedy_matches_reference(P(2, 13, 2, 2), SearchConfig(seed=seed, restarts=3))
+        assert res.size - 2 > search._FIRST_BLOCK
+
+    def test_no_overflow_warning(self):
+        # numpy warns on uint64 scalar overflow, never on arrays
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_greedy_matches_reference(P(3, 9, 6, 3), SearchConfig(seed=-1, restarts=5))
+
 
 class TestLockstep:
     """Restarts run side by side in chunks; every result is still the reference's."""
@@ -326,6 +419,22 @@ class TestLockstep:
         assert_greedy_matches_reference(
             params, SearchConfig(seed=1, restarts=3), SearchConfig(seed=10, restarts=3, stop_at=72)
         )
+
+    def test_stream_outputs_stay_bounded(self):
+        # 37 base rows, so a chunk runs 1,771 restarts side by side; its
+        # blocks hold at most 2^16 outputs, about 3.4 MB with their Python
+        # ints, where all 5,000 restarts' outputs up to 37 steps would be
+        # about 9 MB
+        params = P(2, 8, 4, 4)
+        random_greedy(params, SearchConfig(seed=1, restarts=1))
+        tracemalloc.start()
+        try:
+            res = random_greedy(params, SearchConfig(seed=1, restarts=5000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        assert res.size == 16 and res.restarts_run == 5000
 
     @pytest.mark.parametrize("stop_at", [None, 2])
     def test_no_candidate_fits_the_start_word(self, stop_at):

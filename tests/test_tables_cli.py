@@ -1,12 +1,18 @@
+import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_core import CATALOG_BUILDS, construct
 from test_paper_range import paper_range_specs
 
+import twodist
 from twodist import constructions, feasibility, search
 from twodist.cli import main
 from twodist.core import TwoDistParams, read_code, write_code
@@ -585,6 +591,41 @@ class TestCli:
     def test_check_missing_file_is_tool_error(self, tmp_path, capsys):
         assert main(["check", str(tmp_path / "missing.txt")]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("fails", ["write", "flush"])
+    def test_closed_pipe_is_quiet(self, capsys, monkeypatch, fails):
+        class ClosedPipe(io.StringIO):
+            """A stdout whose reader has gone, found on `write` or on `flush`."""
+
+            def write(self, text):
+                if fails == "write":
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+            def flush(self):
+                if fails == "flush":
+                    raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        argv = ["search", "--q", "2", "--n", "8", "--d", "4", "--delta", "4", "--restarts", "3"]
+        assert main(argv + ["--seed", "1"]) == 1
+        assert capsys.readouterr().err == ""
+
+    def test_closed_pipe_in_a_process_is_quiet(self):
+        # the reading end is closed before the process starts, so its first
+        # write to stdout fails, whatever the timing
+        read, write = os.pipe()
+        os.close(read)
+        env = {**os.environ, "PYTHONPATH": str(Path(twodist.__file__).parents[1])}
+        argv = ["bound", "--q", "2", "--n", "12", "--d", "6", "--delta", "4"]
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "twodist.cli", *argv],
+                stdout=write, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
     def test_construct_oversized_space_is_refused(self, capsys):
         assert main(["construct", "simplex", "2", "40"]) == 1
