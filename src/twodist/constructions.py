@@ -3,10 +3,12 @@
 Each constructor returns either a `Code` (nonlinear families) or a
 `GeneratorMatrix` (linear families).  Each family rests on the identity
 its docstring states; nothing is re-checked by enumeration at run time,
-and the test suite enumerates every family's parameters.  The catalog
-functions at the bottom answer "what is the largest construction
-matching these parameters" by arithmetic alone and are used for table
-lower bounds.
+and the test suite enumerates every family's parameters.  The small
+nonlinear families are built as whole arrays.  The catalog functions at
+the bottom answer "what is the largest construction matching these
+parameters" by arithmetic alone and are used for table lower bounds; the
+su2 and equidistant entries follow from their formulas without a search
+(delta = q^(m-1) fixes m for su2).
 
 A linear code's columns, up to scalars, are a multiset of points of
 PG(k-1, q), held as one vector m of multiplicities over
@@ -15,7 +17,6 @@ lexicographic order.  Columns are written in that point order.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -314,55 +315,49 @@ def small_family_code(kind: str, n: int, q: int = 2, d: int | None = None, delta
     disjoint   zero plus floor(n/d) weight-d words with disjoint supports:
                distances {d, 2d}.
     ternary13  the six-word ternary code with distances {1, 3}, padded.
+
+    Each family is one (size, n) uint8 array, its words in a fixed order.
     """
     if kind == "weight2":
         if n < 4:
             raise ValueError("weight2 family needs n >= 4")
         if q < 2:
             raise ValueError("alphabet must have at least two symbols")
-        words = [(0,) * n]
-        for i, j in itertools.combinations(range(n), 2):
-            w = [0] * n
-            w[i] = w[j] = 1
-            words.append(tuple(w))
-        return Code(q, n, tuple(words))
+        # the pairs i < j in row-major order, as itertools.combinations lists them
+        i, j = np.triu_indices(n, 1)
+        words = np.zeros((len(i) + 1, n), dtype=np.uint8)
+        rows = np.arange(1, len(i) + 1)
+        words[rows, i] = words[rows, j] = 1
+        return Code(q, n, words)
     if kind == "bin-2-2d":
         if delta is None or delta < 3:
             raise ValueError("bin-2-2d needs delta >= 3")
         if n < delta + 3:
             raise ValueError("bin-2-2d needs n >= delta + 3")
-        words = [(0,) * n]
         block = delta + 3
-        for j in range(1, block):
-            w = [0] * n
-            for i in range(block):
-                if i != j:
-                    w[i] = 1
-            words.append(tuple(w))
-        for i in range(block, n):
-            w = [0] * n
-            w[0] = w[i] = 1
-            words.append(tuple(w))
+        words = np.zeros((n + (n == block), n), dtype=np.uint8)
+        # rows 1..block-1 of 1 - eye(block), then row i >= block is {0, i};
+        # at n = block, row 0 of 1 - eye(block) (weight n - 1) comes last
+        words[1:block, :block] = 1 - np.eye(block, dtype=np.uint8)[1:]
+        tail = np.arange(block, n)
+        words[tail, 0] = words[tail, tail] = 1
         if n == block:
-            words.append((0,) + (1,) * (n - 1))
-        return Code(2, n, tuple(words))
+            words[n, 1:] = 1
+        return Code(2, n, words)
     if kind == "disjoint":
         if d is None or d < 1:
             raise ValueError("disjoint family needs d >= 1")
         if n < 2 * d:
             raise ValueError("disjoint family needs n >= 2d")
-        words = [(0,) * n]
-        for i in range(n // d):
-            w = [0] * n
-            for j in range(i * d, (i + 1) * d):
-                w[j] = 1
-            words.append(tuple(w))
-        return Code(2, n, tuple(words))
+        words = np.zeros((n // d + 1, n), dtype=np.uint8)
+        words[1:, : n // d * d] = np.repeat(np.eye(n // d, dtype=np.uint8), d, axis=1)
+        return Code(2, n, words)
     if kind == "ternary13":
         if n < 4:
             raise ValueError("ternary13 needs n >= 4")
-        base = ["0000", "1000", "2110", "2120", "2201", "2202"]
-        words = tuple(tuple(int(c) for c in w) + (0,) * (n - 4) for w in base)
+        words = np.zeros((6, n), dtype=np.uint8)
+        words[:, :4] = [[0, 0, 0, 0], [1, 0, 0, 0], [2, 1, 1, 0],
+                        [2, 1, 2, 0], [2, 2, 0, 1], [2, 2, 0, 2]]
         return Code(3, n, words)
     raise ValueError(f"unknown family {kind!r}")
 
@@ -441,23 +436,14 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
                     nat = (s * (q**m - 1) + h * (q**r - 1)) // (q - 1)
                     if nat <= n:
                         entries.append(CatalogEntry(q**m, "su1"))
-    # su2: prime alphabet only
-    if pm is not None and pm[1] == 1:
-        p = q
-        for m in range(2, 11):
-            qm = p**m
-            if qm > 1024:
-                break
-            if qm < 4 or delta != p ** (m - 1):
-                continue
-            if d % (p ** (m - 1)):
-                continue
-            r = d // p ** (m - 1) + 1
-            # r = q+1 degenerates to an equidistant code (full outer point set)
-            if 2 <= r <= qm:
-                nat = r * (qm - 1) // (p - 1)
-                if nat <= n:
-                    entries.append(CatalogEntry(p ** (2 * m), "su2"))
+    # su2, prime q only: delta = q^(m-1) fixes m, and q^m = q delta.  m >= 2
+    # (q | delta) and q >= 2 give q^m >= 4; delta | d and d >= 1 give r >= 2;
+    # r = q^m + 1 degenerates to an equidistant code (the full outer point set)
+    if (pm == (q, 1) and delta % q == 0 and d % delta == 0
+            and delta == q ** p_adic_valuation(q, delta)):
+        qm, r = q * delta, d // delta + 1
+        if r <= qm <= 1024 and r * (qm - 1) // (q - 1) <= n:
+            entries.append(CatalogEntry(qm * qm, "su2"))
     # small families
     if d == 2 and delta == 2 and n >= 4:
         entries.append(CatalogEntry(math.comb(n, 2) + 1, "weight2"))
@@ -474,30 +460,24 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
 
 
 def equidistant_lower_bound(q: int, n: int, d: int) -> CatalogEntry | None:
-    """Largest catalog equidistant code with distance d and length <= n."""
-    best: CatalogEntry | None = None
+    """Largest catalog equidistant code with distance d and length <= n.
+
+    The simplex size q^m grows with m, so the last m that matches wins; the
+    dm code replaces it only when strictly larger.
+    """
     pm = prime_power(q)
     if pm is None:
         return None
-    p = pm[0]
+    size, family = 0, None
     # replicated simplex: d = s q^(m-1), length s (q^m - 1)/(q - 1)
     power = 1  # q^(m-1)
-    m = 1
     while power <= d:
-        if d % power == 0:
-            s = d // power
-            nat = s * (q**m - 1) // (q - 1)
-            if nat <= n:
-                entry = CatalogEntry(q**m, "simplex")
-                if best is None or entry.size > best.size:
-                    best = entry
+        if d % power == 0 and d // power * (q * power - 1) // (q - 1) <= n:
+            size, family = q * power, "simplex"
         power *= q
-        m += 1
     # difference-matrix equidistant: d = (q-1)mu, length q mu - 1
     if d % (q - 1) == 0:
         mu = d // (q - 1)
-        if mu == p ** p_adic_valuation(p, mu) and q * mu - 1 <= n:
-            entry = CatalogEntry(q * mu, "dm")
-            if best is None or entry.size > best.size:
-                best = entry
-    return best
+        if q * mu > size and mu == pm[0] ** p_adic_valuation(pm[0], mu) and q * mu - 1 <= n:
+            size, family = q * mu, "dm"
+    return None if family is None else CatalogEntry(size, family)

@@ -285,6 +285,10 @@ class TestGrayRankin:
     def test_not_applicable(self):
         assert gray_rankin_bound(2, 10, 2) is None
 
+    def test_one_symbol_alphabet_refused(self):
+        with pytest.raises(ValueError, match="q>=2, n>=1, d>=1 required"):
+            gray_rankin_bound(1, 5, 2)
+
 
 class TestSphere:
     @pytest.mark.parametrize(
@@ -377,3 +381,11 @@ class TestExternalBounds:
     def test_rejects_wrong_field_count(self):
         with pytest.raises(ExternalBoundsError, match="line 2"):
             ExternalBounds.from_csv("q,n,d,bound\n2,13,8\n")
+
+    def test_skips_blank_lines(self):
+        ext = ExternalBounds.from_csv("q,n,d,bound\n\n2,13,8,4\n   \n3,8,6,9\n\n")
+        assert ext.table == {(2, 13, 8): 4, (3, 8, 6): 9}
+
+    def test_rejects_zero_bound_with_line_number(self):
+        with pytest.raises(ExternalBoundsError, match="^line 4: values out of range$"):
+            ExternalBounds.from_csv("q,n,d,bound\n2,13,8,4\n\n2,9,4,0\n")

@@ -538,6 +538,47 @@ class TestSmallFamilies:
         assert distance_distribution(code).support() == (2, 5)
 
 
+# each constructor's refusals, in the order it checks them: where two checks
+# fail at once, the first one's message is the one raised
+@pytest.mark.parametrize("build,args,message", [
+    (difference_matrix, (4, 1, 1), "p=4 must be prime"),
+    (difference_matrix, (2, 0, 1), "need ell >= 1 and h >= 0"),
+    (difference_matrix, (2, 1, -1), "need ell >= 1 and h >= 0"),
+    (seed_code, ("simplex", 6, 2), "q=6 is not a prime power"),
+    (seed_code, ("simplex", 2, 0), "simplex needs m >= 1"),
+    (seed_code, ("mds2", 3, 1), "mds2 needs 2 <= r <= q+1"),
+    (seed_code, ("mds2", 3, 5), "mds2 needs 2 <= r <= q+1"),
+    (seed_code, ("hexagon", 3, 2), "unknown seed kind 'hexagon'"),
+    (su1_code, (6, 4, 2, 1, 1), "q=6 is not a prime power"),
+    (su1_code, (2, 4, 1, 1, 1), "need 2 <= r <= m-1"),
+    (su1_code, (2, 4, 4, 0, 1), "need 2 <= r <= m-1"),
+    (su1_code, (2, 4, 2, 0, 1), "need s >= 1 and h >= 1"),
+    (su1_code, (2, 4, 2, 1, 0), "need s >= 1 and h >= 1"),
+    (su1_code, (2, 4, 2, 1, 2), "removal mode needs h <= s"),
+    (su1_code, (2, 4, 2, 1, 2, "union"), "union mode needs h coprime to q"),
+    (su1_code, (2, 4, 2, 1, 1, "merge"), "unknown mode 'merge'"),
+    (su2_code, (4, 2, 3), "p=4 must be prime"),
+    (su2_code, (3, 1, 2), "needs p^m >= 4"),
+    (su2_code, (2, 2, 1), "needs 2 <= r <= q+1"),
+    (su2_code, (2, 2, 6), "needs 2 <= r <= q+1"),
+    (pencil_code, (6, 1), "q=6 is not a prime power"),
+    (pencil_code, (3, 0), "delta must be positive"),
+    (small_family_code, ("weight2", 3, 1), "weight2 family needs n >= 4"),
+    (small_family_code, ("weight2", 4, 1), "alphabet must have at least two symbols"),
+    (small_family_code, ("bin-2-2d", 2), "bin-2-2d needs delta >= 3"),
+    (small_family_code, ("bin-2-2d", 2, 2, None, 2), "bin-2-2d needs delta >= 3"),
+    (small_family_code, ("bin-2-2d", 6, 2, None, 4), "bin-2-2d needs n >= delta + 3"),
+    (small_family_code, ("disjoint", 1), "disjoint family needs d >= 1"),
+    (small_family_code, ("disjoint", 1, 2, 0), "disjoint family needs d >= 1"),
+    (small_family_code, ("disjoint", 5, 2, 3), "disjoint family needs n >= 2d"),
+    (small_family_code, ("ternary13", 3), "ternary13 needs n >= 4"),
+    (small_family_code, ("octads", 24), "unknown family 'octads'"),
+])
+def test_constructor_refusals(build, args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(*args)
+
+
 class TestComplementary:
     def test_su2_complement(self):
         comp = complementary_code(su2_code(2, 2, 3))
@@ -636,6 +677,7 @@ class TestCatalog:
         e = equidistant_lower_bound(3, 8, 6)
         assert e.size == 9
         assert equidistant_lower_bound(2, 3, 5) is None
+        assert equidistant_lower_bound(6, 10, 2) is None  # no field of order 6
 
 
 def reference_su1_entries(params):

@@ -127,6 +127,16 @@ class TestComputeCell:
         )
         assert cell.status == "value" and cell.lower.value == 16
 
+    @pytest.mark.parametrize("params,before,status,after,upper", [
+        ((2, 12, 4, 2), 16, "range", 18, CellBound(25, "sc")),
+        # the greedy code meets the d2 and LP bound 12 and closes the cell
+        ((2, 11, 5, 1), 3, "value", 12, CellBound(12, "d2,lp")),
+    ])
+    def test_search_raises_the_lower_bound(self, params, before, status, after, upper):
+        assert compute_cell(P(*params)).lower == CellBound(before, "construction")
+        cell = compute_cell(P(*params), CellOptions(search_cfg=SearchConfig(seed=1, restarts=20)))
+        assert (cell.status, cell.lower, cell.upper) == (status, CellBound(after, "search"), upper)
+
     def test_search_skipped_above_candidate_cap(self):
         # 310,726 candidates, above search.MAX_CANDIDATES: the cell keeps its other bounds
         cfg = SearchConfig(seed=1, restarts=5)
@@ -164,7 +174,9 @@ class TestRender:
     def test_json_roundtrip(self):
         spec = TableSpec(q=2, delta=4, n_min=8, n_max=12, fmt="json")
         cells = table_cells(spec)
-        assert cells_from_json(cells_to_json(cells)) == cells
+        out = render_table(spec)
+        assert out == cells_to_json(cells)
+        assert cells_from_json(out) == cells
 
     def test_empty_d_range(self):
         # d_min is above n - delta for every length, so no cell is computed
@@ -303,6 +315,10 @@ class TestCli:
         assert main(["bound", "--q", "2", "--n", "9", "--d", "3", "--delta", "4"]) == 2
         assert "not well defined" in capsys.readouterr().out
 
+    def test_bound_exact_exits_0(self, capsys):
+        assert main(["bound", "--q", "2", "--n", "9", "--d", "3", "--delta", "3"]) == 0
+        assert "\n  exact    4\n" in capsys.readouterr().out
+
     def test_bound_json(self, capsys):
         assert main(["--format", "json", "bound", "--q", "2", "--n", "12", "--d", "6", "--delta", "4"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -341,6 +357,15 @@ class TestCli:
         main(["construct", "dm", "2", "1", "2", "-o", str(out)])
         capsys.readouterr()
         assert main(["check", str(out), "--d", "2", "--delta", "2"]) == 2
+
+    def test_check_one_distance_code_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "simplex.txt"
+        assert main(["construct", "simplex", "2", "3", "-o", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["check", str(out)]) == 2
+        assert "observed distances: [4]\n" in capsys.readouterr().out
+        assert main(["check", str(out), "--d", "4", "--delta", "2"]) == 2
+        assert capsys.readouterr().out.endswith("\nequidistant: only one of the two distances occurs\n")
 
     def test_construct_generator_format(self, capsys):
         assert main(["construct", "su2", "2", "2", "3", "--generator"]) == 0
@@ -559,6 +584,19 @@ class TestCli:
         assert capsys.readouterr().out == "3 6 4\n111100\n012310\n013201\n"
         assert main(["construct", "pencil", "3", "2", "--generator"]) == 0
         assert capsys.readouterr().out == "2 6 3\n011100\n101211\n"
+
+    # the small families' words, in the order they had when built one tuple at a time
+    @pytest.mark.parametrize("argv,words", [
+        ("weight2 5", "00000 11000 10100 10010 10001 01100 01010 01001 00110 00101 00011"),
+        ("bin-2-2d 6 3", "000000 101111 110111 111011 111101 111110 011111"),
+        ("bin-2-2d 8 3", "00000000 10111100 11011100 11101100 11110100 11111000 10000010 10000001"),
+        ("disjoint 7 3", "0000000 1110000 0001110"),
+        ("ternary13 5", "00000 10000 21100 21200 22010 22020"),
+    ])
+    def test_construct_small_family_pins(self, capsys, argv, words):
+        assert main(["construct", *argv.split()]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1:] == words.split()
 
     def test_external_bounds_flag(self, tmp_path, capsys):
         csv = tmp_path / "ext.csv"
