@@ -60,7 +60,15 @@ on one third word per orbit of the maps fixing 0 and u (or v), then
 deletes that orbit: the maps carry any clique through the orbit onto one through the
 chosen word.  It stops once a code reaches the `range` upper bound of
 `bounds.best_upper_bound`; `exact` and `not_well_defined` statuses count
-only codes with both distances, so they never stop it.
+only codes with both distances, so they never stop it.  The search
+starts from the largest catalog code, of
+`constructions.two_distance_lower_bounds` or of
+`constructions.equidistant_lower_bound` at distance d or d+delta: each
+such code has its distances in {d, d+delta}, so it is one of the codes
+counted and the value is at least its size.  When that size already
+meets the `range` bound it is the value, and the oracle returns it
+without building a candidate.  The candidate cap is checked before any
+of this, so what it refuses does not depend on the catalog.
 """
 from __future__ import annotations
 
@@ -70,6 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds as bounds_mod
+from . import constructions
 from .core import (
     Code,
     TwoDistParams,
@@ -506,6 +515,20 @@ def _proven_bound(params: TwoDistParams) -> float:
     return status.hi if status.kind == "range" else math.inf
 
 
+def _catalog_size(params: TwoDistParams) -> int:
+    """Size of the largest catalog code with distances in {d, d+delta}, else 0.
+
+    These are the two-distance entries and the equidistant codes at
+    distance d or d+delta; the oracle counts every one of them.
+    """
+    sizes = [entry.size for entry in constructions.two_distance_lower_bounds(params)]
+    for distance in (params.d, params.d2):
+        entry = constructions.equidistant_lower_bound(params.q, params.n, distance)
+        if entry is not None:
+            sizes.append(entry.size)
+    return max(sizes, default=0)
+
+
 def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
     """Exact A_q(n, {d, d+delta}) for small candidate spaces.
 
@@ -532,8 +555,16 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
     usually the smaller, goes first, and the search on N(u) only looks
     for cliques larger than its clique number.  Both stop once the code
     reaches a range upper bound of `bounds.best_upper_bound` (see
-    `_proven_bound`), which is then the value.  `max_vertices` caps the
-    whole candidate space.
+    `_proven_bound`), which is then the value.
+
+    Both searches start from L - 2, with L the largest catalog code the
+    oracle counts (see `_catalog_size`; 0 if none matches): the value is
+    at least L, and each search returns its clique number only if above
+    what it is given, so the result is max(L, what the searches find),
+    the value.  When L reaches the range bound, L is the value and is
+    returned before any candidate is built.  `max_vertices` caps the
+    whole candidate space and is checked first, so a refusal never
+    depends on the catalog.
     """
     if max_vertices < 0:
         raise ValueError("oracle cap must not be negative")
@@ -543,9 +574,11 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
             f"candidate space has {total} words, above the limit {max_vertices}"
         )
     stop = _proven_bound(params) - 2
+    best = max(0, _catalog_size(params) - 2)
+    if best >= stop:
+        return 2 + best
     packed = packed_candidates(params)
     good = _good_popcounts(params)
-    best = 0
     # v then u: the weight-(d+delta) words, then all candidates
     for first in (math.comb(params.n, params.d) * (params.q - 1) ** params.d, 0):
         limbs = packed[:, first:]

@@ -542,19 +542,23 @@ def trace_oracle(monkeypatch, params):
 class TestOracleStop:
     """The oracle stops once a code reaches a range upper bound, and only then."""
 
-    # the weight-(d+delta) neighbourhood of v is searched first, then N(u)
+    # the weight-(d+delta) neighbourhood of v is searched first, then N(u);
+    # in the first two cells the largest catalog code is below the bound,
+    # so the search runs from it: best in = its size - 2
 
     def test_stop_in_first_neighbourhood(self, monkeypatch):
-        value, calls = trace_oracle(monkeypatch, P(2, 10, 4, 2))
-        assert best_upper_bound(P(2, 10, 4, 2)).status.kind == "range"
-        assert value == 16 == best_upper_bound(P(2, 10, 4, 2)).best
-        (_, stop, first), (best, _, second) = calls
-        assert first == stop == 14 and best == second == 14
+        value, calls = trace_oracle(monkeypatch, P(3, 4, 2, 2))
+        assert best_upper_bound(P(3, 4, 2, 2)).status.kind == "range"
+        assert value == 9 == best_upper_bound(P(3, 4, 2, 2)).best
+        (seed, stop, first), (best, _, second) = calls
+        assert seed == search._catalog_size(P(3, 4, 2, 2)) - 2 == 5
+        assert first == stop == 7 and best == second == 7
 
     def test_stop_in_second_neighbourhood(self, monkeypatch):
-        value, calls = trace_oracle(monkeypatch, P(2, 9, 4, 2))
-        assert value == 16 == best_upper_bound(P(2, 9, 4, 2)).best
-        (_, stop, first), (best, _, second) = calls
+        value, calls = trace_oracle(monkeypatch, P(2, 5, 2, 2))
+        assert value == 16 == best_upper_bound(P(2, 5, 2, 2)).best
+        (seed, stop, first), (best, _, second) = calls
+        assert seed == search._catalog_size(P(2, 5, 2, 2)) - 2 == 9
         assert first < stop and best == first and second == stop == 14
 
     def test_no_stop_below_the_bound(self, monkeypatch):
@@ -576,6 +580,42 @@ class TestOracleStop:
         got, calls = trace_oracle(monkeypatch, P(*params))
         assert got == value == reference_exhaustive_maximum(P(*params))
         assert [stop for _, stop, _ in calls] == [math.inf, math.inf]
+
+
+class TestOracleSeed:
+    """The oracle starts from the largest catalog code, and returns it once it meets the bound."""
+
+    @pytest.mark.parametrize(
+        "params,value", [((2, 10, 4, 4), 16), ((4, 6, 4, 2), 64), ((4, 5, 3, 1), 16)]
+    )
+    def test_settled_cells_build_nothing(self, monkeypatch, params, value):
+        def refuse(params):
+            raise AssertionError("a settled cell built its candidates")
+
+        monkeypatch.setattr(search, "packed_candidates", refuse)
+        assert exhaustive_maximum(P(*params)) == value
+
+    def test_seed_below_the_bound_still_searches(self, monkeypatch):
+        # the catalog's 7 words are the value, but one below the bound 8:
+        # only the search can show that no eighth word fits
+        value, calls = trace_oracle(monkeypatch, P(2, 6, 2, 3))
+        assert value == search._catalog_size(P(2, 6, 2, 3)) == 7
+        assert best_upper_bound(P(2, 6, 2, 3)).best == 8
+        assert [(best, stop) for best, stop, _ in calls] == [(5, 6), (5, 6)]
+
+    def test_cap_comes_first(self):
+        assert search._catalog_size(P(4, 6, 4, 2)) == 64 == best_upper_bound(P(4, 6, 4, 2)).best
+        with pytest.raises(ValueError, match="limit"):
+            exhaustive_maximum(P(4, 6, 4, 2), max_vertices=100)
+
+    def test_seed_never_changes_a_value(self, monkeypatch):
+        # also catches a catalog entry that claims more words than exist
+        cells = [c for c in small_instances((2, 3, 4), 24, 300) if c[0] * c[1] < 50]
+        seeded = [exhaustive_maximum(P(*c)) for c in cells]
+        monkeypatch.setattr(search, "_catalog_size", lambda params: 0)
+        unseeded = [exhaustive_maximum(P(*c)) for c in cells]
+        assert len(cells) == 372
+        assert [c for c, a, b in zip(cells, seeded, unseeded) if a != b] == []
 
 
 def distances_to(words, word):
