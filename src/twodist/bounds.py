@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from pathlib import Path
 
 from .core import BoundStatus, TwoDistParams
 from .krawtchouk import kraw_eval, kraw_rows
@@ -125,6 +124,19 @@ def lp_bound(params: TwoDistParams) -> int:
     """Floor of the exact restricted-LP optimum."""
     opt, _ = lp_optimum(params)
     return math.floor(opt)
+
+
+def equidistant_lp_bound(n: int, q: int, dist: int) -> int:
+    """E(D), Delsarte's bound on a q-ary length-n code with all distances D = `dist` >= 1.
+
+    Such a code of M words has distance distribution A_0 = 1, A_D = M - 1,
+    and Delsarte's inequalities sum_j A_j K_i(j) >= 0 read
+    K_i(0) + (M - 1) K_i(D) >= 0.  Every i with K_i(D) < 0 therefore gives
+    M <= 1 + floor(K_i(0) / -K_i(D)), and E(D) is the least of these.  Such
+    an i exists: sum_{i=0..n} K_i(D) = q^n [D = 0] = 0 and K_0 = 1, so
+    sum_{i>=1} K_i(D) = -1.
+    """
+    return 1 + min(k_0 // -k_d for k_d, _, k_0 in kraw_rows(n, q, dist, dist) if k_d < 0)
 
 
 def plotkin_bound(params: TwoDistParams) -> int | None:
@@ -274,13 +286,6 @@ class ExternalBounds:
             rows[(q, n, d)] = bound
         return ExternalBounds(rows)
 
-    @staticmethod
-    def from_path(path: str | Path) -> "ExternalBounds":
-        return ExternalBounds.from_csv(Path(path).read_text())
-
-    def lookup(self, q: int, n: int, d: int) -> int | None:
-        return self.table.get((q, n, d))
-
 
 @dataclass(frozen=True)
 class BoundEntry:
@@ -302,6 +307,10 @@ class BoundReport:
         return self.status.hi
 
 
+# the order in which tied methods are listed, in reports and table tags alike
+_TIE_ORDER = ("ext", "dd", "d2", "sc", "lp", "plotkin")
+
+
 def best_upper_bound(
     params: TwoDistParams, external: ExternalBounds | None = None
 ) -> BoundReport:
@@ -309,7 +318,8 @@ def best_upper_bound(
 
     Exact special values and not-well-defined cases short-circuit the
     aggregation.  The Gray-Rankin value is reported for reference but is
-    excluded from the minimum, being valid for antipodal codes only.
+    excluded from the minimum, being valid for antipodal codes only.  The
+    methods that attain the minimum are listed in `_TIE_ORDER`.
     """
     sv = feasibility.special_values(params)
     if sv.status is not None:  # both exact families are realizable
@@ -343,7 +353,7 @@ def best_upper_bound(
     gr = gray_rankin_bound(params.q, params.n, params.d)
     entries.append(BoundEntry("gr", gr, note="antipodal codes only; not aggregated"))
     if external is not None:
-        ext = external.lookup(params.q, params.n, params.d)
+        ext = external.table.get((params.q, params.n, params.d))
         if ext is not None:
             entries.append(BoundEntry("ext", ext))
 
@@ -351,6 +361,6 @@ def best_upper_bound(
         (e.value, e.method) for e in entries if e.value is not None and e.method != "gr"
     ]
     best = min(v for v, _ in candidates)
-    methods = tuple(m for v, m in candidates if v == best)
+    methods = tuple(sorted((m for v, m in candidates if v == best), key=_TIE_ORDER.index))
     status = BoundStatus.range_(1, best, methods=methods)
     return BoundReport(status, tuple(entries))

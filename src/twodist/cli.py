@@ -17,9 +17,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import constructions, feasibility, search, tables
 from .core import (
-    MAX_ALPHABET,
     Code,
-    CodeFormatError,
     TwoDistParams,
     distance_distribution,
     is_antipodal,
@@ -27,6 +25,7 @@ from .core import (
     strength,
     verify_two_distance,
     write_code,
+    write_digits,
 )
 
 OK, NO, FAIL = 0, 2, 1
@@ -136,7 +135,7 @@ def build_parser() -> _Parser:
 def _load_external(args) -> bounds_mod.ExternalBounds | None:
     if not args.external_bounds:
         return None
-    return bounds_mod.ExternalBounds.from_path(args.external_bounds)
+    return bounds_mod.ExternalBounds.from_csv(Path(args.external_bounds).read_text())
 
 
 def _cmd_bound(args) -> int:
@@ -250,11 +249,7 @@ def _cmd_construct(args) -> int:
 
     if isinstance(obj, constructions.GeneratorMatrix):
         if args.generator:
-            if obj.q > MAX_ALPHABET:
-                raise CodeFormatError(f"file format supports q <= {MAX_ALPHABET}")
-            lines = [f"{obj.k} {obj.n} {obj.q}"]
-            lines += ["".join(map(str, row)) for row in obj.rows.tolist()]
-            text = "\n".join(lines) + "\n"
+            text = write_digits(f"{obj.k} {obj.n} {obj.q}", obj.q, obj.rows)
         else:
             if obj.q ** obj.k > 4096:
                 raise ValueError("code too large to expand; use --generator")

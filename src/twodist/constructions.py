@@ -456,7 +456,8 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
         entries.append(CatalogEntry(6, "ternary13"))
 
     entries.sort(key=lambda e: (-e.size, e.family))
-    return tuple(entries)
+    # su1 can match at several (m, r) of one size
+    return tuple(dict.fromkeys(entries))
 
 
 def equidistant_lower_bound(q: int, n: int, d: int) -> CatalogEntry | None:

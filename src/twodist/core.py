@@ -457,13 +457,18 @@ def is_antipodal(code: Code) -> bool:
 # string per line; '#' starts a comment
 
 
-def write_code(code: Code) -> str:
-    if code.q > MAX_ALPHABET:
+def write_digits(header: str, q: int, rows: np.ndarray) -> str:
+    """The `header` line, then each row of symbols in 0..q-1 as one line of digits."""
+    if q > MAX_ALPHABET:
         raise CodeFormatError(f"file format supports q <= {MAX_ALPHABET}")
-    block = np.empty((code.size, code.n + 1), dtype=np.uint8)
-    block[:, :-1] = code.array + ord("0")
+    block = np.empty((rows.shape[0], rows.shape[1] + 1), dtype=np.uint8)
+    block[:, :-1] = rows + ord("0")
     block[:, -1] = ord("\n")
-    return f"q={code.q} n={code.n}\n" + block.tobytes().decode("ascii")
+    return header + "\n" + block.tobytes().decode("ascii")
+
+
+def write_code(code: Code) -> str:
+    return write_digits(f"q={code.q} n={code.n}", code.q, code.array)
 
 
 def read_code(text: str) -> Code:

@@ -377,18 +377,13 @@ def gcd_screen(lp: LinearParams) -> GcdScreen:
     delta).  One verdict is reported per candidate s (see `_candidates`);
     the parameters are refuted only if every candidate fails.
     """
-    return _gcd_screen(lp, _candidates(lp))
-
-
-def _gcd_screen(lp: LinearParams, candidates) -> GcdScreen:
-    """`gcd_screen` on the candidates `_candidates(lp)` returns."""
     if lp.k < 2:
         raise ValueError("gcd screen needs k >= 2")
     q, k, n, d, delta, p = lp.q, lp.k, lp.n, lp.w1, lp.delta, lp.p
     gamma_d, gamma_delta = p_adic_valuation(p, d), p_adic_valuation(p, delta)
     gd, gdel = math.gcd(q, d), math.gcd(q, delta)
     verdicts = []
-    for c in candidates:
+    for c in _candidates(lp):
         if c.s > 1:
             clause = ClauseVerdict("abstain", True, None, f"k = {k} with repeated columns")
             verdicts.append(GcdVerdict(c.s, c.n_c, c.d_c, (clause,), "abstain"))
@@ -489,7 +484,7 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     elif not candidates:
         add("gcd-valuation", "skip", "no candidate s")
     else:
-        per_s = _gcd_screen(lp, candidates).per_s
+        per_s = gcd_screen(lp).per_s
         abstains = [v for v in per_s if v.verdict == "abstain"]
         if len(abstains) > 1:
             per_s = [v for v in per_s if v.verdict != "abstain"]

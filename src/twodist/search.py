@@ -491,8 +491,11 @@ def _orbit_clique(
     still alive, then delete the orbit.  A maximum clique meets some first
     orbit, and an element of H maps it onto a clique through that orbit's
     first word that still avoids every earlier orbit, so nothing is lost.
-    The search ends once a clique reaches `stop`.
+    The search ends once a clique reaches `stop`, and `best` is returned
+    before any graph is built when it already does.
     """
+    if best >= stop:
+        return best
     adj = _neighbour_sets(limbs, good)
     nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
     alive = (1 << len(near)) - 1

@@ -9,7 +9,7 @@ cell by cell in any order.
 The exhaustive oracle counts every code whose distances lie in
 {d, d+delta}, equidistant ones included.  Its value is exact for the cell
 only when it exceeds the one-distance Delsarte bound at both distances
-(`_equidistant_lp_bound`), so that every code of that size has both
+(`bounds.equidistant_lp_bound`), so that every code of that size has both
 distances; otherwise it only caps the upper bound, tagged `oracle` when it
 is the lower one.
 """
@@ -21,13 +21,6 @@ from dataclasses import dataclass
 from . import bounds as bounds_mod
 from . import constructions, search
 from .core import TwoDistParams
-from .krawtchouk import kraw_rows
-
-_TAG_ORDER = ("ext", "dd", "d2", "sc", "lp", "plotkin", "oracle", "exact")
-
-
-def _order_tags(methods) -> str:
-    return ",".join(sorted(methods, key=_TAG_ORDER.index))
 
 
 @dataclass(frozen=True)
@@ -93,19 +86,6 @@ class CellOptions:
             raise ValueError("oracle cap must not be negative")
 
 
-def _equidistant_lp_bound(n: int, q: int, dist: int) -> int:
-    """E(D), Delsarte's bound on a q-ary length-n code with all distances D = `dist` >= 1.
-
-    Such a code of M words has distance distribution A_0 = 1, A_D = M - 1,
-    and Delsarte's inequalities sum_j A_j K_i(j) >= 0 read
-    K_i(0) + (M - 1) K_i(D) >= 0.  Every i with K_i(D) < 0 therefore gives
-    M <= 1 + floor(K_i(0) / -K_i(D)), and E(D) is the least of these.  Such
-    an i exists: sum_{i=0..n} K_i(D) = q^n [D = 0] = 0 and K_0 = 1, so
-    sum_{i>=1} K_i(D) = -1.
-    """
-    return 1 + min(k_0 // -k_d for k_d, _, k_0 in kraw_rows(n, q, dist, dist) if k_d < 0)
-
-
 def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) -> TableCell:
     """One table cell: feasibility screens, bound aggregation, lower bounds."""
     report = bounds_mod.best_upper_bound(params, options.external)
@@ -116,12 +96,12 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
         v = report.status.lo
         return TableCell(
             params, "value", CellBound(v, "exact"),
-            CellBound(v, _order_tags(report.status.methods)),
+            CellBound(v, ",".join(report.status.methods)),
             note=report.status.note, methods=methods,
         )
 
     upper = report.status.hi
-    upper_tag = _order_tags(report.status.methods)
+    upper_tag = ",".join(report.status.methods)
 
     lower, lower_tag = 3, "construction"  # three-word witness always exists here
     catalog = constructions.two_distance_lower_bounds(params)
@@ -137,13 +117,13 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
         value = search.exhaustive_maximum(params, options.oracle_max_vertices)
         if value > upper:
             raise AssertionError(f"oracle value {value} exceeds upper bound {upper} for {params}")
-        one_distance = (_equidistant_lp_bound(params.n, params.q, e) for e in (params.d, params.d2))
+        one_distance = (
+            bounds_mod.equidistant_lp_bound(params.n, params.q, e) for e in (params.d, params.d2)
+        )
         if value > max(one_distance):
-            return TableCell(
-                params, "value", CellBound(value, "exact"), CellBound(value, "exact"),
-                methods=methods,
-            )
-        if value < upper:
+            lower = upper = value
+            lower_tag = upper_tag = "exact"
+        elif value < upper:
             upper, upper_tag = value, "oracle"
 
     eq_size = None

@@ -366,9 +366,9 @@ class TestAggregator:
 class TestExternalBounds:
     def test_parse(self):
         ext = ExternalBounds.from_csv("q,n,d,bound\n2,13,8,4\n3,8,6,9\n")
-        assert ext.lookup(2, 13, 8) == 4
-        assert ext.lookup(3, 8, 6) == 9
-        assert ext.lookup(2, 9, 4) is None
+        assert ext.table.get((2, 13, 8)) == 4
+        assert ext.table.get((3, 8, 6)) == 9
+        assert ext.table.get((2, 9, 4)) is None
 
     def test_rejects_bad_header(self):
         with pytest.raises(ExternalBoundsError, match="line 1"):

@@ -719,6 +719,6 @@ def test_su1_scan_stopping_at_d_plus_delta_matches_reference():
                     params = TwoDistParams(q, n, d, delta)
                     ref = reference_su1_entries(params)
                     got = tuple(e for e in two_distance_lower_bounds(params) if e.family == "su1")
-                    assert got == ref, params
+                    assert got == tuple(dict.fromkeys(ref)), params
                     matched += bool(ref)
     assert matched == 403

@@ -9,12 +9,21 @@ purpose rewrites it with
     PYTHONPATH=src python tests/test_paper_range.py
 
 and the git diff of the file lists the changed cells.
+
+`tests/data/paper_range_oracle300.csv` holds the same grids as one csv,
+with the exhaustive oracle run on every cell of at most 300 candidate
+words (`CellOptions(oracle_max_vertices=300)`), so it also pins the
+cells whose oracle value is exact or caps the upper bound.  The same
+command rewrites it.
 """
+import dataclasses
 from pathlib import Path
 
-from twodist.tables import TableSpec, render_table
+from twodist.tables import CellOptions, TableSpec, render_table
 
 GOLDEN = Path(__file__).parent / "data" / "paper_range.tex"
+ORACLE_GOLDEN = Path(__file__).parent / "data" / "paper_range_oracle300.csv"
+ORACLE_OPTIONS = CellOptions(oracle_max_vertices=300)
 
 
 def paper_range_specs():
@@ -33,13 +42,27 @@ def render_paper_range() -> str:
     return "".join(parts)
 
 
+def render_paper_range_csv(options: CellOptions) -> str:
+    """Every grid's csv rows under one header line."""
+    blocks = [
+        render_table(dataclasses.replace(spec, fmt="csv"), options).split("\n", 1)
+        for spec in paper_range_specs()
+    ]
+    return blocks[0][0] + "\n" + "".join(rows for _, rows in blocks)
+
+
 def write_golden() -> None:
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_bytes(render_paper_range().encode())
+    ORACLE_GOLDEN.write_bytes(render_paper_range_csv(ORACLE_OPTIONS).encode())
 
 
 def test_paper_range_latex_matches_golden():
     assert render_paper_range().encode() == GOLDEN.read_bytes()
+
+
+def test_paper_range_oracle_csv_matches_golden():
+    assert render_paper_range_csv(ORACLE_OPTIONS).encode() == ORACLE_GOLDEN.read_bytes()
 
 
 if __name__ == "__main__":

@@ -554,6 +554,19 @@ class TestOracleStop:
         assert seed == search._catalog_size(P(3, 4, 2, 2)) - 2 == 5
         assert first == stop == 7 and best == second == 7
 
+    def test_stop_in_first_neighbourhood_builds_one_graph(self, monkeypatch):
+        # the search on N(u) starts at the stop, so its graph is never built
+        calls = []
+        inner = search._neighbour_sets
+
+        def counting(limbs, good):
+            calls.append(limbs.shape[1])
+            return inner(limbs, good)
+
+        monkeypatch.setattr(search, "_neighbour_sets", counting)
+        assert exhaustive_maximum(P(3, 4, 2, 2)) == 9
+        assert len(calls) == 1
+
     def test_stop_in_second_neighbourhood(self, monkeypatch):
         value, calls = trace_oracle(monkeypatch, P(2, 5, 2, 2))
         assert value == 16 == best_upper_bound(P(2, 5, 2, 2)).best

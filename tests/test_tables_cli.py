@@ -14,6 +14,7 @@ from test_paper_range import paper_range_specs
 
 import twodist
 from twodist import constructions, feasibility, search
+from twodist.bounds import best_upper_bound, equidistant_lp_bound
 from twodist.cli import main
 from twodist.core import TwoDistParams, read_code, write_code
 from twodist.search import SearchConfig
@@ -21,7 +22,6 @@ from twodist.tables import (
     CellBound,
     CellOptions,
     TableSpec,
-    _equidistant_lp_bound,
     cell_text,
     cells_from_json,
     cells_to_json,
@@ -62,7 +62,7 @@ def equidistant_maximum(q, n, dist):
 )
 def test_equidistant_lp_bound_holds(q, n):
     for dist in range(1, n + 1):
-        assert _equidistant_lp_bound(n, q, dist) >= equidistant_maximum(q, n, dist)
+        assert equidistant_lp_bound(n, q, dist) >= equidistant_maximum(q, n, dist)
 
 
 class TestComputeCell:
@@ -70,6 +70,20 @@ class TestComputeCell:
         cell = compute_cell(P(2, 12, 6, 4))
         assert cell.status == "range"
         assert cell.upper.value == 19 and "dd" in cell.upper.tag
+
+    def test_upper_tag_lists_tied_methods_as_the_report_does(self):
+        # one tie order, kept in `bounds`, for `twodist bound` and the tables
+        tied = 0
+        for q in (2, 3, 4, 5):
+            for n in range(2, 21):
+                for d in range(1, n):
+                    for delta in range(1, n - d + 1):
+                        status = best_upper_bound(P(q, n, d, delta)).status
+                        if status.kind == "range":
+                            tag = compute_cell(P(q, n, d, delta)).upper.tag
+                            assert ",".join(status.methods) == tag, (q, n, d, delta)
+                            tied += len(status.methods) > 1
+        assert tied == 539
 
     def test_exact_by_construction_meeting_lp(self):
         cell = compute_cell(P(2, 11, 2, 2))
