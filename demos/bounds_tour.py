@@ -23,7 +23,7 @@ for q, n, d, delta in [(2, 11, 2, 2), (2, 18, 2, 2), (3, 10, 3, 3)]:
 params = TwoDistParams(2, 12, 6, 4)
 d2 = d2_bound(params)
 print(f"\ndegree-2   A_2(12, {{6,10}}) <= {d2.value} (exact {d2.exact}, strict={d2.strict})")
-print(f"refined    A_2(12, {{6,10}}) <= {dd_refine(params, d2.value)}")
+print(f"refined    A_2(12, {{6,10}}) <= {dd_refine(params)}")
 
 # Codes whose distance ratio d/(d+delta) = r/s is "spread out" embed into
 # spherical two-distance sets, capping the size at 2(q-1)n + 1.

@@ -185,10 +185,10 @@ def d2_bound(params: TwoDistParams) -> D2Bound | None:
     return D2Bound(value=math.floor(exact), exact=exact, strict=f1_lhs > f1_rhs)
 
 
-def dd_refine(params: TwoDistParams, bound: int) -> int:
-    """Single-step refinement of an integer-attained degree-2 bound.
+def dd_refine(params: TwoDistParams) -> int | None:
+    """Single-step refinement of an integer-attained degree-2 bound, or None.
 
-    Precondition: `bound` is the d2 value N = f(0) / f_0 with a strict
+    Applies when the d2 value N = f(0) / f_0 is an integer and has a strict
     degree-1 coefficient, so a code of that size would be an orthogonal
     array of strength 2 and its distance distribution, on {0, d, e}, must
     solve M_1 = M_2 = 0 in nonnegative integers.  The degree-2 certificate
@@ -200,16 +200,13 @@ def dd_refine(params: TwoDistParams, bound: int) -> int:
     meets the line at
         A_d = -(K_1(0) + (N - 1) K_1(e)) / (K_1(d) - K_1(e)),
     where K_1(d) - K_1(e) = q delta > 0.  Returns N when that A_d is an
-    integer in 0..N-1, and N - 1 otherwise.
+    integer in 0..N-1, N - 1 otherwise, and None when d2 does not apply
+    this way.
     """
     d2 = d2_bound(params)
-    if d2 is None or not d2.strict:
-        raise ValueError("dd_refine requires an applicable, strict degree-2 bound")
-    if d2.value != bound or not d2.attains_integer:
-        raise ValueError(
-            "dd_refine requires the exact integer degree-2 value "
-            f"(got bound={bound}, d2={d2.exact})"
-        )
+    if d2 is None or not d2.strict or not d2.attains_integer:
+        return None
+    bound = d2.value
     k_0, k_d, k_e = (kraw_eval(params.n, params.q, 1, z) for z in (0, params.d, params.d2))
     a_d, rest = divmod(-(k_0 + (bound - 1) * k_e), k_d - k_e)
     return bound if rest == 0 and 0 <= a_d <= bound - 1 else bound - 1
@@ -337,8 +334,9 @@ def best_upper_bound(
         entries.append(BoundEntry("d2", None, note="not applicable"))
     else:
         entries.append(BoundEntry("d2", d2.value, certificate=(d2.exact, d2.strict)))
+        # dd_refine would find this itself; testing here spares it a second d2 on every other cell
         if d2.strict and d2.attains_integer:
-            refined = dd_refine(params, d2.value)
+            refined = dd_refine(params)
             if refined < d2.value:
                 entries.append(BoundEntry("dd", refined, note="distribution refutation"))
     sb = sphere_bound(params)

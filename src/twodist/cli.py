@@ -48,7 +48,8 @@ _FAMILIES = {
     "su2": (3, lambda args, *ps: constructions.su2_code(*ps)),
     "arc": (1, lambda args, q: constructions.arc_code(q)),
     "pencil": (2, lambda args, *ps: constructions.pencil_code(*ps)),
-    "weight2": (1, lambda args, n: constructions.small_family_code("weight2", n, q=args.q)),
+    "weight2": (1, lambda args, n: constructions.small_family_code(
+        "weight2", n, q=2 if args.q is None else args.q)),
     "bin-2-2d": (2, lambda args, n, delta: constructions.small_family_code(
         "bin-2-2d", n, delta=delta)),
     "disjoint": (2, lambda args, n, d: constructions.small_family_code("disjoint", n, d=d)),
@@ -118,7 +119,7 @@ def build_parser() -> _Parser:
     p.add_argument("--union", action="store_true", help="su1: add instead of remove")
     p.add_argument("--complement", action="store_true", help="emit the complementary code")
     p.add_argument("--generator", action="store_true", help="write 'k n q' matrix form")
-    p.add_argument("--q", type=int, default=2, help="alphabet for weight2")
+    p.add_argument("--q", type=int, default=None, help="weight2: alphabet (default 2)")
     p.add_argument("-o", "--output", default=None)
 
     p = sub.add_parser("feasible", help="linear two-weight parameter screens")
@@ -240,11 +241,16 @@ def _cmd_construct(args) -> int:
     count, build = _FAMILIES[fam]
     if len(ps) != count:
         raise ValueError(f"{fam} expects {count} integer parameters, got {len(ps)}")
+    if args.q is not None and fam != "weight2":
+        raise ValueError("--q applies to weight2 only")
+    if args.union and fam != "su1":
+        raise ValueError("--union applies to su1 only")
     obj: Code | constructions.GeneratorMatrix = build(args, *ps)
 
+    for flag in ("complement", "generator"):
+        if getattr(args, flag) and not isinstance(obj, constructions.GeneratorMatrix):
+            raise ValueError(f"--{flag} needs a linear family")
     if args.complement:
-        if not isinstance(obj, constructions.GeneratorMatrix):
-            raise ValueError("--complement needs a linear family")
         obj = constructions.complementary_code(obj)
 
     if isinstance(obj, constructions.GeneratorMatrix):

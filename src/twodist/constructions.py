@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import Code, TwoDistParams
 from .feasibility import p_adic_valuation
-from .fields import GF, prime_power
+from .fields import GF, MAX_ORDER, prime_power
 
 # largest space q^k that projective_points enumerates and the catalog considers
 _MAX_SPACE = 1 << 20
@@ -439,10 +439,11 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
     # su2, prime q only: delta = q^(m-1) fixes m, and q^m = q delta.  m >= 2
     # (q | delta) and q >= 2 give q^m >= 4; delta | d and d >= 1 give r >= 2;
     # r = q^m + 1 degenerates to an equidistant code (the full outer point set)
+    # GF(q^m) is built only up to fields.MAX_ORDER
     if (pm == (q, 1) and delta % q == 0 and d % delta == 0
             and delta == q ** p_adic_valuation(q, delta)):
         qm, r = q * delta, d // delta + 1
-        if r <= qm <= 1024 and r * (qm - 1) // (q - 1) <= n:
+        if r <= qm <= MAX_ORDER and r * (qm - 1) // (q - 1) <= n:
             entries.append(CatalogEntry(qm * qm, "su2"))
     # small families
     if d == 2 and delta == 2 and n >= 4:

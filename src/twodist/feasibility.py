@@ -288,14 +288,15 @@ class ComplementaryParams:
 _NO_S_FITS = "no column multiplicity s fits: n_c >= 0, d_c >= 0, s <= n - w1 (k >= 2)"
 
 
-def _candidates(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
-    """The complementary parameters at every column multiplicity s that fits.
+def complementary_params(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
+    """The complementary code's parameters at every column multiplicity s that fits.
 
     s fits when n_c = s(q^k-1)/(q-1) - n >= 0, d_c = s q^(k-1) - w2 >= 0
     and, for k >= 2, s <= n - w1: a hyperplane through a point of
     multiplicity s holds the columns of a nonzero word of weight at most
     n - s.  The only candidate is lp.s when it is given, else every
-    s = 1..n (no point holds more than n columns) that fits.
+    s = 1..n (no point holds more than n columns) that fits; `()` when
+    none does.  The weight multiplicities swap between the two codes.
     """
     q, k, n = lp.q, lp.k, lp.n
     points = (q**k - 1) // (q - 1)
@@ -308,28 +309,15 @@ def _candidates(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
     return tuple(out)
 
 
-def complementary_params(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
-    """Length and minimum distance of the complementary two-weight code.
-
-    For each candidate column multiplicity s (see `_candidates`):
-    n_c = s(q^k-1)/(q-1) - n and d_c = s q^(k-1) - d - delta, with the
-    weight multiplicities swapped between the two codes.  Raises when no
-    s fits.
-    """
-    out = _candidates(lp)
-    if not out:
-        raise ValueError(_NO_S_FITS)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # gcd / valuation conditions
 
 
 @dataclass(frozen=True)
 class ClauseVerdict:
+    """One clause's outcome; `passed` is None when the clause does not apply."""
+
     clause: str
-    applicable: bool
     passed: bool | None
     detail: str = ""
 
@@ -374,8 +362,9 @@ def gcd_screen(lp: LinearParams) -> GcdScreen:
 
     The clauses are stated for projective codes, so at s > 1 the screen
     abstains (for k = 2, codes with repeated columns exist for every
-    delta).  One verdict is reported per candidate s (see `_candidates`);
-    the parameters are refuted only if every candidate fails.
+    delta).  One verdict is reported per candidate s (see
+    `complementary_params`); the parameters are refuted only if every
+    candidate fails.
     """
     if lp.k < 2:
         raise ValueError("gcd screen needs k >= 2")
@@ -383,33 +372,33 @@ def gcd_screen(lp: LinearParams) -> GcdScreen:
     gamma_d, gamma_delta = p_adic_valuation(p, d), p_adic_valuation(p, delta)
     gd, gdel = math.gcd(q, d), math.gcd(q, delta)
     verdicts = []
-    for c in _candidates(lp):
+    for c in complementary_params(lp):
         if c.s > 1:
-            clause = ClauseVerdict("abstain", True, None, f"k = {k} with repeated columns")
+            clause = ClauseVerdict("abstain", None, f"k = {k} with repeated columns")
             verdicts.append(GcdVerdict(c.s, c.n_c, c.d_c, (clause,), "abstain"))
             continue
         clauses = []
         gdc = math.gcd(q, c.d_c)
         if k >= 4 and delta == 1:
-            clauses.append(ClauseVerdict("i", False, None, "delta = 1"))
+            clauses.append(ClauseVerdict("i", None, "delta = 1"))
         elif k >= 4:
             ok = gd == gdel and (c.degenerate or gdc == gdel)
             checked = "" if c.degenerate else f", (q,d_c)={gdc}"
-            clauses.append(ClauseVerdict("i", True, ok, f"(q,d)={gd}, (q,delta)={gdel}{checked}"))
+            clauses.append(ClauseVerdict("i", ok, f"(q,d)={gd}, (q,delta)={gdel}{checked}"))
         if k == 3:
             cond1 = gd * gd <= q * math.gcd(n * (n - 1), q)
             cond2 = math.gcd(q, d + delta) ** 2 > q * math.gcd(c.n_c * (c.n_c - 1), q)
             if cond1 or cond2:
                 ok = gd == gdel or gdc == gdel
                 fired = "first" if cond1 else "second"
-                clauses.append(ClauseVerdict("ii", True, ok, f"{fired} condition fired"))
+                clauses.append(ClauseVerdict("ii", ok, f"{fired} condition fired"))
             else:
-                clauses.append(ClauseVerdict("ii", False, None, "neither condition fired"))
+                clauses.append(ClauseVerdict("ii", None, "neither condition fired"))
         gamma_c = p_adic_valuation(p, c.d_c)
         ok = gamma_d == gamma_delta or gamma_c == gamma_delta
         detail = f"gamma_d={gamma_d}, gamma_delta={gamma_delta}, gamma_c={gamma_c}"
-        clauses.append(ClauseVerdict("iii", True, ok, detail))
-        passed = all(clause.passed for clause in clauses if clause.applicable)
+        clauses.append(ClauseVerdict("iii", ok, detail))
+        passed = all(clause.passed is not False for clause in clauses)
         verdicts.append(GcdVerdict(c.s, c.n_c, c.d_c, tuple(clauses), "pass" if passed else "fail"))
     return GcdScreen(tuple(verdicts))
 
@@ -435,7 +424,7 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     """Every linear screen's lines on `lp`, and whether they refute it.
 
     The candidates are the column multiplicities s that fit the
-    parameters (`_candidates`).  `delsarte-form`, `srg-integrality`,
+    parameters (`complementary_params`).  `delsarte-form`, `srg-integrality`,
     `oa2-quadratic` and the gcd clauses hold for projective codes only,
     so they run at s = 1 alone, and only when 1 is a candidate; otherwise
     they report `skip`, saying so when s = 1 does not fit, whether it was
@@ -448,7 +437,7 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     or every candidate is excluded; a failing line then reads `fail`,
     and otherwise `exclude`.
     """
-    candidates = _candidates(lp)
+    candidates = complementary_params(lp)
     projective = any(c.s == 1 for c in candidates)
     no_s1 = "s=1 does not fit" if lp.s in (None, 1) else None
     rows = []  # (screen, verdict, detail, the s a failure excludes, if any)

@@ -431,31 +431,30 @@ def _expand(
     return best
 
 
-def _orbit_keys(words: np.ndarray, centre: np.ndarray) -> np.ndarray:
-    """Orbit of each word under the stabiliser of the zero word and `centre`.
+def _orbit_keys(words: np.ndarray, w: int) -> np.ndarray:
+    """Orbit of each word under the stabiliser of the zero word and 1^w 0^(n-w).
 
-    `centre` is 1 on its support and 0 elsewhere.  The stabiliser permutes
-    the support and the rest among themselves and permutes the symbols of
-    each coordinate fixing 0 (and 1 on the support), so a word's orbit is
-    fixed by (#support coordinates equal to 1, #support coordinates equal
-    to 0, #nonzero coordinates off the support), here read in base n + 1.
+    The stabiliser permutes the support 0..w-1 and the rest among
+    themselves and permutes the symbols of each coordinate fixing 0 (and 1
+    on the support), so a word's orbit is fixed by (#support coordinates
+    equal to 1, #support coordinates equal to 0, #nonzero coordinates off
+    the support), here read in base n + 1.
     """
-    on = centre != 0
-    base = len(centre) + 1
-    ones = (words[:, on] == 1).sum(axis=1)
-    zeros = (words[:, on] == 0).sum(axis=1)
-    off = (words[:, ~on] != 0).sum(axis=1)
+    base = words.shape[1] + 1
+    ones = (words[:, :w] == 1).sum(axis=1)
+    zeros = (words[:, :w] == 0).sum(axis=1)
+    off = (words[:, w:] != 0).sum(axis=1)
     return (ones * base + zeros) * base + off
 
 
-def _orbits(near: np.ndarray, adj: list[int], centre: np.ndarray) -> list[tuple[int, int]]:
-    """(first word, member bitset) per orbit of the stabiliser of {0, centre}.
+def _orbits(near: np.ndarray, adj: list[int], w: int) -> list[tuple[int, int]]:
+    """(first word, member bitset) per orbit of the stabiliser of {0, 1^w 0^(n-w)}.
 
     Orbits come largest neighbourhood first, ties in key order: a large
     neighbourhood tends to hold a large clique, which prunes the rest or
     reaches the bound early.
     """
-    _, reps, orbit = np.unique(_orbit_keys(near, centre), return_index=True, return_inverse=True)
+    _, reps, orbit = np.unique(_orbit_keys(near, w), return_index=True, return_inverse=True)
     members = _pack(orbit[None, :] == np.arange(len(reps))[:, None])
     degree = [adj[rep].bit_count() for rep in reps]
     order = sorted(range(len(reps)), key=lambda k: -degree[k])
@@ -478,28 +477,24 @@ def _neighbour_sets(limbs: np.ndarray, good: np.ndarray) -> list[int]:
 
 
 def _orbit_clique(
-    near: np.ndarray, limbs: np.ndarray, good: np.ndarray, centre: np.ndarray, best: int,
-    stop: float,
+    near: np.ndarray, limbs: np.ndarray, good: np.ndarray, w: int, best: int, stop: float
 ) -> int:
     """Clique number of G[near] if above `best`, else `best`.
 
     G joins two words whose packed XOR has a `good` popcount; `limbs` holds
     `near` packed (see `_neighbour_sets`).  `near` is the neighbourhood of
-    `centre` among a set of words that the stabiliser H of {0, centre}
-    keeps, so H keeps `near` too.  For each orbit of H on it in turn,
-    search the cliques through the orbit's first word among the words
-    still alive, then delete the orbit.  A maximum clique meets some first
-    orbit, and an element of H maps it onto a clique through that orbit's
-    first word that still avoids every earlier orbit, so nothing is lost.
-    The search ends once a clique reaches `stop`, and `best` is returned
-    before any graph is built when it already does.
+    the centre 1^w 0^(n-w) among a set of words that the stabiliser H of
+    {0, centre} keeps, so H keeps `near` too.  For each orbit of H on it
+    in turn, search the cliques through the orbit's first word among the
+    words still alive, then delete the orbit.  A maximum clique meets some
+    first orbit, and an element of H maps it onto a clique through that
+    orbit's first word that still avoids every earlier orbit, so nothing
+    is lost.  The search ends once a clique reaches `stop`.
     """
-    if best >= stop:
-        return best
     adj = _neighbour_sets(limbs, good)
     nonadj = [~(row | 1 << v) for v, row in enumerate(adj)]
     alive = (1 << len(near)) - 1
-    for rep, members in _orbits(near, adj, centre):
+    for rep, members in _orbits(near, adj, w):
         if best >= stop:
             break
         best = 1 + _expand(adj, nonadj, 0, adj[rep] & alive, best - 1, stop - 1)
@@ -558,7 +553,9 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
     usually the smaller, goes first, and the search on N(u) only looks
     for cliques larger than its clique number.  Both stop once the code
     reaches a range upper bound of `bounds.best_upper_bound` (see
-    `_proven_bound`), which is then the value.
+    `_proven_bound`), which is then the value; the stop is checked before
+    each neighbourhood is built, so N(u) is never built when the search on
+    N(v) reaches it.
 
     Both searches start from L - 2, with L the largest catalog code the
     oracle counts (see `_catalog_size`; 0 if none matches): the value is
@@ -582,11 +579,13 @@ def exhaustive_maximum(params: TwoDistParams, max_vertices: int = 2000) -> int:
         return 2 + best
     packed = packed_candidates(params)
     good = _good_popcounts(params)
-    # v then u: the weight-(d+delta) words, then all candidates
-    for first in (math.comb(params.n, params.d) * (params.q - 1) ** params.d, 0):
+    # v then u: the weight-(d+delta) words, then all candidates; each block
+    # of `packed_candidates` starts with its centre 1^w 0^(n-w)
+    split = math.comb(params.n, params.d) * (params.q - 1) ** params.d
+    for first, w in ((split, params.d2), (0, params.d)):
+        if best >= stop:
+            break
         limbs = packed[:, first:]
         near = limbs.compress(_compatible(limbs, limbs[:, 0], good), axis=1)
-        # the centre, then its neighbourhood, decoded for `_orbit_keys`
-        words = _unpack_words(np.concatenate([limbs[:, :1], near], axis=1), params.q, params.n)
-        best = _orbit_clique(words[1:], near, good, words[0], best, stop)
+        best = _orbit_clique(_unpack_words(near, params.q, params.n), near, good, w, best, stop)
     return 2 + best

@@ -107,14 +107,14 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
     catalog = constructions.two_distance_lower_bounds(params)
     if catalog and catalog[0].size > lower:
         lower = catalog[0].size
-    total = search.candidate_count(params)
     # cells beyond a cap keep their other bounds instead of failing the table
-    if options.search_cfg is not None and total <= search.MAX_CANDIDATES:
+    if options.search_cfg is not None and search.candidate_count(params) <= search.MAX_CANDIDATES:
         result = search.random_greedy(params, options.search_cfg)
         if result.report.ok and result.size > lower:
             lower, lower_tag = result.size, "search"
-    if options.oracle_max_vertices and total <= options.oracle_max_vertices:
-        value = search.exhaustive_maximum(params, options.oracle_max_vertices)
+    cap = options.oracle_max_vertices
+    if cap and search.candidate_count(params) <= cap:
+        value = search.exhaustive_maximum(params, cap)
         if value > upper:
             raise AssertionError(f"oracle value {value} exceeds upper bound {upper} for {params}")
         one_distance = (

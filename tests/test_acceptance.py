@@ -84,7 +84,7 @@ def test_criterion_03_dd_refinements():
     ]
     for params, start, want in cases:
         assert d2_bound(params).value == start
-        assert dd_refine(params, start) == want, params
+        assert dd_refine(params) == want, params
     _report(3, "dd_refine yields 19, 27, 27 from degree-2 inputs 20, 28, 28")
 
 

@@ -223,7 +223,7 @@ class TestDdRefine:
         ],
     )
     def test_refutations(self, params, start, expected):
-        assert dd_refine(params, start) == expected
+        assert dd_refine(params) == expected
 
     @pytest.mark.parametrize(
         "params,start",
@@ -235,7 +235,7 @@ class TestDdRefine:
         ],
     )
     def test_non_refutations(self, params, start):
-        assert dd_refine(params, start) == start
+        assert dd_refine(params) == start
 
     @pytest.mark.parametrize(
         "params,start,point",
@@ -246,7 +246,7 @@ class TestDdRefine:
     )
     def test_refutation_kinds(self, params, start, point):
         assert reference_strength2_distribution(params) == point
-        assert dd_refine(params, start) == start - 1
+        assert dd_refine(params) == start - 1
 
     def test_matches_two_moment_solve_on_sweep(self):
         # every cell with a strict, integer d2 value N for q = 2..9 and n <= 40
@@ -261,20 +261,19 @@ class TestDdRefine:
                 a_d, a_e = reference_strength2_distribution(params)
                 assert a_d + a_e == d2.value - 1, params
                 fits = min(a_d, a_e) >= 0 and a_d.denominator == a_e.denominator == 1
-                assert dd_refine(params, d2.value) == d2.value - (not fits), params
+                assert dd_refine(params) == d2.value - (not fits), params
         assert cells == 2367
 
-    def test_requires_strict_degree1(self):
-        with pytest.raises(ValueError):
-            dd_refine(P(2, 10, 4, 2), 16)  # boundary case, not strict
-
-    def test_requires_integer_bound(self):
-        with pytest.raises(ValueError):
-            dd_refine(P(2, 17, 8, 2), 22)
-
-    def test_requires_matching_value(self):
-        with pytest.raises(ValueError):
-            dd_refine(P(2, 12, 6, 4), 21)
+    @pytest.mark.parametrize(
+        "params",
+        [
+            P(2, 10, 4, 2),  # boundary case, not strict
+            P(2, 17, 8, 2),  # d2 = 160/7, not an integer
+            P(2, 11, 2, 2),  # d2 does not apply
+        ],
+    )
+    def test_none_without_strict_integer_d2(self, params):
+        assert dd_refine(params) is None
 
 
 class TestGrayRankin:

@@ -530,8 +530,8 @@ def trace_oracle(monkeypatch, params):
     calls = []
     inner = search._orbit_clique
 
-    def recording(near, limbs, good, centre, best, stop):
-        out = inner(near, limbs, good, centre, best, stop)
+    def recording(near, limbs, good, w, best, stop):
+        out = inner(near, limbs, good, w, best, stop)
         calls.append((best, stop, out))
         return out
 
@@ -550,12 +550,13 @@ class TestOracleStop:
         value, calls = trace_oracle(monkeypatch, P(3, 4, 2, 2))
         assert best_upper_bound(P(3, 4, 2, 2)).status.kind == "range"
         assert value == 9 == best_upper_bound(P(3, 4, 2, 2)).best
-        (seed, stop, first), (best, _, second) = calls
+        # the stop is reached in N(v), so N(u) is never searched
+        ((seed, stop, first),) = calls
         assert seed == search._catalog_size(P(3, 4, 2, 2)) - 2 == 5
-        assert first == stop == 7 and best == second == 7
+        assert first == stop == 7
 
     def test_stop_in_first_neighbourhood_builds_one_graph(self, monkeypatch):
-        # the search on N(u) starts at the stop, so its graph is never built
+        # the search on N(v) reaches the stop, so the graph of N(u) is never built
         calls = []
         inner = search._neighbour_sets
 
@@ -564,6 +565,19 @@ class TestOracleStop:
             return inner(limbs, good)
 
         monkeypatch.setattr(search, "_neighbour_sets", counting)
+        assert exhaustive_maximum(P(3, 4, 2, 2)) == 9
+        assert len(calls) == 1
+
+    def test_stop_in_first_neighbourhood_decodes_one(self, monkeypatch):
+        # N(u) is neither compressed nor decoded once N(v) reaches the stop
+        calls = []
+        inner = search._unpack_words
+
+        def counting(packed, q, n):
+            calls.append(packed.shape[1])
+            return inner(packed, q, n)
+
+        monkeypatch.setattr(search, "_unpack_words", counting)
         assert exhaustive_maximum(P(3, 4, 2, 2)) == 9
         assert len(calls) == 1
 
@@ -693,13 +707,13 @@ class TestOrbits:
         rng = np.random.default_rng(7)
         for centre in (cands[0], cands[math.comb(n, d) * (q - 1) ** d]):  # u and v
             w = int((centre != 0).sum())
-            keys = _orbit_keys(cands, centre)
+            keys = _orbit_keys(cands, w)
             near = {tuple(r) for r in cands[good[distances_to(cands, centre)]]}
             for _ in range(20):
                 perm, symbols = random_stabiliser(rng, q, n, w)
                 image = stabiliser_map(cands, perm, symbols)
                 assert np.array_equal(stabiliser_map(centre[None], perm, symbols)[0], centre)
-                assert np.array_equal(_orbit_keys(image, centre), keys)
+                assert np.array_equal(_orbit_keys(image, w), keys)
                 assert {tuple(r) for r in image[good[distances_to(image, centre)]]} == near
 
     @pytest.mark.parametrize("q,n,d,delta", [(2, 9, 4, 2), (3, 6, 4, 2), (4, 5, 3, 1)])
@@ -711,7 +725,7 @@ class TestOrbits:
         for words, centre in ((cands, cands[0]), (heavy, heavy[0])):
             w = int((centre != 0).sum())
             near = words[good[distances_to(words, centre)]]
-            orbits = _orbits(near, packed_adjacency(near, params), centre)
+            orbits = _orbits(near, packed_adjacency(near, params), w)
             union = 0
             for _, members in orbits:
                 assert not union & members
@@ -744,9 +758,9 @@ class TestOrbits:
         monkeypatch.setattr(search, "_expand", recording)
         near = cands[good[distances_to(cands, centre)]]
         limbs = _pack_words(near, 2)
-        assert search._orbit_clique(near, limbs, _good_popcounts(params), centre, 0, math.inf) == 8
+        assert search._orbit_clique(near, limbs, _good_popcounts(params), 4, 0, math.inf) == 8
         adj = packed_adjacency(near, params)
-        orbits = _orbits(near, adj, centre)
+        orbits = _orbits(near, adj, 4)
         searched = 0
         assert len(orbits) > 2
         assert len(masks) == len(orbits)  # no stop, so every orbit is searched

@@ -16,7 +16,7 @@ import twodist
 from twodist import constructions, feasibility, search
 from twodist.bounds import best_upper_bound, equidistant_lp_bound
 from twodist.cli import main
-from twodist.core import TwoDistParams, read_code, write_code
+from twodist.core import BoundStatus, TwoDistParams, read_code, write_code
 from twodist.search import SearchConfig
 from twodist.tables import (
     CellBound,
@@ -267,6 +267,38 @@ class TestCellsJson:
         assert any(c.equidistant_size is not None for c in cells)
         for grid in paper_grids:
             assert cells_from_json(cells_to_json(grid)) == grid
+
+
+class TestCellsFromJsonGuards:
+    """`cells_from_json` reads cells from outside the program: a bad one raises."""
+
+    @staticmethod
+    def one_cell(status="range", lower=3, upper=8):
+        cell = {"q": 2, "n": 8, "d": 4, "delta": 2, "status": status,
+                "lower": {"value": lower, "tag": "construction"},
+                "upper": {"value": upper, "tag": "lp"}}
+        return json.dumps({"cells": [cell]})
+
+    def test_well_formed_cell_reads(self):
+        (cell,) = cells_from_json(self.one_cell())
+        assert (cell.status, cell.lower, cell.upper) == (
+            "range", CellBound(3, "construction"), CellBound(8, "lp"))
+
+    def test_unknown_status(self):
+        with pytest.raises(ValueError, match="bad status 'exact'"):
+            cells_from_json(self.one_cell(status="exact"))
+
+    def test_value_cell_with_different_bounds(self):
+        with pytest.raises(ValueError, match="exact cells need lower = upper"):
+            cells_from_json(self.one_cell(status="value"))
+
+    def test_lower_above_upper(self):
+        with pytest.raises(ValueError, match="cell lower bound exceeds upper bound"):
+            cells_from_json(self.one_cell(lower=9))
+
+    def test_range_status_with_lower_above_upper(self):
+        with pytest.raises(ValueError, match="range needs lo <= hi"):
+            BoundStatus.range_(5, 3)
 
 
 class TestReferenceSweep:
@@ -587,6 +619,11 @@ class TestCli:
         # one digit per symbol, as in the code file format
         (["arc", "16", "--generator"], "error: file format supports q <= 9\n"),
         (["arc", "16", "--complement", "--generator"], "error: file format supports q <= 9\n"),
+        # --q is weight2's alphabet, --union su1's mode, --generator a linear family's form
+        (["disjoint", "9", "3", "--q", "3"], "error: --q applies to weight2 only\n"),
+        (["ternary13", "5", "--q", "5"], "error: --q applies to weight2 only\n"),
+        (["weight2", "5", "--generator"], "error: --generator needs a linear family\n"),
+        (["dm", "2", "1", "1", "--union"], "error: --union applies to su1 only\n"),
     ])
     def test_construct_refusals_are_tool_errors(self, capsys, argv, expect):
         assert main(["construct", *argv]) == 1
