@@ -17,7 +17,6 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import constructions, feasibility, search, tables
 from .core import (
-    Code,
     TwoDistParams,
     distance_distribution,
     is_antipodal,
@@ -38,22 +37,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(FAIL)
 
 
-# construct: family -> (parameter count, builder(args, *params)), in the order of --help
+# construct: family -> (parameter count, linear, builder(args, *params)), in the order of
+# --help; a linear family's builder returns a GeneratorMatrix, any other a Code
 _FAMILIES = {
-    "dm": (3, lambda args, *ps: constructions.dm_code(*ps)),
-    "simplex": (2, lambda args, *ps: constructions.seed_code("simplex", *ps)),
-    "mds2": (2, lambda args, *ps: constructions.seed_code("mds2", *ps)),
-    "su1": (5, lambda args, *ps: constructions.su1_code(
+    "dm": (3, False, lambda args, *ps: constructions.dm_code(*ps)),
+    "simplex": (2, True, lambda args, *ps: constructions.seed_code("simplex", *ps)),
+    "mds2": (2, True, lambda args, *ps: constructions.seed_code("mds2", *ps)),
+    "su1": (5, True, lambda args, *ps: constructions.su1_code(
         *ps, mode="union" if args.union else "remove")),
-    "su2": (3, lambda args, *ps: constructions.su2_code(*ps)),
-    "arc": (1, lambda args, q: constructions.arc_code(q)),
-    "pencil": (2, lambda args, *ps: constructions.pencil_code(*ps)),
-    "weight2": (1, lambda args, n: constructions.small_family_code(
+    "su2": (3, True, lambda args, *ps: constructions.su2_code(*ps)),
+    "arc": (1, True, lambda args, q: constructions.arc_code(q)),
+    "pencil": (2, True, lambda args, *ps: constructions.pencil_code(*ps)),
+    "weight2": (1, False, lambda args, n: constructions.small_family_code(
         "weight2", n, q=2 if args.q is None else args.q)),
-    "bin-2-2d": (2, lambda args, n, delta: constructions.small_family_code(
+    "bin-2-2d": (2, False, lambda args, n, delta: constructions.small_family_code(
         "bin-2-2d", n, delta=delta)),
-    "disjoint": (2, lambda args, n, d: constructions.small_family_code("disjoint", n, d=d)),
-    "ternary13": (1, lambda args, n: constructions.small_family_code("ternary13", n)),
+    "disjoint": (2, False, lambda args, n, d: constructions.small_family_code(
+        "disjoint", n, d=d)),
+    "ternary13": (1, False, lambda args, n: constructions.small_family_code("ternary13", n)),
 }
 
 
@@ -238,30 +239,28 @@ def _cmd_check(args) -> int:
 
 def _cmd_construct(args) -> int:
     fam, ps = args.family, args.params
-    count, build = _FAMILIES[fam]
+    count, linear, build = _FAMILIES[fam]
     if len(ps) != count:
         raise ValueError(f"{fam} expects {count} integer parameters, got {len(ps)}")
     if args.q is not None and fam != "weight2":
         raise ValueError("--q applies to weight2 only")
     if args.union and fam != "su1":
         raise ValueError("--union applies to su1 only")
-    obj: Code | constructions.GeneratorMatrix = build(args, *ps)
-
     for flag in ("complement", "generator"):
-        if getattr(args, flag) and not isinstance(obj, constructions.GeneratorMatrix):
+        if getattr(args, flag) and not linear:
             raise ValueError(f"--{flag} needs a linear family")
+    obj = build(args, *ps)
     if args.complement:
         obj = constructions.complementary_code(obj)
 
-    if isinstance(obj, constructions.GeneratorMatrix):
-        if args.generator:
-            text = write_digits(f"{obj.k} {obj.n} {obj.q}", obj.q, obj.rows)
-        else:
-            if obj.q ** obj.k > 4096:
-                raise ValueError("code too large to expand; use --generator")
-            text = write_code(obj.span())
-    else:
+    if not linear:
         text = write_code(obj)
+    elif args.generator:
+        text = write_digits(f"{obj.k} {obj.n} {obj.q}", obj.q, obj.rows)
+    elif obj.q ** obj.k > 4096:
+        raise ValueError("code too large to expand; use --generator")
+    else:
+        text = write_code(obj.span())
     if args.output:
         Path(args.output).write_text(text)
         print(f"wrote {args.output}")
@@ -323,8 +322,9 @@ def main(argv=None) -> int:
         _discard_stdout()
         return FAIL
     # CodeFormatError and ExternalBoundsError are ValueErrors; OSError covers
-    # unreadable inputs and unwritable outputs
-    except (OSError, ValueError) as exc:
+    # unreadable inputs and unwritable outputs, MemoryError an array numpy
+    # cannot allocate
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL
 

@@ -346,8 +346,8 @@ class BoundStatus:
             raise ValueError("exact needs lo == hi")
 
     @staticmethod
-    def exact(v: int, methods=(), note="") -> "BoundStatus":
-        return BoundStatus("exact", v, v, tuple(methods), note)
+    def exact(v: int, note="") -> "BoundStatus":
+        return BoundStatus("exact", v, v, note=note)
 
     @staticmethod
     def range_(lo: int, hi: int, methods=(), note="") -> "BoundStatus":

@@ -247,7 +247,7 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
     - the discriminant (lam-mu)^2 + 4(K-mu) is (q delta)^2, so the
       eigenvalues n(q-1) - q w1 and n(q-1) - q w2 are always rational;
     - K(K - lam - 1) - (N - K - 1) mu is q^2 times the second-moment
-      residual.
+      residual, so the counting identity holds when the residual is 0.
     """
     if lp.k < 2:
         raise ValueError("srg_analysis needs k >= 2")
@@ -269,7 +269,7 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
         e1=mw.mu1,
         e2=mw.mu2,
         multiplicities_integral=mw.status != "infeasible",
-        counting_identity_ok=big_k * (big_k - lam - 1) == (big_n - big_k - 1) * mu,
+        counting_identity_ok=mw.second_moment_residual == 0,
     )
 
 
@@ -491,7 +491,7 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
 
     if not projective:
         add("oa2-quadratic", "skip", no_s1 or "projective screen needs s=1")
-    elif lp.size > lp.q**2 and lp.size % lp.q**2 == 0:
+    elif lp.k >= 3:
         qc = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
         detail = (f"residual={qc.residual} roots={qc.roots} integer-roots="
                   f"{qc.roots_positive_integers} square-disc={qc.discriminant_is_square}")
@@ -561,11 +561,9 @@ def special_values(params: TwoDistParams) -> SpecialValues:
         if d % 2 and delta == d:
             raw = 1 + n // d
             value = max(4, raw)
-            return SpecialValues(
-                BoundStatus.exact(value, methods=("exact",), note="disjoint supports")
-            )
+            return SpecialValues(BoundStatus.exact(value, note="disjoint supports"))
     if q == 3 and d == 1 and delta == 2 and n >= 4:
-        return SpecialValues(BoundStatus.exact(6, methods=("exact",)))
+        return SpecialValues(BoundStatus.exact(6))
     return SpecialValues(None)
 
 

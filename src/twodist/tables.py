@@ -95,8 +95,7 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
     if report.status.kind == "exact":
         v = report.status.lo
         return TableCell(
-            params, "value", CellBound(v, "exact"),
-            CellBound(v, ",".join(report.status.methods)),
+            params, "value", CellBound(v, "exact"), CellBound(v, "exact"),
             note=report.status.note, methods=methods,
         )
 

@@ -263,8 +263,12 @@ class TestSrg:
                     mw = macwilliams_mu(lp)
                     assert (s.e1, s.e2) == (mw.mu1, mw.mu2) == srg_multiplicities(lp)
                     assert s.multiplicities_integral == (mw.status != "infeasible")
+                    # the reference: K(K - lam - 1) = (N - K - 1) mu read from lam and mu
+                    big_n, big_k = s.n_vertices, s.degree
+                    counting = big_k * (big_k - s.lam - 1) - (big_n - big_k - 1) * s.mu
+                    assert counting == q * q * mw.second_moment_residual
+                    assert s.counting_identity_ok == (counting == 0)
                     residual_zero = mw.second_moment_residual == 0
-                    assert s.counting_identity_ok == residual_zero
                     assert (s.lam - s.mu) ** 2 + 4 * (s.degree - s.mu) == (q * lp.delta) ** 2
                     if q**k > q * q:
                         assert check_oa2_quadratic(q, q**k, n, w1, w2).ok == residual_zero, lp

@@ -624,11 +624,35 @@ class TestCli:
         (["ternary13", "5", "--q", "5"], "error: --q applies to weight2 only\n"),
         (["weight2", "5", "--generator"], "error: --generator needs a linear family\n"),
         (["dm", "2", "1", "1", "--union"], "error: --union applies to su1 only\n"),
+        # bad in two ways: the flag, which the family table settles, is reported first
+        (["dm", "2", "1", "11", "--generator"], "error: --generator needs a linear family\n"),
+        (["weight2", "3", "--complement"], "error: --complement needs a linear family\n"),
     ])
     def test_construct_refusals_are_tool_errors(self, capsys, argv, expect):
         assert main(["construct", *argv]) == 1
         out = capsys.readouterr()
         assert out.out == "" and out.err == expect
+
+    @pytest.mark.parametrize("argv", [
+        ["dm", "2", "1", "9", "--generator"],
+        ["dm", "2", "1", "9", "--complement"],
+        ["weight2", "5", "--generator"],
+    ])
+    def test_construct_refuses_before_building(self, capsys, monkeypatch, argv):
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a code for a refused flag")
+
+        monkeypatch.setattr(constructions, "dm_code", no_build)
+        monkeypatch.setattr(constructions, "small_family_code", no_build)
+        assert main(["construct", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {argv[-1]} needs a linear family\n"
+
+    def test_construct_unallocatable_size_is_tool_error(self, capsys):
+        # 10^8 words of 10^8 bytes: numpy refuses the 8.9 PiB array before allocating
+        assert main(["construct", "disjoint", "100000000", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: Unable to allocate ")
+        assert len(out.err.splitlines()) == 1
 
     def test_construct_generator_pins(self, capsys):
         assert main(["construct", "arc", "4", "--generator"]) == 0
