@@ -4,7 +4,9 @@ Every bound is computed in exact rational arithmetic; printed values are
 integers obtained by flooring at the very last step a rational optimum
 or closed form.
 """
-from twodist import TwoDistParams, best_upper_bound, d2_bound, dd_refine, lp_bound
+import math
+
+from twodist import TwoDistParams, best_upper_bound, d2_bound, dd_refine, lp_optimum
 from twodist.bounds import gray_rankin_bound, sphere_bound
 
 # The full linear programming bound restricted to two distances: a
@@ -13,7 +15,7 @@ from twodist.bounds import gray_rankin_bound, sphere_bound
 # of length 18 with distances {2, 4} are the most possible.
 for q, n, d, delta in [(2, 11, 2, 2), (2, 18, 2, 2), (3, 10, 3, 3)]:
     params = TwoDistParams(q, n, d, delta)
-    print(f"lp bound   A_{q}({n}, {{{d},{d+delta}}}) <= {lp_bound(params)}")
+    print(f"lp bound   A_{q}({n}, {{{d},{d+delta}}}) <= {math.floor(lp_optimum(params)[0])}")
 
 # The degree-2 closed form is much cheaper than the LP and often equals
 # it.  When its rational value is an integer and its linear coefficient

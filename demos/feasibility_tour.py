@@ -47,11 +47,12 @@ print(f"  graph parameters : {srg.params}, integral={srg.multiplicities_integral
 for q, n, d, delta in [(2, 12, 8, 2), (2, 16, 10, 2), (2, 9, 3, 4)]:
     params = TwoDistParams(q, n, d, delta)
     sv = special_values(params)
-    reason = f"clause ({sv.clause})" if sv.clause else "witness arithmetic"
-    verdict = two_distance_realizable(params) and (sv.status is None)
+    ruled_out = sv is not None and sv.kind == "not_well_defined"
+    reason = sv.note if ruled_out else "witness arithmetic"
+    verdict = two_distance_realizable(params) and not ruled_out
     print(f"\n  distances {{{d},{d+delta}}} in length {n} over q={q}: "
           f"{'realizable' if verdict else 'impossible'} [{reason}]")
 
 # Exact values known in closed form, no computation needed.
-print("\nexact: A_2(15, {3, 6}) =", special_values(TwoDistParams(2, 15, 3, 3)).status.lo)
-print("exact: A_3(8, {1, 3})  =", special_values(TwoDistParams(3, 8, 1, 2)).status.lo)
+print("\nexact: A_2(15, {3, 6}) =", special_values(TwoDistParams(2, 15, 3, 3)).lo)
+print("exact: A_3(8, {1, 3})  =", special_values(TwoDistParams(3, 8, 1, 2)).lo)

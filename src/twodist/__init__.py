@@ -16,13 +16,13 @@ from .core import (
 from .krawtchouk import kraw_eval, kraw_rows
 from .bounds import (
     BoundReport,
-    ExternalBounds,
     best_upper_bound,
     d2_bound,
     dd_refine,
     gray_rankin_bound,
-    lp_bound,
+    lp_optimum,
     plotkin_bound,
+    read_external_bounds,
     sphere_bound,
 )
 from .feasibility import (

@@ -20,7 +20,7 @@ Method tags used throughout (and printed in tables):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import BoundStatus, TwoDistParams
@@ -118,12 +118,6 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
         )
         if rows[r][1] < rows[r][0]:
             return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
-
-
-def lp_bound(params: TwoDistParams) -> int:
-    """Floor of the exact restricted-LP optimum."""
-    opt, _ = lp_optimum(params)
-    return math.floor(opt)
 
 
 def equidistant_lp_bound(n: int, q: int, dist: int) -> int:
@@ -230,9 +224,8 @@ def gray_rankin_bound(q: int, n: int, d: int) -> int | None:
 
 @dataclass(frozen=True)
 class SphereBound:
-    """Spherical two-distance set bound; value = 2(q-1)n + 1 when applicable."""
+    """Spherical two-distance set bound; value = 2(q-1)n + 1 when applicable, else None."""
 
-    applicable: bool
     value: int | None
     r: int
     s: int
@@ -248,40 +241,36 @@ def sphere_bound(params: TwoDistParams) -> SphereBound:
     r, s = params.d // g, params.d2 // g
     m2 = 2 * (params.q - 1) * params.n
     applicable = (s - r >= 2) or (s == r + 1 and (2 * r + 1) ** 2 > m2)
-    return SphereBound(applicable, m2 + 1 if applicable else None, r, s)
+    return SphereBound(m2 + 1 if applicable else None, r, s)
 
 
 class ExternalBoundsError(ValueError):
     """Raised for malformed external bound tables."""
 
 
-@dataclass(frozen=True)
-class ExternalBounds:
-    """Best-known upper bounds for A_q(n, d), keyed by (q, n, d)."""
-
-    table: dict[tuple[int, int, int], int] = field(default_factory=dict)
-
-    @staticmethod
-    def from_csv(text: str) -> "ExternalBounds":
-        rows: dict[tuple[int, int, int], int] = {}
-        lines = text.splitlines()
-        if not lines or [c.strip() for c in lines[0].split(",")] != ["q", "n", "d", "bound"]:
-            raise ExternalBoundsError("line 1: expected header 'q,n,d,bound'")
-        for lineno, raw in enumerate(lines[1:], start=2):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = [c.strip() for c in line.split(",")]
-            if len(parts) != 4:
-                raise ExternalBoundsError(f"line {lineno}: expected 4 fields")
-            try:
-                q, n, d, bound = (int(p) for p in parts)
-            except ValueError as exc:
-                raise ExternalBoundsError(f"line {lineno}: non-integer field") from exc
-            if q < 2 or n < 1 or d < 1 or bound < 1:
-                raise ExternalBoundsError(f"line {lineno}: values out of range")
-            rows[(q, n, d)] = bound
-        return ExternalBounds(rows)
+def read_external_bounds(text: str) -> dict[tuple[int, int, int], int]:
+    """Best-known upper bounds for A_q(n, d) from csv `q,n,d,bound`, keyed by (q, n, d)."""
+    rows: dict[tuple[int, int, int], int] = {}
+    lines = text.splitlines()
+    if not lines or [c.strip() for c in lines[0].split(",")] != ["q", "n", "d", "bound"]:
+        raise ExternalBoundsError("line 1: expected header 'q,n,d,bound'")
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = [c.strip() for c in line.split(",")]
+        if len(parts) != 4:
+            raise ExternalBoundsError(f"line {lineno}: expected 4 fields")
+        try:
+            q, n, d, bound = (int(p) for p in parts)
+        except ValueError as exc:
+            raise ExternalBoundsError(f"line {lineno}: non-integer field") from exc
+        if q < 2 or n < 1 or d < 1 or bound < 1:
+            raise ExternalBoundsError(f"line {lineno}: values out of range")
+        if (q, n, d) in rows:
+            raise ExternalBoundsError(f"line {lineno}: repeated (q, n, d) = {(q, n, d)}")
+        rows[(q, n, d)] = bound
+    return rows
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,7 @@ _TIE_ORDER = ("ext", "dd", "d2", "sc", "lp", "plotkin")
 
 
 def best_upper_bound(
-    params: TwoDistParams, external: ExternalBounds | None = None
+    params: TwoDistParams, external: dict[tuple[int, int, int], int] | None = None
 ) -> BoundReport:
     """Aggregate all applicable upper-bound methods for one parameter set.
 
@@ -318,9 +307,9 @@ def best_upper_bound(
     excluded from the minimum, being valid for antipodal codes only.  The
     methods that attain the minimum are listed in `_TIE_ORDER`.
     """
-    sv = feasibility.special_values(params)
-    if sv.status is not None:  # both exact families are realizable
-        return BoundReport(sv.status, ())
+    special = feasibility.special_values(params)
+    if special is not None:  # both exact families are realizable
+        return BoundReport(special, ())
     if not feasibility.two_distance_realizable(params):
         status = BoundStatus.not_well_defined(note="no three-word code realizes both distances")
         return BoundReport(status, ())
@@ -344,14 +333,14 @@ def best_upper_bound(
         BoundEntry(
             "sc",
             sb.value,
-            note="" if sb.applicable else "not applicable",
+            note="" if sb.value is not None else "not applicable",
             certificate=((sb.r, sb.s),),
         )
     )
     gr = gray_rankin_bound(params.q, params.n, params.d)
     entries.append(BoundEntry("gr", gr, note="antipodal codes only; not aggregated"))
     if external is not None:
-        ext = external.table.get((params.q, params.n, params.d))
+        ext = external.get((params.q, params.n, params.d))
         if ext is not None:
             entries.append(BoundEntry("ext", ext))
 

@@ -134,10 +134,10 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_external(args) -> bounds_mod.ExternalBounds | None:
+def _load_external(args) -> dict[tuple[int, int, int], int] | None:
     if not args.external_bounds:
         return None
-    return bounds_mod.ExternalBounds.from_csv(Path(args.external_bounds).read_text())
+    return bounds_mod.read_external_bounds(Path(args.external_bounds).read_text())
 
 
 def _cmd_bound(args) -> int:

@@ -90,11 +90,11 @@ def _fraction_sqrt(x: Fraction) -> Fraction | None:
 
 @dataclass(frozen=True)
 class QuadraticCheck:
+    """Holds when `residual` is 0; `roots` is None unless the discriminant is a square."""
+
     residual: Fraction
-    ok: bool
     roots: tuple[Fraction, Fraction] | None
     roots_positive_integers: bool
-    discriminant_is_square: bool
 
 
 def check_oa2_quadratic(q: int, size: int, n: int, w1: int, w2: int) -> QuadraticCheck:
@@ -128,13 +128,7 @@ def check_oa2_quadratic(q: int, size: int, n: int, w1: int, w2: int) -> Quadrati
     if sq is not None:
         roots = ((b + sq) / 2, (b - sq) / 2)
         roots_ok = all(r > 0 and r.denominator == 1 for r in roots)
-    return QuadraticCheck(
-        residual=residual,
-        ok=residual == 0,
-        roots=roots,
-        roots_positive_integers=roots_ok,
-        discriminant_is_square=sq is not None,
-    )
+    return QuadraticCheck(residual=residual, roots=roots, roots_positive_integers=roots_ok)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +488,8 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     elif lp.k >= 3:
         qc = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
         detail = (f"residual={qc.residual} roots={qc.roots} integer-roots="
-                  f"{qc.roots_positive_integers} square-disc={qc.discriminant_is_square}")
-        add("oa2-quadratic", "pass" if qc.ok else "fail", detail, 1)
+                  f"{qc.roots_positive_integers} square-disc={qc.roots is not None}")
+        add("oa2-quadratic", "pass" if qc.residual == 0 else "fail", detail, 1)
     else:
         add("oa2-quadratic", "skip", "needs q^k divisible by q^2 and larger than q^2")
 
@@ -519,14 +513,8 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
 # exact small values, impossibility clauses, and the 3-word realizability test
 
 
-@dataclass(frozen=True)
-class SpecialValues:
-    status: BoundStatus | None
-    clause: str | None = None
-
-
-def special_values(params: TwoDistParams) -> SpecialValues:
-    """Exact values and impossibility clauses for special parameter shapes.
+def special_values(params: TwoDistParams) -> BoundStatus | None:
+    """Exact values and impossibility clauses for special parameter shapes, else None.
 
     Binary clauses (a)-(e) rule the pair out entirely; d odd with
     delta = d has the exact value 1 + floor(n/d), at least 4 (below five
@@ -537,34 +525,21 @@ def special_values(params: TwoDistParams) -> SpecialValues:
     e = d + delta
     if q == 2:
         if d % 2 and e % 2:
-            return SpecialValues(
-                BoundStatus.not_well_defined("both distances odd"), clause="a"
-            )
+            return BoundStatus.not_well_defined("both distances odd")  # (a)
         if d % 2 and e % 2 == 0:
             if 2 * n < 3 * d - delta:
-                return SpecialValues(
-                    BoundStatus.not_well_defined("length below (3d-delta)/2"), clause="b"
-                )
+                return BoundStatus.not_well_defined("length below (3d-delta)/2")  # (b)
             if d < delta:
-                return SpecialValues(
-                    BoundStatus.not_well_defined("odd d smaller than delta"), clause="c"
-                )
+                return BoundStatus.not_well_defined("odd d smaller than delta")  # (c)
         if e == n and n != 2 * d:
-            return SpecialValues(
-                BoundStatus.not_well_defined("full-length distance with n != 2d"),
-                clause="d",
-            )
+            return BoundStatus.not_well_defined("full-length distance with n != 2d")  # (d)
         if e == n - 1 and 2 * d > n + 1:
-            return SpecialValues(
-                BoundStatus.not_well_defined("distance n-1 with 2d > n+1"), clause="e"
-            )
+            return BoundStatus.not_well_defined("distance n-1 with 2d > n+1")  # (e)
         if d % 2 and delta == d:
-            raw = 1 + n // d
-            value = max(4, raw)
-            return SpecialValues(BoundStatus.exact(value, note="disjoint supports"))
+            return BoundStatus.exact(max(4, 1 + n // d), note="disjoint supports")
     if q == 3 and d == 1 and delta == 2 and n >= 4:
-        return SpecialValues(BoundStatus.exact(6))
-    return SpecialValues(None)
+        return BoundStatus.exact(6)
+    return None
 
 
 def two_distance_realizable(params: TwoDistParams) -> bool:

@@ -32,7 +32,6 @@ class CellBound:
 @dataclass(frozen=True)
 class TableCell:
     params: TwoDistParams
-    status: str  # "value" | "range" | "not_well_defined"
     lower: CellBound | None
     upper: CellBound | None
     equidistant_size: int | None = None
@@ -40,14 +39,17 @@ class TableCell:
     methods: tuple[tuple[str, int | None], ...] = ()
 
     def __post_init__(self):
-        if self.status not in ("value", "range", "not_well_defined"):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.lower and self.upper and self.lower.value > self.upper.value:
+        if (self.lower is None) != (self.upper is None):
+            raise ValueError("a cell has both bounds or neither")
+        if self.lower is not None and self.lower.value > self.upper.value:
             raise ValueError("cell lower bound exceeds upper bound")
-        if self.status == "value" and (
-            not self.lower or not self.upper or self.lower.value != self.upper.value
-        ):
-            raise ValueError("exact cells need lower = upper")
+
+    @property
+    def status(self) -> str:
+        """`not_well_defined` without bounds, `value` when they meet, else `range`."""
+        if self.lower is None:
+            return "not_well_defined"
+        return "value" if self.lower.value == self.upper.value else "range"
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class TableSpec:
 
 @dataclass(frozen=True)
 class CellOptions:
-    external: bounds_mod.ExternalBounds | None = None
+    external: dict[tuple[int, int, int], int] | None = None
     search_cfg: search.SearchConfig | None = None
     oracle_max_vertices: int = 0
 
@@ -91,13 +93,10 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
     report = bounds_mod.best_upper_bound(params, options.external)
     methods = tuple((e.method, e.value) for e in report.entries)
     if report.status.kind == "not_well_defined":
-        return TableCell(params, "not_well_defined", None, None, note=report.status.note)
+        return TableCell(params, None, None, note=report.status.note)
     if report.status.kind == "exact":
-        v = report.status.lo
-        return TableCell(
-            params, "value", CellBound(v, "exact"), CellBound(v, "exact"),
-            note=report.status.note, methods=methods,
-        )
+        exact = CellBound(report.status.lo, "exact")
+        return TableCell(params, exact, exact, note=report.status.note, methods=methods)
 
     upper = report.status.hi
     upper_tag = ",".join(report.status.methods)
@@ -131,8 +130,7 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
         eq_size = eq_entry.size
 
     return TableCell(
-        params, "value" if lower == upper else "range",
-        CellBound(lower, lower_tag), CellBound(upper, upper_tag),
+        params, CellBound(lower, lower_tag), CellBound(upper, upper_tag),
         equidistant_size=eq_size, methods=methods,
     )
 
@@ -242,21 +240,22 @@ def cells_to_json(cells) -> str:
 
 
 def cells_from_json(text: str) -> list[TableCell]:
+    """Cells from `cells_to_json` text; a stored status must be the one the bounds give."""
     data = json.loads(text)
     cells = []
     for entry in data["cells"]:
         params = TwoDistParams(entry["q"], entry["n"], entry["d"], entry["delta"])
         lower = entry["lower"] and CellBound(entry["lower"]["value"], entry["lower"]["tag"])
         upper = entry["upper"] and CellBound(entry["upper"]["value"], entry["upper"]["tag"])
-        cells.append(
-            TableCell(
-                params,
-                entry["status"],
-                lower or None,
-                upper or None,
-                equidistant_size=entry.get("equidistant_size"),
-                note=entry.get("note", ""),
-                methods=tuple((m, v) for m, v in entry.get("methods", [])),
-            )
+        cell = TableCell(
+            params,
+            lower or None,
+            upper or None,
+            equidistant_size=entry.get("equidistant_size"),
+            note=entry.get("note", ""),
+            methods=tuple((m, v) for m, v in entry.get("methods", [])),
         )
+        if entry["status"] != cell.status:
+            raise ValueError(f"bad status {entry['status']!r}: the bounds make it {cell.status!r}")
+        cells.append(cell)
     return cells

