@@ -28,38 +28,22 @@ from .krawtchouk import kraw_eval, kraw_rows
 from . import feasibility
 
 
-def _lp_constraints(params: TwoDistParams):
-    """Rows (a, b, c) meaning a*A_d + b*A_e + c >= 0: the two axes and the rows that can bind.
-
-    Row i is (K_i(d), K_i(e), K_i(0)) for i = 1..n, and only the rows with
-    a < 0 or b < 0 are kept.  A dropped row has a, b >= 0 and
-    c = K_i(0) = (q-1)^i C(n, i) > 0, so its slack a*x + b*y + c is at
-    least c > 0 on the whole quadrant x, y >= 0.  Where its slack falls
-    along an edge, x or y falls too, and that axis's slack reaches 0
-    strictly before the row's does.  So the row never stops the walk of
-    `_lp_solve` and never enters a tie: the walk, its vertex and the
-    optimum are those of all n rows.
-    """
-    rows = [(1, 0, 0), (0, 1, 0)]
-    for row in kraw_rows(params.n, params.q, params.d, params.d2):
-        if row[0] < 0 or row[1] < 0:
-            rows.append(row)
-    return rows
-
-
 def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     """Exact optimum of max 1 + A_d + A_e over the restricted Delsarte LP.
 
-    Returns the optimum and an attaining vertex (A_d, A_e).  Below the
-    two axes every row has c = K_i(0) = (q-1)^i C(n, i) > 0, and the
-    region is bounded, as `_lp_solve` requires: the rows satisfy
-    sum_{i=0..n} K_i(z) = q^n [z = 0], the generating function
-    (1 + (q-1)t)^(n-z) (1-t)^z at t = 1, so rows 1..n add up to
-    q^n - 1 - A_d - A_e >= 0.  The rows `_lp_constraints` drops are
-    positive on the whole quadrant, so the rows it keeps cut out the same
-    region.
+    Returns the optimum and an attaining vertex (A_d, A_e).  The rows are
+    a*A_d + b*A_e + c >= 0 with (a, b, c) = (K_i(d), K_i(e), K_i(0)) for
+    i = 1..n, and c = (q-1)^i C(n, i) > 0.  The region is bounded, as
+    `_lp_solve` requires: the rows satisfy sum_{i=0..n} K_i(z) = q^n [z = 0],
+    the generating function (1 + (q-1)t)^(n-z) (1-t)^z at t = 1, so rows
+    1..n add up to q^n - 1 - A_d - A_e >= 0.
+
+    Along the x-axis only the distance d occurs, so the walk's first
+    vertex, which `_lp_solve` finds while it reads the rows, is (x_1, 0)
+    with x_1 the least K_i(0) / -K_i(d) over the i with K_i(d) < 0:
+    1 + floor(x_1) = E(d) = `equidistant_lp_bound(n, q, d)`.
     """
-    return _lp_solve(_lp_constraints(params))
+    return _lp_solve(kraw_rows(params.n, params.q, params.d, params.d2))
 
 
 def _lp_meet(r1, r2) -> tuple[int, int, int]:
@@ -72,12 +56,13 @@ def _lp_meet(r1, r2) -> tuple[int, int, int]:
     return (x, y, det) if det > 0 else (-x, -y, -det)
 
 
-def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Maximise 1 + x + y over the bounded region of `rows`; rows 2.. have c > 0.
+def _lp_solve(kraw) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+    """Maximise 1 + x + y over x, y >= 0 and the rows (a, b, c) of `kraw`, each with c > 0.
 
-    Every vertex is kept as integer numerators (X, Y) over a determinant
-    det > 0, and every comparison is an integer cross-multiplication; no
-    Fraction is built until the result is returned.
+    The region must be bounded.  Every vertex is kept as integer
+    numerators (X, Y) over a determinant det > 0, and every comparison is
+    an integer cross-multiplication; no Fraction is built until the result
+    is returned.
 
     The origin is a vertex where only the axes are tight.  From it the
     walk follows the boundary counterclockwise, starting along the x-axis:
@@ -92,15 +77,44 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     along the boundary other than the global one.  An edge with b = a just
     before it is optimal too, and the walk has crossed it to its far end.
 
-    One stop scan finds every edge, the first included.  Along the line
-    of row (a_r, b_r, c_r) a row's rate is b*a_r - a*b_r.  The walk starts
-    at (X, Y, det) = (0, 0, 1) on row 1, the x-axis, heading along (1, 0),
-    where a row's slack is c and its rate -a.
+    One pass reads the rows.  It puts the two axes in front and keeps only
+    the rows with a < 0 or b < 0.  A dropped row has a, b >= 0 and c > 0,
+    so its slack a*x + b*y + c is at least c > 0 on the whole quadrant
+    x, y >= 0.  Where its slack falls along an edge, x or y falls too, and
+    that axis's slack reaches 0 strictly before the row's does.  So the row
+    never stops the walk and never enters a tie: the walk, its vertex and
+    the optimum are those of all the rows.  The same pass finds the stops
+    of the first edge, from (X, Y, det) = (0, 0, 1) along the x-axis, where
+    a row's slack is c and its rate -a, so only the rows with a < 0 can
+    stop it.  Every later edge is found by a stop scan over the kept rows:
+    along the line of row (a_r, b_r, c_r) a row's rate is b*a_r - a*b_r.
     """
-    x, y, det, r = 0, 0, 1, 1
+    rows = [(1, 0, 0), (0, 1, 0)]
+    # the least slack / rate so far starts at 1 / 0, above every finite ratio
+    stops, stop_slack, stop_rate = [], 1, 0
+    for row in kraw:
+        a, b, c = row
+        if a < 0:
+            if c * stop_rate < -a * stop_slack:
+                stops, stop_slack, stop_rate = [len(rows)], c, -a
+            elif c * stop_rate == -a * stop_slack:
+                stops.append(len(rows))
+        elif b >= 0:
+            continue
+        rows.append(row)
+    # where the x-axis meets the first stopping row: the `_lp_meet` of the two
+    x, y, det = stop_slack, 0, stop_rate
     while True:
+        if len(stops) == 1:
+            r = stops[0]
+        else:
+            r = next(
+                k for k in stops
+                if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
+            )
         ar, br, _ = rows[r]
-        # the least slack / rate so far starts at 1 / 0, above every finite ratio
+        if br < ar:
+            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
         stops, stop_slack, stop_rate = [], 1, 0
         for k, (a, b, c) in enumerate(rows):
             rate = b * ar - a * br
@@ -112,12 +126,6 @@ def _lp_solve(rows) -> tuple[Fraction, tuple[Fraction, Fraction]]:
             elif slack * stop_rate == stop_slack * rate:
                 stops.append(k)
         x, y, det = _lp_meet(rows[r], rows[stops[0]])
-        r = next(
-            k for k in stops
-            if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
-        )
-        if rows[r][1] < rows[r][0]:
-            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
 
 
 def equidistant_lp_bound(n: int, q: int, dist: int) -> int:
@@ -219,7 +227,7 @@ def gray_rankin_bound(q: int, n: int, d: int) -> int | None:
     if denom <= 0:
         return None
     num = q * (q * d - (q - 2) * n) * (n - d)
-    return math.floor(Fraction(q * num, denom))
+    return (q * num) // denom
 
 
 @dataclass(frozen=True)

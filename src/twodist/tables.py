@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from types import NoneType
 
 from . import bounds as bounds_mod
 from . import constructions, search
@@ -239,23 +240,69 @@ def cells_to_json(cells) -> str:
     return '{"cells": [\n' + (rows + "\n" if rows else "") + "]}\n"
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object", NoneType: "null"}
+
+
+def _typed(value, field: str, *kinds: type):
+    """`value` when its type is one of `kinds`, else a ValueError naming `field`; a bool is no int."""
+    if type(value) not in kinds:
+        raise ValueError(f"{field} must be {' or '.join(_KINDS[k] for k in kinds)}, got {value!r}")
+    return value
+
+
+def _field(obj: dict, key: str, where: str, *kinds: type):
+    """`obj[key]` checked by `_typed`; a missing key is a ValueError naming the field."""
+    if key not in obj:
+        raise ValueError(f"{where}.{key} is missing")
+    return _typed(obj[key], f"{where}.{key}", *kinds)
+
+
+def _cell_bound(entry: dict, key: str, where: str) -> CellBound | None:
+    bound = _field(entry, key, where, dict, NoneType)
+    if bound is None:
+        return None
+    where = f"{where}.{key}"
+    return CellBound(_field(bound, "value", where, int), _field(bound, "tag", where, str))
+
+
 def cells_from_json(text: str) -> list[TableCell]:
-    """Cells from `cells_to_json` text; a stored status must be the one the bounds give."""
-    data = json.loads(text)
+    """Cells from `cells_to_json` text; a stored status must be the one the bounds give.
+
+    The text comes from outside the program, so every field is checked:
+    q, n, d, delta and each bound's value are integers (a bool is not),
+    `lower` and `upper` are objects or null, tags, `status` and `note` are
+    strings, `equidistant_size` is an integer or null, and `methods` is a
+    list of [tag, integer or null] pairs.  A value of any other type, or a
+    missing key, is a ValueError that names the field as a path such as
+    `$.cells[0].lower.value`.  `equidistant_size`, `note` and `methods` may
+    be left out.
+    """
+    data = _typed(json.loads(text), "$", dict)
     cells = []
-    for entry in data["cells"]:
-        params = TwoDistParams(entry["q"], entry["n"], entry["d"], entry["delta"])
-        lower = entry["lower"] and CellBound(entry["lower"]["value"], entry["lower"]["tag"])
-        upper = entry["upper"] and CellBound(entry["upper"]["value"], entry["upper"]["tag"])
+    for i, entry in enumerate(_field(data, "cells", "$", list)):
+        where = f"$.cells[{i}]"
+        _typed(entry, where, dict)
+        params = TwoDistParams(*(_field(entry, key, where, int) for key in ("q", "n", "d", "delta")))
+        status = _field(entry, "status", where, str)
+        methods = []
+        for j, pair in enumerate(_typed(entry.get("methods", []), f"{where}.methods", list)):
+            field = f"{where}.methods[{j}]"
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError(f"{field} must be a [tag, value] pair, got {pair!r}")
+            methods.append(
+                (_typed(pair[0], f"{field}[0]", str), _typed(pair[1], f"{field}[1]", int, NoneType))
+            )
         cell = TableCell(
             params,
-            lower or None,
-            upper or None,
-            equidistant_size=entry.get("equidistant_size"),
-            note=entry.get("note", ""),
-            methods=tuple((m, v) for m, v in entry.get("methods", [])),
+            _cell_bound(entry, "lower", where),
+            _cell_bound(entry, "upper", where),
+            equidistant_size=_typed(
+                entry.get("equidistant_size"), f"{where}.equidistant_size", int, NoneType
+            ),
+            note=_typed(entry.get("note", ""), f"{where}.note", str),
+            methods=tuple(methods),
         )
-        if entry["status"] != cell.status:
-            raise ValueError(f"bad status {entry['status']!r}: the bounds make it {cell.status!r}")
+        if status != cell.status:
+            raise ValueError(f"bad status {status!r}: the bounds make it {cell.status!r}")
         cells.append(cell)
     return cells

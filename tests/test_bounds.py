@@ -7,7 +7,7 @@ import pytest
 
 from twodist.bounds import (
     ExternalBoundsError,
-    _lp_constraints,
+    _lp_meet,
     _lp_solve,
     best_upper_bound,
     d2_bound,
@@ -91,6 +91,31 @@ def reference_strength2_distribution(params):
     return Fraction(c2 * b1 - c1 * b2, det), Fraction(a2 * c1 - a1 * c2, det)
 
 
+def reference_walk(rows):
+    """The boundary walk over rows given with their two axes, every stop found by one scan."""
+    x, y, det, r = 0, 0, 1, 1
+    while True:
+        ar, br, _ = rows[r]
+        # the least slack / rate so far starts at 1 / 0, above every finite ratio
+        stops, stop_slack, stop_rate = [], 1, 0
+        for k, (a, b, c) in enumerate(rows):
+            rate = b * ar - a * br
+            if rate <= 0:
+                continue
+            slack = a * x + b * y + c * det
+            if slack * stop_rate < stop_slack * rate:
+                stops, stop_slack, stop_rate = [k], slack, rate
+            elif slack * stop_rate == stop_slack * rate:
+                stops.append(k)
+        x, y, det = _lp_meet(rows[r], rows[stops[0]])
+        r = next(
+            k for k in stops
+            if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
+        )
+        if rows[r][1] < rows[r][0]:
+            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
+
+
 def assert_optimal(rows, result):
     """`result` has reference_lp's optimum and a feasible vertex attaining it."""
     opt, (x, y) = result
@@ -108,6 +133,14 @@ SWEEP = [
     for d in range(1, n - delta + 1)
 ]
 
+
+# a sample of every (d, delta) for q in {16, 27, 125, 1024} and n <= 64, beyond the tables' q <= 9
+LARGE_Q = [
+    P(q, n, d, e - d)
+    for q in (16, 27, 125, 1024)
+    for n in range(2, 65)
+    for d, e in itertools.combinations(range(1, n + 1), 2)
+][::101]
 
 def random_rows(rng):
     """Small-integer rows with c > 0: many ties, parallel and concurrent lines."""
@@ -152,19 +185,26 @@ class TestLpBound:
                 assert_optimal(reference_rows(params), lp_optimum(params))
 
     def test_matches_reference_on_sweep_sample(self):
-        # _lp_constraints keeps the axes and only the rows that can bind: a < 0 or b < 0
         for params in SWEEP[::50]:
             rows = reference_rows(params)
-            binding = rows[:2] + [(a, b, c) for a, b, c in rows[2:] if a < 0 or b < 0]
-            assert _lp_constraints(params) == binding, params
             assert_optimal(rows, lp_optimum(params))
 
     def test_pruned_rows_walk_like_all_rows(self):
-        # dropping the rows with a, b >= 0 changes neither the optimum nor the vertex
+        # dropping the rows with a, b >= 0 and finding the first edge while reading
+        # the rows change neither the optimum nor the vertex of the walk over all rows
         for params in SWEEP:
             n, q, d, e = params.n, params.q, params.d, params.d2
             rows = [(1, 0, 0), (0, 1, 0), *kraw_rows(n, q, d, e)]
-            assert lp_optimum(params) == _lp_solve(rows), params
+            assert lp_optimum(params) == reference_walk(rows), params
+
+    def test_large_alphabets_walk_like_all_rows(self):
+        for i, params in enumerate(LARGE_Q):
+            n, q, d, e = params.n, params.q, params.d, params.d2
+            rows = [(1, 0, 0), (0, 1, 0), *kraw_rows(n, q, d, e)]
+            result = lp_optimum(params)
+            assert result == reference_walk(rows), params
+            if i % 40 == 0:  # the vertex enumeration costs about 15 ms a cell at n near 64
+                assert_optimal(rows, result)
 
     def test_matches_reference_on_degenerate_rows(self):
         rng = random.Random(7)
@@ -173,7 +213,9 @@ class TestLpBound:
             rows = random_rows(rng)
             if not reference_is_unbounded(rows):
                 bounded += 1
-                assert_optimal(rows, _lp_solve(rows))
+                result = _lp_solve(rows[2:])
+                assert result == reference_walk(rows), rows
+                assert_optimal(rows, result)
         assert 2000 < bounded < 3000
 
 
@@ -287,6 +329,19 @@ class TestGrayRankin:
 
     def test_not_applicable(self):
         assert gray_rankin_bound(2, 10, 2) is None
+
+    def test_integer_floor_matches_fraction_floor(self):
+        applicable = 0
+        for q, n in itertools.product(range(2, 10), range(1, 41)):
+            for d in range(1, n + 1):
+                denom = n - ((q - 1) * n - q * d) ** 2
+                if denom <= 0:
+                    assert gray_rankin_bound(q, n, d) is None
+                    continue
+                applicable += 1
+                num = q * (q * d - (q - 2) * n) * (n - d)
+                assert gray_rankin_bound(q, n, d) == math.floor(Fraction(q * num, denom)), (q, n, d)
+        assert applicable == 604
 
     def test_one_symbol_alphabet_refused(self):
         with pytest.raises(ValueError, match="q>=2, n>=1, d>=1 required"):

@@ -310,6 +310,35 @@ class TestCellsFromJsonGuards:
         with pytest.raises(ValueError, match=f"^{message}$"):
             cells_from_json(json.dumps({"cells": [cell]}))
 
+    @pytest.mark.parametrize("change,message", [
+        # read and rendered "3.5-8^lp"
+        ({"lower": {"value": 3.5, "tag": "construction"}},
+         r"\$\.cells\[0\]\.lower\.value must be an integer, got 3\.5"),
+        # rendered "x^e-8^lp"
+        ({"equidistant_size": "x"},
+         r"\$\.cells\[0\]\.equidistant_size must be an integer or null, got 'x'"),
+        # a TypeError from the bounds' comparison
+        ({"upper": {"value": "8", "tag": "lp"}}, r"\$\.cells\[0\]\.upper\.value must be an integer, got '8'"),
+        # a KeyError
+        ({"upper": {"value": 8}}, r"\$\.cells\[0\]\.upper\.tag is missing"),
+        # a TypeError from `TwoDistParams`
+        ({"q": "2"}, r"\$\.cells\[0\]\.q must be an integer, got '2'"),
+        ({"q": True}, r"\$\.cells\[0\]\.q must be an integer, got True"),
+        ({"methods": [["lp", 8], ["d2"]]}, r"\$\.cells\[0\]\.methods\[1\] must be a \[tag, value\] pair, got \['d2'\]"),
+        ({"note": None}, r"\$\.cells\[0\]\.note must be a string, got None"),
+    ])
+    def test_ill_typed_fields_are_refused(self, change, message):
+        cell = dict(json.loads(self.one_cell())["cells"][0], **change)
+        # any other exception, a TypeError or KeyError included, propagates and fails the test
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cells_from_json(json.dumps({"cells": [cell]}))
+
+    def test_missing_field_is_refused(self):
+        cell = json.loads(self.one_cell())["cells"][0]
+        del cell["status"]
+        with pytest.raises(ValueError, match=r"^\$\.cells\[0\]\.status is missing$"):
+            cells_from_json(json.dumps({"cells": [cell]}))
+
     def test_lower_above_upper(self):
         with pytest.raises(ValueError, match="cell lower bound exceeds upper bound"):
             cells_from_json(self.one_cell(lower=9))
