@@ -215,6 +215,7 @@ def _cmd_check(args) -> int:
     if (args.d is None) != (args.delta is None):
         raise ValueError("check takes --d and --delta together or neither")
     code = read_code(Path(args.file).read_text())
+    params = None if args.d is None else TwoDistParams(code.q, code.n, args.d, args.delta)
     dist = distance_distribution(code)
     observed = dist.support()
     print(f"q={code.q} n={code.n} words={code.size}")
@@ -223,8 +224,7 @@ def _cmd_check(args) -> int:
     print(f"antipodal: {is_antipodal(code)}")
     nonzero = {j: str(dist.a(j)) for j in range(code.n + 1) if dist.a(j) > 0}
     print(f"distribution: {nonzero}")
-    if args.d is not None:
-        params = TwoDistParams(code.q, code.n, args.d, args.delta)
+    if params is not None:
         report = verify_two_distance(code, params)
         if report.ok:
             print(f"ok: exactly the distances {{{params.d}, {params.d2}}}")

@@ -4,8 +4,9 @@ Everything here is exact: pair-distance counts are integers, and distance
 distributions and moments are `fractions.Fraction`s, never floats.  A
 `Code` validates its words once into one read-only word array, and keeps
 only q, n and that array; its tuple of words is built on first read.  The
-text file format is written with one `tobytes()` and read with one
-`np.frombuffer`.
+text file format is written with one `tobytes()`; text exactly as written
+is read back in one step (one `np.frombuffer`, one reshape, one range
+test), and any other text line by line.
 
 Bad input meets one rule: valid input passes one numpy test, and other
 input is scanned to its first fault: for `Code` the first bad word (by
@@ -16,10 +17,12 @@ Every word-pair distance in the package comes from one packed kernel,
 here and in `search`.  With m = ceil(log2 q), symbol a is written as the
 a-th smallest codeword of the binary simplex code of width 2^m - 1, so
 any two distinct symbols differ in exactly t = 2^(m-1) bits; a word is
-its symbols' bits in 64-bit limbs (`_pack_words`), and popcount(u ^ v)
-summed over the limbs is t * dist(u, v) (`_popcounts`).  A `Code` packs
-its words once; its distance counts and antipodality read each unordered
-pair once, from the half-matrix blocks of `_half_popcounts`.
+its symbols' bits in 64-bit limbs (`_pack_words`: one gather from flat,
+limb-sorted symbol tables and one OR-reduction per limb, a bounded block
+of words at a time), and popcount(u ^ v) summed over the limbs is
+t * dist(u, v) (`_popcounts`).  A `Code` packs its words once; its
+distance counts and antipodality read each unordered pair once, from the
+half-matrix blocks of `_half_popcounts`.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads; a lazily
@@ -28,6 +31,7 @@ cached attribute computed twice is computed equal.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -39,6 +43,7 @@ from .krawtchouk import kraw_eval
 
 MAX_ALPHABET = 9  # the text file format stores one base-q digit per symbol
 BLOCK_PAIRS = 1 << 14  # word pairs compared by one block of `_half_popcounts`
+GATHER_ELEMENTS = 1 << 15  # symbol-table pieces gathered by one block of `_pack_words`
 _MAX_Q = 1 << 10  # largest q: `_symbol_code`'s 2^m x (2^m - 1) bits stay within 2^20 entries
 
 
@@ -61,32 +66,45 @@ def _popcount_unit(q: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _symbol_tables(q: int, n: int) -> tuple[int, tuple[tuple[int, int, np.ndarray], ...]]:
-    """(limbs, lookups) for packing length-n words over q symbols.
+def _symbol_tables(q: int, n: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(limbs, coord, base, flat, starts) for packing length-n words over q symbols.
 
-    Each lookup (i, j, table) says that coordinate i puts table[a] into
-    limb j when its symbol is a; a coordinate that straddles two limbs has
-    a lookup for each.  A coordinate's tables depend only on where its bits
-    start within its first limb, so one `packbits` call per such offset
-    builds them, over the few limbs one coordinate touches: memory stays
-    about q * 2^m bytes whatever n is.  Built once per (q, n) in a process.
+    Each lookup k says that coordinate coord[k] puts flat[base[k] + a] into
+    its limb when its symbol is a; a coordinate that straddles limbs has a
+    lookup for each.  Lookups are sorted by limb, and limb j's run from
+    starts[j] (no limb is empty: the front padding is under 64 bits).  A
+    coordinate's tables depend only on where its bits start within its
+    first limb, so one `packbits` call per such offset builds them, over the
+    few limbs one coordinate touches, and `flat` holds each offset's once:
+    at most 64 offsets' tables, whatever n is.  Built once per (q, n) in a
+    process; every array is read-only.
     """
     code = _symbol_code(q)
     w = code.shape[1]
     limbs = -(-n * w // 64)
-    by_offset: dict[int, np.ndarray] = {}  # offset -> (limbs touched, q) tables
-    lookups = []
+    at: dict[int, int] = {}  # offset -> where its (limbs touched, q) tables start in flat
+    tables, coord, base, limb = [], [], [], []
     for i in range(n):
         first = 64 * limbs - n * w + w * i  # the coordinate's first bit
         offset = first % 64
-        if offset not in by_offset:
-            bits = np.zeros((q, 64 * -(-(offset + w) // 64)), dtype=np.uint8)
+        touched = -(-(offset + w) // 64)
+        if offset not in at:
+            bits = np.zeros((q, 64 * touched), dtype=np.uint8)
             bits[:, offset : offset + w] = code
-            tables = np.ascontiguousarray(np.packbits(bits, axis=1).view(">u8").T, dtype=np.uint64)
-            tables.flags.writeable = False
-            by_offset[offset] = tables
-        lookups += [(i, first // 64 + k, table) for k, table in enumerate(by_offset[offset])]
-    return limbs, tuple(lookups)
+            at[offset] = sum(map(len, tables))
+            tables.append(np.packbits(bits, axis=1).view(">u8").T.ravel())
+        coord += [i] * touched
+        base += range(at[offset], at[offset] + q * touched, q)
+        limb += range(first // 64, first // 64 + touched)
+    arrays = (
+        np.array(coord, dtype=np.intp),
+        np.array(base, dtype=np.intp),
+        np.concatenate(tables).astype(np.uint64),
+        np.flatnonzero(np.diff(limb, prepend=-1)),  # coordinates come in limb order
+    )
+    for array in arrays:
+        array.flags.writeable = False
+    return (limbs, *arrays)
 
 
 def _pack_words(words: np.ndarray, q: int) -> np.ndarray:
@@ -99,15 +117,20 @@ def _pack_words(words: np.ndarray, q: int) -> np.ndarray:
     coordinate 0 first, split into 64-bit limbs with zero bits padding the
     front; row 0 is the most significant limb, so a word's limbs read as
     one number compare as the word does, lexicographically.  Each piece of
-    a coordinate that falls in one limb is one lookup into a table built
-    once per (q, n).
+    a coordinate that falls in one limb is one lookup into the flat,
+    limb-sorted tables of `_symbol_tables`: a block of words is one gather
+    of every lookup's pieces and one `bitwise_or.reduceat` over each limb's
+    run of lookups.  A block holds at most GATHER_ELEMENTS pieces (or one
+    word), so the temporaries stay bounded for any n and size.
     """
     size, n = words.shape
-    limbs, lookups = _symbol_tables(q, n)
-    packed = np.zeros((limbs, size), dtype=np.uint64)
+    limbs, coord, base, flat, starts = _symbol_tables(q, n)
+    packed = np.empty((limbs, size), dtype=np.uint64)
     columns = words.T
-    for i, j, table in lookups:
-        packed[j] |= table.take(columns[i])
+    step = max(1, GATHER_ELEMENTS // len(coord))
+    for start in range(0, size, step):
+        pieces = flat.take(columns[coord, start : start + step] + base[:, None])
+        np.bitwise_or.reduceat(pieces, starts, axis=0, out=packed[:, start : start + step])
     return packed
 
 
@@ -279,15 +302,19 @@ class Code:
     def distance_counts(self) -> tuple[int, ...]:
         """cnt[j] = number of ordered word pairs (x, y) at distance j, x = y included.
 
-        Each unordered pair is counted once, in `_half_popcounts`, and
-        doubled; a pair at distance j has popcount t * j.
+        Each unordered pair is counted once, in `_half_popcounts`: a
+        block's square part holds both orders of its pairs (and its words
+        against themselves), and the columns after it are doubled.  A pair
+        at distance j has popcount t * j.  A code of at most 128 words is
+        one square block, one histogram.
         """
         t = _popcount_unit(self.q)
         cnt = np.zeros(t * self.n + 1, dtype=np.int64)
         for _, pops in _half_popcounts(self.packed):
-            # the square part holds ordered pairs already: twice all, less it once
-            cnt += 2 * np.bincount(pops.ravel(), minlength=len(cnt))
-            cnt -= np.bincount(pops[:, : len(pops)].ravel(), minlength=len(cnt))
+            rows = len(pops)
+            cnt += np.bincount(pops[:, :rows].ravel(), minlength=len(cnt))
+            if pops.shape[1] > rows:
+                cnt += 2 * np.bincount(pops[:, rows:].ravel(), minlength=len(cnt))
         return tuple(cnt[::t].tolist())
 
 
@@ -456,6 +483,8 @@ def is_antipodal(code: Code) -> bool:
 # text file format: first line "q=<int> n=<int>", then one base-q digit
 # string per line; '#' starts a comment
 
+_HEADER = re.compile(r"q=([0-9]+) n=([0-9]+)")  # the header as `write_code` writes it
+
 
 def write_digits(header: str, q: int, rows: np.ndarray) -> str:
     """The `header` line, then each row of symbols in 0..q-1 as one line of digits."""
@@ -473,6 +502,44 @@ def write_code(code: Code) -> str:
 
 def read_code(text: str) -> Code:
     """Parse the text file format; the header and the words take ASCII digits only.
+
+    Text exactly as `write_code` writes it (ASCII, no '#', the header
+    "q=<digits> n=<digits>", then whole lines of n digits below q, each
+    ending in "\\n") is decoded in one step: one `frombuffer` of the body,
+    one reshape to a row per line and one range test (`_read_canonical`).
+    Any other text goes to the line scanner `_read_lines`, whose errors
+    name the first bad line.
+    """
+    q, n, symbols = _read_canonical(text) or _read_lines(text)
+    try:
+        return Code(q, n, symbols)
+    except ValueError as exc:
+        raise CodeFormatError(str(exc)) from exc
+
+
+def _read_canonical(text: str) -> tuple[int, int, np.ndarray] | None:
+    """(q, n, symbols) when the text is exactly what `write_code` writes, else None.
+
+    q must be in 2..MAX_ALPHABET and n at least 1, and every line of the
+    body n digits below q and "\\n", so no line holds '#', a space or
+    nothing: the line scanner reads such text to the same words.
+    """
+    head, _, body = text.partition("\n")
+    header = _HEADER.fullmatch(head)
+    if not (header and body and body.isascii()):
+        return None
+    q, n = int(header[1]), int(header[2])
+    if not (2 <= q <= MAX_ALPHABET and n >= 1 and len(body) % (n + 1) == 0):
+        return None
+    rows = np.frombuffer(body.encode("ascii"), dtype=np.uint8).reshape(-1, n + 1)
+    symbols = rows[:, :n] - np.uint8(ord("0"))  # a byte below '0' wraps past q
+    if (symbols < q).all() and (rows[:, n] == ord("\n")).all():
+        return q, n, symbols
+    return None
+
+
+def _read_lines(text: str) -> tuple[int, int, np.ndarray]:
+    """(q, n, symbols) of any text, read line by line; comments and blank lines are skipped.
 
     Errors name the first bad line; when every line has length n, one pass
     over all symbols stands in for the line checks unless it finds a fault.
@@ -518,7 +585,4 @@ def read_code(text: str) -> Code:
                 raise CodeFormatError(f"line {lineno}: non-digit symbol in {line!r}")
             if any(int(c) >= q for c in line):
                 raise CodeFormatError(f"line {lineno}: symbol out of range for q={q}")
-    try:
-        return Code(q, n, symbols)
-    except ValueError as exc:
-        raise CodeFormatError(str(exc)) from exc
+    return q, n, symbols

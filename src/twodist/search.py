@@ -225,10 +225,10 @@ def packed_candidates(params: TwoDistParams) -> np.ndarray:
     weight-w block.
     """
     q, n, d, e = params.q, params.n, params.d, params.d2
-    limbs, lookups = _symbol_tables(q, n)
+    limbs, coord, base, flat, starts = _symbol_tables(q, n)
+    limb = np.bincount(starts[1:], minlength=len(coord)).cumsum()  # limb starts passed so far
     heads = np.zeros((n, limbs, 1, q - 1, 1), dtype=np.uint64)  # coordinate i's nonzero symbols
-    for i, j, table in lookups:
-        heads[i, j, 0, :, 0] = table[1:]
+    heads[coord, limb, 0, :, 0] = flat[base[:, None] + np.arange(1, q)]
     out = np.empty((limbs, candidate_count(params)), dtype=np.uint64)
     split = math.comb(n, d) * (q - 1) ** d
     finals = {d: out[:, :split], e: out[:, split:]}

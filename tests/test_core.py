@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from twodist import constructions
 from twodist.constructions import GeneratorMatrix, dm_code, seed_code
 from twodist.core import (
+    BLOCK_PAIRS,
+    GATHER_ELEMENTS,
     BoundStatus,
     Code,
     CodeFormatError,
@@ -20,6 +22,8 @@ from twodist.core import (
     _half_popcounts,
     _pack_words,
     _popcounts,
+    _read_canonical,
+    _symbol_code,
     _symbol_tables,
     _unpack_words,
     distance_distribution,
@@ -34,8 +38,9 @@ from twodist.krawtchouk import kraw_eval
 
 
 # references: the pure-Python pair loop, column-subset strength, pairwise
-# antipodality and the pair-sum moments that the distance kernel, Delsarte's
-# theorem and the sum over occurring distances replace
+# antipodality, the pair-sum moments and the per-coordinate packer that the
+# distance kernel, Delsarte's theorem, the sum over occurring distances and
+# the one-gather packer replace
 
 
 def hamming(x, y):
@@ -107,6 +112,24 @@ def reference_moments(code):
     for z in dists:
         totals = list(map(int.__add__, totals, columns[z]))
     return [Fraction(t, (q - 1) ** i * math.comb(n, i)) for i, t in enumerate(totals)]
+
+
+def reference_pack(words, q):
+    """`_pack_words` one coordinate at a time: a table lookup and an OR per limb it touches."""
+    code = _symbol_code(q)
+    w = code.shape[1]
+    size, n = words.shape
+    limbs = -(-n * w // 64)
+    packed = np.zeros((limbs, size), dtype=np.uint64)
+    for i in range(n):
+        first = 64 * limbs - n * w + w * i  # the coordinate's first bit
+        offset = first % 64
+        bits = np.zeros((q, 64 * -(-(offset + w) // 64)), dtype=np.uint8)
+        bits[:, offset : offset + w] = code
+        tables = np.packbits(bits, axis=1).view(">u8").T.astype(np.uint64)
+        for k, table in enumerate(tables):
+            packed[first // 64 + k] |= table.take(words[:, i])
+    return packed
 
 
 def assert_matches_reference(code):
@@ -524,6 +547,14 @@ class TestPackedKernel:
         if size > 256:
             assert len(list(_half_popcounts(code.packed))) > 1
 
+    @pytest.mark.parametrize("size", [1, 2, 128, 129])
+    def test_counts_at_block_edges(self, size):
+        # 128 words are exactly one square block of BLOCK_PAIRS pairs; 129 add a tail block
+        assert 128 * 128 == BLOCK_PAIRS
+        code = random_code(5, 6, size, seed=size)
+        assert code.distance_counts == reference_counts(code)
+        assert len(list(_half_popcounts(code.packed))) == (1 if size <= 128 else 2)
+
     def test_half_blocks_cover_each_pair_once(self):
         packed = random_code(3, 6, 300, seed=1).packed
         seen = np.zeros((300, 300), dtype=int)
@@ -572,6 +603,40 @@ class TestPackedKernel:
         assert code.size % 3 == 0 and code.distance_counts[code.n] == 2 * code.size
         assert not is_antipodal(code) and not reference_antipodal(code)
         assert not is_antipodal(shuffled(code, seed=3))
+
+
+@pytest.mark.parametrize("q, n", [
+    (2, 1), (2, 70),  # one coordinate; 70 one-bit coordinates in two limbs
+    (3, 22), (4, 22),  # 66 bits: coordinate 0 straddles the two limbs
+    (5, 10), (8, 10),  # 70 bits
+    (9, 5), (9, 10),  # 75 and 150 bits
+    (17, 3),  # 93 bits
+    (1024, 2),  # 2046 bits: each coordinate spans 16 or 17 limbs
+])
+def test_pack_matches_per_coordinate_reference(q, n):
+    step = GATHER_ELEMENTS // len(_symbol_tables(q, n)[1])  # words in one gather block
+    rng = np.random.default_rng(q * n)
+    for size in (1, step, step + 1, 2 * step + 3):
+        words = rng.integers(0, q, size=(size, n)).astype(np.min_scalar_type(q - 1))
+        packed = _pack_words(words, q)
+        assert packed.dtype == np.uint64
+        assert packed.tobytes() == reference_pack(words, q).tobytes()
+        assert np.array_equal(_unpack_words(packed, q, n), words)
+
+
+def test_pack_temporaries_stay_bounded():
+    # 2,048 words of 1,024 one-bit coordinates: one gather of every piece of
+    # every word would hold 2^21 indices and 2^21 pieces, 32 MB
+    words = dm_code(2, 1, 9).array
+    _pack_words(words[:1], 2)  # the symbol tables, built once per (q, n)
+    tracemalloc.start()
+    try:
+        packed = _pack_words(words, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert packed.tobytes() == reference_pack(words, 2).tobytes()
 
 
 # packed words: every alphabet the symbol code widens for, from one limb to
@@ -871,6 +936,39 @@ class TestWordArray:
             Code(2, 2, np.array([[0, 1, 0], [1, 1, 1]]))
         with pytest.raises(ValueError, match=r"word 0 does not have length 1"):
             Code(2, 1, np.array([0, 1]))
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_written_text_reads_back_in_one_step(q):
+    rng = np.random.default_rng(q)
+    for size, n in ((1, 1), (1, 7), (q, 3), (40, 12)):
+        words = np.unique(rng.integers(0, q, size=(size, n)), axis=0)
+        code = Code(q, n, words[rng.permutation(len(words))])
+        text = write_code(code)
+        assert _read_canonical(text) is not None
+        assert read_code(text) == code
+        lines = text.splitlines()
+        for variant in (
+            "# a comment line\n" + text,
+            "\r\n".join(lines) + "\r\n",
+            "\n\n".join(lines) + "\n",
+            "\n".join(line + "  " for line in lines) + "\n",
+            text[:-1],  # no newline after the last word
+        ):
+            assert _read_canonical(variant) is None
+            assert read_code(variant) == code
+
+
+@pytest.mark.parametrize("text, message", [
+    ("q=2 n=2\n01\n21\n", "line 3: symbol out of range for q=2"),
+    ("q=2 n=2\n01\n01\n", "duplicate word (0, 1)"),
+    ("q=2 n=2\n0\n011\n", "line 2: expected 2 digits, got 1"),  # whole 3-byte rows, misaligned
+    ("q=10 n=1\n0\n", "line 1: q must be in 2..9"),
+    ("q=2 n=2\n", "no codewords in file"),
+    ("q=2 n=2", "no codewords in file"),
+])
+def test_reader_errors_on_near_canonical_text(text, message):
+    assert outcome(read_code, text) == (CodeFormatError, message)
 
 
 class TestAsciiDigits:

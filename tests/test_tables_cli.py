@@ -650,6 +650,14 @@ class TestCli:
         assert out.out == ""
         assert out.err == "error: check takes --d and --delta together or neither\n"
 
+    def test_check_refuses_bad_distances_before_any_report(self, tmp_path, capsys):
+        path = tmp_path / "three.txt"
+        path.write_text("q=2 n=3\n000\n111\n")
+        assert main(["check", str(path), "--d", "3", "--delta", "1"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: d + delta must not exceed n\n"
+
     def test_usage_error_exits_1(self, capsys):
         assert main(["bound", "--q", "2"]) == 1
         err = capsys.readouterr().err
