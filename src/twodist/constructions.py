@@ -13,13 +13,19 @@ su2 and equidistant entries follow from their formulas without a search
 A linear code's columns, up to scalars, are a multiset of points of
 PG(k-1, q), held as one vector m of multiplicities over
 `projective_points(q, k)`: each point once, first nonzero entry 1, in
-lexicographic order.  Columns are written in that point order.
+lexicographic order.  Columns are written in that point order.  The
+point table is built once per (q, k) in a process and is read-only, so
+every builder of one geometry reads the same array.  A span adds each
+generator row's multiples to the words so far with `Field.plus`: by XOR
+in characteristic 2, by the sum mod q for prime q, and through the `add`
+table for the other prime powers.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,6 +42,9 @@ class GeneratorMatrix:
     """k x n matrix over GF(q); the code is the row space.
 
     `rows` is kept as one read-only array in the smallest dtype holding q - 1.
+    A non-empty 2-D integer array with entries in 0..q-1 passes in one
+    numpy test; other input goes to `_scanned_rows`, which names its first
+    fault.
     """
 
     q: int
@@ -44,15 +53,13 @@ class GeneratorMatrix:
     def __post_init__(self):
         if prime_power(self.q) is None:
             raise ValueError(f"q={self.q} is not a prime power")
-        if not len(self.rows) or not len(self.rows[0]):
-            raise ValueError("empty generator matrix")
-        if any(len(r) != len(self.rows[0]) for r in self.rows):
-            raise ValueError("ragged generator matrix")
-        rows = np.asarray(self.rows)
-        if rows.ndim != 2 or rows.dtype.kind not in "iub":
-            raise ValueError("entries must be integers")
-        if ((rows < 0) | (rows >= self.q)).any():
-            raise ValueError("entries must lie in 0..q-1")
+        try:
+            rows = np.asarray(self.rows)
+        except ValueError:  # rows of different lengths, which numpy cannot stack
+            rows = np.empty(0)
+        if not (rows.ndim == 2 and rows.size and rows.dtype.kind in "iub"
+                and rows.min() >= 0 and rows.max() < self.q):
+            rows = _scanned_rows(self.q, self.rows)
         rows = rows.astype(np.min_scalar_type(self.q - 1), order="C")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -93,35 +100,57 @@ class GeneratorMatrix:
         return dict(Counter(np.count_nonzero(_span(self)[1:], axis=1).tolist()))
 
 
+def _scanned_rows(q: int, rows) -> np.ndarray:
+    """The rows as an array; ValueError names the first fault.
+
+    The matrix is checked for being empty, then ragged, then for integer
+    entries, then for entries in 0..q-1.
+    """
+    if not len(rows) or not len(rows[0]):
+        raise ValueError("empty generator matrix")
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ValueError("ragged generator matrix")
+    array = np.asarray(rows)
+    if array.ndim != 2 or array.dtype.kind not in "iub":
+        raise ValueError("entries must be integers")
+    if ((array < 0) | (array >= q)).any():
+        raise ValueError("entries must lie in 0..q-1")
+    return array
+
+
 def _span(g: GeneratorMatrix) -> np.ndarray:
     """All q^k codewords as a (q^k, n) array, rank deficient or not.
 
     Row i is the word whose message takes the base-q digits of i, low
     first, as the coefficients of the generator rows.  The rows are built
-    one generator row at a time from the field's tables:
-    every multiple c * row is added to every word so far, with c as the
-    next, more significant message digit.
+    one generator row at a time: every multiple c * row, read from the
+    `mul` table, is added to every word so far by one `Field.plus`, with c
+    as the next, more significant message digit.
     """
     field = GF(g.q)
     words = np.zeros((1, g.n), dtype=g.rows.dtype)
     for row in g.rows:
         multiples = field.mul[:, row]
-        words = field.add[multiples[:, None, :], words[None, :, :]].reshape(-1, g.n)
+        words = field.plus(multiples[:, None, :], words[None, :, :]).reshape(-1, g.n)
     return words
 
 
+@lru_cache(maxsize=64)
 def projective_points(q: int, k: int) -> np.ndarray:
     """The points of PG(k-1, q), first nonzero entry 1, as lexicographic rows.
 
-    The array has the smallest dtype that holds q-1.  Refuses q^k > 2^20
-    up front rather than enumerate that many vectors.
+    The array has the smallest dtype that holds q-1.  It is a table of the
+    geometry, built once per (q, k) in a process and read-only.  Refuses
+    q^k > 2^20 up front rather than enumerate that many vectors.
     """
     if q**k > _MAX_SPACE:
         raise ValueError(f"q^k = {q}^{k} exceeds the enumeration limit 2^20")
     # all q^k vectors: row i holds the base-q digits of i, most significant first
     vectors = np.indices((q,) * k, dtype=np.min_scalar_type(q - 1)).reshape(k, -1).T
     lead = vectors[np.arange(q**k), (vectors != 0).argmax(axis=1)]
-    return vectors[lead == 1]
+    points = vectors[lead == 1]
+    points.flags.writeable = False
+    return points
 
 
 def point_multiplicities(g: GeneratorMatrix) -> np.ndarray:

@@ -21,8 +21,9 @@ its symbols' bits in 64-bit limbs (`_pack_words`: one gather from flat,
 limb-sorted symbol tables and one OR-reduction per limb, a bounded block
 of words at a time), and popcount(u ^ v) summed over the limbs is
 t * dist(u, v) (`_popcounts`).  A `Code` packs its words once; its
-distance counts and antipodality read each unordered pair once, from the
-half-matrix blocks of `_half_popcounts`.
+distance counts read each unordered pair once, from the half-matrix
+blocks of `_half_popcounts`, and antipodality compares every word only
+with the size/q words that have symbol 0 in coordinate 0.
 
 All types are immutable after construction and all operations are pure
 functions, so values can be shared freely between threads; a lazily
@@ -42,7 +43,7 @@ import numpy as np
 from .krawtchouk import kraw_eval
 
 MAX_ALPHABET = 9  # the text file format stores one base-q digit per symbol
-BLOCK_PAIRS = 1 << 14  # word pairs compared by one block of `_half_popcounts`
+BLOCK_PAIRS = 1 << 14  # word pairs compared by one block of `_half_popcounts` or `is_antipodal`
 GATHER_ELEMENTS = 1 << 15  # symbol-table pieces gathered by one block of `_pack_words`
 _MAX_Q = 1 << 10  # largest q: `_symbol_code`'s 2^m x (2^m - 1) bits stay within 2^20 entries
 
@@ -454,29 +455,39 @@ def is_antipodal(code: Code) -> bool:
     """True iff the words split into groups of q words pairwise at distance n.
 
     Each word must have exactly q - 1 words at distance n, so the cached
-    pair counts must hold size * (q - 1) pairs at distance n; most codes
-    fail there without a second distance pass.  Then the far pairs, those
-    whose packed popcount is t * n, come from the same half-matrix blocks
-    as the counts.  The groups exist iff every word has q - 1 far words
-    and each far pair's words share the smallest index among their far
-    words and themselves: on a connected set of far pairs that index is
-    one word m, and all the set lies in m's group of q words.
+    pair counts must hold size * (q - 1) far pairs (pairs at distance n);
+    most codes fail there without a second distance pass.  Then only the
+    size/q "leaders", the words with symbol 0 in coordinate 0, are
+    compared with every word, in blocks of about BLOCK_PAIRS pairs:
+    size^2/q pairs, against size^2/2 for all of them.
+
+    q words pairwise far take every symbol once in each coordinate, so
+    each group has exactly one leader.  Each leader starts a group, each
+    other word joins the group of the first leader it is far from, and
+    the groups must take every symbol once in each coordinate: a count
+    over (group, coordinate, symbol) that hits all size * n cells.  In an
+    antipodal code every other word is far from its own group's leader
+    alone, so this finds the groups and the test passes.  Conversely,
+    when it passes, the groups are size/q sets of q pairwise far words,
+    holding size * (q - 1) far pairs, which the count test says are all
+    of them.
     """
-    if code.size % code.q or code.distance_counts[code.n] != code.size * (code.q - 1):
+    q, n, size = code.q, code.n, code.size
+    if size % q or code.distance_counts[n] != size * (q - 1):
         return False
-    far = _popcount_unit(code.q) * code.n
-    lo, hi = [], []
-    for start, pops in _half_popcounts(code.packed):
-        i, j = np.nonzero(pops == far)  # j <= i lies in the square part, seen as (j, i) too
-        keep = j > i
-        lo.append(i[keep] + start)
-        hi.append(j[keep] + start)
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    if (np.bincount(np.concatenate([lo, hi]), minlength=code.size) != code.q - 1).any():
+    leaders = np.flatnonzero(code.array[:, 0] == 0)
+    if len(leaders) * q != size:
         return False
-    lowest = np.arange(code.size)
-    np.minimum.at(lowest, hi, lo)
-    return bool((lowest[lo] == lowest[hi]).all())
+    far = _popcount_unit(q) * n
+    packed = code.packed
+    group = np.empty(size, dtype=np.intp)
+    step = max(1, BLOCK_PAIRS // len(leaders))
+    for start in range(0, size, step):
+        hits = _popcounts(packed[:, start : start + step, None], packed[:, None, leaders]) == far
+        group[start : start + step] = hits.argmax(axis=1)
+    group[leaders] = np.arange(len(leaders))
+    cells = (group[:, None] * n + np.arange(n)) * q + code.array
+    return np.count_nonzero(np.bincount(cells.ravel())) == size * n
 
 
 # ---------------------------------------------------------------------------

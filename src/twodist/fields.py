@@ -7,8 +7,10 @@ multiplication reduces modulo a fixed monic irreducible polynomial.  Both
 operations are computed once, into q x q tables `add` and `mul`, with
 `neg` and `inv` read off them; every table is a read-only numpy array, so
 callers do their arithmetic by indexing, a whole row or matrix at a time
-(a - b is add[a, neg[b]]).  Fields up to order 2^10 are built, so no
-table exceeds 2^20 entries.
+(a - b is add[a, neg[b]]).  `Field.plus` adds whole arrays without the
+table where the digits allow it: by XOR in characteristic 2, by the sum
+mod q for prime q, and through `add` only for the other prime powers.
+Fields up to order 2^10 are built, so no table exceeds 2^20 entries.
 
 The reducing polynomial is the lexicographically smallest monic
 irreducible of degree m over GF(p) (smallest when read as the tuple of
@@ -140,6 +142,25 @@ class Field:
         self.inv = (self.mul == 1).argmax(axis=1).astype(dtype)
         for table in (self.add, self.mul, self.neg, self.inv):
             table.flags.writeable = False
+        # a + b for prime q stays below 2q - 1; in uint8 that overflows from q = 131 on
+        self._sum_dtype = np.min_scalar_type(2 * q - 2)
+
+    def plus(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a + b elementwise for arrays of elements in the tables' dtype, which the sum keeps.
+
+        Elements are base-p digit vectors added digit by digit mod p.  In
+        characteristic 2 that is a carry-free binary sum, a ^ b.  For prime
+        q there is one digit: a + b is formed in a dtype that holds 2q - 2,
+        and s - q wraps above s exactly when s < q, so min(s, s - q) is the
+        sum mod q.  Other q read the `add` table.
+        """
+        if self.p == 2:
+            return a ^ b
+        if self.m > 1:
+            return self.add[a, b]
+        s = np.add(a, b, dtype=self._sum_dtype)
+        np.minimum(s, s - self.q, out=s)
+        return s.astype(self.add.dtype, copy=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Field(GF({self.q}))"

@@ -12,6 +12,7 @@ from test_core import CATALOG_BUILDS, construct
 from twodist import constructions
 from twodist.constructions import (
     CatalogEntry,
+    _span,
     GeneratorMatrix,
     arc_code,
     complementary_code,
@@ -258,6 +259,54 @@ def generator_matrices(draw):
 @settings(max_examples=150, deadline=None)
 def test_random_spans_match_reference(g):
     assert_span_matches_reference(g)
+
+
+@pytest.mark.parametrize("q", [127, 131, 251, 256, 257, 243])
+def test_spans_over_wide_fields_match_reference(q):
+    # each kind of array addition: 131 and 251 widen their sums past uint8
+    rng = np.random.default_rng(q)
+    g = GeneratorMatrix(q, rng.integers(0, q, (2, 3)))
+    words = _span(g)
+    assert words.dtype == np.min_scalar_type(q - 1)
+    reference = [reference_codeword(g, m) for m in reference_messages(g)]
+    assert words.tolist() == list(map(list, reference))
+
+
+def test_point_table_is_built_once_and_read_only():
+    points = projective_points(3, 4)
+    assert projective_points(3, 4) is points
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 2
+
+
+def test_building_twice_gives_the_same_spans():
+    # no builder writes into the shared point table
+    first = [construct(b).span().array.copy() for b in LINEAR_BUILDS]
+    second = [construct(b).span().array for b in LINEAR_BUILDS]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(first, second))
+    for q, k in {(3, 4), (2, 6), (9, 2), (4, 3)}:
+        assert tuple(map(tuple, projective_points(q, k).tolist())) == reference_projective_points(q, k)
+
+
+@pytest.mark.parametrize("rows,message", [
+    (np.zeros((2, 2, 2), dtype=int), "entries must be integers"),
+    (np.zeros((0, 3), dtype=int), "empty generator matrix"),
+    (np.zeros((3, 0), dtype=int), "empty generator matrix"),
+    (np.array([[1, 2]], dtype=np.uint64), "entries must lie in 0..q-1"),
+    ([[1, 0], [0, None]], "entries must be integers"),
+    ([[1, 2**70]], "entries must be integers"),
+])
+def test_arrays_that_fail_the_one_test_get_the_scan_message(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GeneratorMatrix(2, rows)
+
+
+@pytest.mark.parametrize("rows", [np.array([[True, False]]), np.array([[1, 0]], dtype=np.uint64),
+                                  [[np.int64(1), 0]], ((1, 0), (0, 1))])
+def test_valid_rows_of_any_integer_kind(rows):
+    g = GeneratorMatrix(2, rows)
+    assert g.rows.dtype == np.uint8 and g.rows.tolist() == np.asarray(rows, dtype=int).tolist()
 
 
 def concatenate(outer, inner):

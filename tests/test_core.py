@@ -604,6 +604,27 @@ class TestPackedKernel:
         assert not is_antipodal(code) and not reference_antipodal(code)
         assert not is_antipodal(shuffled(code, seed=3))
 
+    @pytest.mark.parametrize("q, words", [
+        (3, ("00", "01", "10", "11", "20", "21")),  # {0, 1, 2} x {0, 1}: a 6-cycle of far pairs
+        (3, ("002", "012", "100", "102", "201", "221")),
+        (4, ("012", "013", "110", "112", "120", "133", "302", "321")),
+    ])
+    def test_leader_count_passes_yet_not_antipodal(self, q, words):
+        # size/q words start with symbol 0, and each word has q - 1 far words
+        code = Code(q, len(words[0]), tuple(tuple(map(int, w)) for w in words))
+        assert (code.array[:, 0] == 0).sum() * q == code.size
+        assert code.distance_counts[code.n] == (q - 1) * code.size
+        assert not is_antipodal(code) and not reference_antipodal(code)
+
+    def test_leaders_span_several_blocks(self):
+        # 343 words against 49 leaders: 16,807 pairs, two blocks
+        code = shuffled(dm_code(7, 1, 1), seed=7)
+        assert code.size * code.size // code.q > BLOCK_PAIRS
+        assert is_antipodal(code)
+        words = code.array.copy()
+        words[:, 0] = np.where(words[:, 0] == 0, 1, np.where(words[:, 0] == 1, 0, words[:, 0]))
+        assert is_antipodal(Code(7, code.n, words))  # another symbol for the leaders
+
 
 @pytest.mark.parametrize("q, n", [
     (2, 1), (2, 70),  # one coordinate; 70 one-bit coordinates in two limbs

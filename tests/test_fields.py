@@ -177,3 +177,15 @@ def test_refuses_fields_above_the_table_limit():
     for q in (MAX_ORDER * 2, 4096, 3**7):
         with pytest.raises(ValueError, match="too large"):
             GF(q)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 257) if prime_power(q)] + [257, 512, 729, 1021, 1024])
+def test_array_addition_matches_the_table(q):
+    # XOR in characteristic 2, the sum mod q for prime q (widened where 2q - 2 passes
+    # the dtype, q = 131..251 in uint8), the table for other prime powers
+    f = GF(q)
+    a = np.arange(q, dtype=f.add.dtype)
+    total = f.plus(a[:, None], a[None, :])
+    assert total.dtype == f.add.dtype
+    assert np.array_equal(total, f.add)
+
