@@ -12,8 +12,8 @@ from test_core import CATALOG_BUILDS, construct
 from twodist import constructions
 from twodist.constructions import (
     CatalogEntry,
-    _span,
     GeneratorMatrix,
+    _span,
     arc_code,
     complementary_code,
     difference_matrix,

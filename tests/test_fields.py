@@ -188,4 +188,3 @@ def test_array_addition_matches_the_table(q):
     total = f.plus(a[:, None], a[None, :])
     assert total.dtype == f.add.dtype
     assert np.array_equal(total, f.add)
-
