@@ -8,7 +8,8 @@ nonlinear families are built as whole arrays.  The catalog functions at
 the bottom answer "what is the largest construction matching these
 parameters" by arithmetic alone and are used for table lower bounds; the
 su2 and equidistant entries follow from their formulas without a search
-(delta = q^(m-1) fixes m for su2).
+(delta = q^(m-1) fixes m for su2).  A bad `GeneratorMatrix` raises a
+ValueError that names its first fault.
 
 A linear code's columns, up to scalars, are a multiset of points of
 PG(k-1, q), held as one vector m of multiplicities over
@@ -26,12 +27,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NoReturn
 
 import numpy as np
 
 from .core import Code, TwoDistParams
-from .feasibility import p_adic_valuation
-from .fields import GF, MAX_ORDER, prime_power
+from .fields import GF, MAX_ORDER, p_adic_valuation, prime_power
 
 # largest space q^k that projective_points enumerates and the catalog considers
 _MAX_SPACE = 1 << 20
@@ -43,8 +44,8 @@ class GeneratorMatrix:
 
     `rows` is kept as one read-only array in the smallest dtype holding q - 1.
     A non-empty 2-D integer array with entries in 0..q-1 passes in one
-    numpy test; other input goes to `_scanned_rows`, which names its first
-    fault.
+    numpy test; any other input is bad, and `_refuse_rows` raises the
+    ValueError that names its first fault.
     """
 
     q: int
@@ -59,7 +60,7 @@ class GeneratorMatrix:
             rows = np.empty(0)
         if not (rows.ndim == 2 and rows.size and rows.dtype.kind in "iub"
                 and rows.min() >= 0 and rows.max() < self.q):
-            rows = _scanned_rows(self.q, self.rows)
+            _refuse_rows(self.rows)
         rows = rows.astype(np.min_scalar_type(self.q - 1), order="C")
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
@@ -100,22 +101,23 @@ class GeneratorMatrix:
         return dict(Counter(np.count_nonzero(_span(self)[1:], axis=1).tolist()))
 
 
-def _scanned_rows(q: int, rows) -> np.ndarray:
-    """The rows as an array; ValueError names the first fault.
+def _refuse_rows(rows) -> NoReturn:
+    """Raise the ValueError naming the first fault of rows that fail the numpy test.
 
-    The matrix is checked for being empty, then ragged, then for integer
-    entries, then for entries in 0..q-1.
+    The matrix is checked for being flat (entries, not rows) or empty, then
+    ragged, then for integer entries; what passes them has an entry outside 0..q-1.
     """
-    if not len(rows) or not len(rows[0]):
+    first = rows[0] if len(rows) else ()
+    if not hasattr(first, "__len__"):
+        raise ValueError("generator matrix must be 2-D")
+    if not len(first):
         raise ValueError("empty generator matrix")
-    if any(len(r) != len(rows[0]) for r in rows):
+    if any(not hasattr(r, "__len__") or len(r) != len(first) for r in rows):
         raise ValueError("ragged generator matrix")
     array = np.asarray(rows)
     if array.ndim != 2 or array.dtype.kind not in "iub":
         raise ValueError("entries must be integers")
-    if ((array < 0) | (array >= q)).any():
-        raise ValueError("entries must lie in 0..q-1")
-    return array
+    raise ValueError("entries must lie in 0..q-1")
 
 
 def _span(g: GeneratorMatrix) -> np.ndarray:

@@ -6,12 +6,13 @@ distributions and moments are `fractions.Fraction`s, never floats.  A
 only q, n and that array; its tuple of words is built on first read.  The
 text file format is written with one `tobytes()`; text exactly as written
 is read back in one step (one `np.frombuffer`, one reshape, one range
-test), and any other text line by line.
+test), and any other text by one line scan and one `np.frombuffer`.
 
-Bad input meets one rule: valid input passes one numpy test, and other
-input is scanned to its first fault: for `Code` the first bad word (by
-length, integer symbols, range, then repeat), for `read_code` the first
-bad line (by length, ASCII digits, then range; a repeat names the word).
+Bad input meets one rule: each door is one numpy test, then one scan.
+Valid input passes the test, and other input is scanned once, to its
+first fault: for `Code` the first bad word (by length, integer symbols,
+range, then repeat), for `read_code` the first bad line (by length,
+ASCII digits, then range; a repeat names the word).
 
 Every word-pair distance in the package comes from one packed kernel,
 here and in `search`.  With m = ceil(log2 q), symbol a is written as the
@@ -518,8 +519,9 @@ def read_code(text: str) -> Code:
     "q=<digits> n=<digits>", then whole lines of n digits below q, each
     ending in "\\n") is decoded in one step: one `frombuffer` of the body,
     one reshape to a row per line and one range test (`_read_canonical`).
-    Any other text goes to the line scanner `_read_lines`, whose errors
-    name the first bad line.
+    Any other text (comments, blank lines, CRLF endings, trailing spaces)
+    goes to the line scanner `_read_lines`, whose errors name the first
+    bad line.
     """
     q, n, symbols = _read_canonical(text) or _read_lines(text)
     try:
@@ -552,17 +554,17 @@ def _read_canonical(text: str) -> tuple[int, int, np.ndarray] | None:
 def _read_lines(text: str) -> tuple[int, int, np.ndarray]:
     """(q, n, symbols) of any text, read line by line; comments and blank lines are skipped.
 
-    Errors name the first bad line; when every line has length n, one pass
-    over all symbols stands in for the line checks unless it finds a fault.
+    Each word line is checked as it is read, for its length, then ASCII
+    digits, then digits below q, so an error names the first bad line;
+    the accepted lines are decoded with one `frombuffer`.
     """
-    header = None
-    numbered: list[tuple[int, str]] = []  # (line number, line) of each word
-    q = n = 0
+    lines: list[str] = []
+    q = n = 0  # n >= 1 once the header is read
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if header is None:
+        if not n:
             parts = line.split()
             try:
                 kv = dict(p.split("=", 1) for p in parts)
@@ -575,25 +577,17 @@ def _read_lines(text: str) -> tuple[int, int, np.ndarray]:
                 raise CodeFormatError(f"line {lineno}: q must be in 2..{MAX_ALPHABET}")
             if n < 1:
                 raise CodeFormatError(f"line {lineno}: n must be positive")
-            header = (q, n)
             continue
-        numbered.append((lineno, line))
-    if header is None:
+        if len(line) != n:
+            raise CodeFormatError(f"line {lineno}: expected {n} digits, got {len(line)}")
+        if not (line.isascii() and line.isdigit()):
+            raise CodeFormatError(f"line {lineno}: non-digit symbol in {line!r}")
+        if line.strip("0123456789"[:q]):  # what is left is a digit q or above
+            raise CodeFormatError(f"line {lineno}: symbol out of range for q={q}")
+        lines.append(line)
+    if not n:
         raise CodeFormatError("missing header line 'q=<int> n=<int>'")
-    if not numbered:
+    if not lines:
         raise CodeFormatError("no codewords in file")
-    lines = [line for _, line in numbered]
-    same_length = set(map(len, lines)) == {n}
-    if same_length:
-        # one code point per symbol; anything below '0' wraps to a large value
-        symbols = np.frombuffer("".join(lines).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-        symbols = symbols.reshape(len(lines), n) - ord("0")
-    if not same_length or (symbols >= q).any():
-        for lineno, line in numbered:
-            if len(line) != n:
-                raise CodeFormatError(f"line {lineno}: expected {n} digits, got {len(line)}")
-            if not (line.isascii() and line.isdigit()):
-                raise CodeFormatError(f"line {lineno}: non-digit symbol in {line!r}")
-            if any(int(c) >= q for c in line):
-                raise CodeFormatError(f"line {lineno}: symbol out of range for q={q}")
-    return q, n, symbols
+    symbols = np.frombuffer("".join(lines).encode("ascii"), dtype=np.uint8).reshape(-1, n)
+    return q, n, symbols - np.uint8(ord("0"))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import BoundStatus, TwoDistParams
-from .fields import prime_power
+from .fields import p_adic_valuation, prime_power
 
 
 @dataclass(frozen=True)
@@ -59,18 +59,6 @@ class LinearParams:
     @property
     def size(self) -> int:
         return self.q**self.k
-
-
-def p_adic_valuation(p: int, a: int) -> int | None:
-    """Largest j with p^j dividing a; None for a = 0."""
-    if a == 0:
-        return None
-    a = abs(a)
-    j = 0
-    while a % p == 0:
-        a //= p
-        j += 1
-    return j
 
 
 def _fraction_sqrt(x: Fraction) -> Fraction | None:

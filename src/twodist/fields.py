@@ -49,6 +49,18 @@ def prime_power(q: int) -> tuple[int, int] | None:
     return (q, 1)
 
 
+def p_adic_valuation(p: int, a: int) -> int | None:
+    """Largest j with p^j dividing a; None for a = 0."""
+    if a == 0:
+        return None
+    a = abs(a)
+    j = 0
+    while a % p == 0:
+        a //= p
+        j += 1
+    return j
+
+
 def _digits(a: int, p: int, m: int) -> list[int]:
     out = []
     for _ in range(m):

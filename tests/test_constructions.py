@@ -296,6 +296,8 @@ def test_building_twice_gives_the_same_spans():
     (np.array([[1, 2]], dtype=np.uint64), "entries must lie in 0..q-1"),
     ([[1, 0], [0, None]], "entries must be integers"),
     ([[1, 2**70]], "entries must be integers"),
+    ([1, 0, 1], "generator matrix must be 2-D"),
+    (np.arange(3), "generator matrix must be 2-D"),
 ])
 def test_arrays_that_fail_the_one_test_get_the_scan_message(rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

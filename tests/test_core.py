@@ -989,6 +989,27 @@ def test_reader_errors_on_near_canonical_text(text, message):
     assert outcome(read_code, text) == (CodeFormatError, message)
 
 
+def test_hand_written_text_reads_as_its_canonical_text():
+    rng = np.random.default_rng(7)
+    words = np.unique(rng.integers(0, 5, size=(1100, 12)), axis=0)[:1000]
+    code = Code(5, 12, words[rng.permutation(1000)])
+    header, *lines = write_code(code).splitlines()
+    hand = ["# 1,000 words over GF(5)", header, ""]
+    for i, line in enumerate(lines):
+        hand.append(f"{line}  # word {i}" if i % 7 else line)
+        if i % 100 == 0:
+            hand += ["", "# another hundred"]
+    assert read_code("\r\n".join(hand) + "\r\n") == read_code(write_code(code)) == code
+
+
+def test_scan_names_a_late_out_of_range_line_before_a_longer_one():
+    words = ["".join(w) for w in itertools.product("012", repeat=4)]
+    lines = ["# all 81 ternary words of length 4, then two bad lines", "q=3 n=4", *words]
+    text = "\n".join([*lines, "0103", "01210"]) + "\n"
+    message = f"line {len(lines) + 1}: symbol out of range for q=3"
+    assert outcome(read_code, text) == outcome(reference_read, text) == (CodeFormatError, message)
+
+
 class TestAsciiDigits:
     def test_rejects_non_ascii_digit(self):
         text = "q=2 n=3\n001\n0\u06611\n"  # ARABIC-INDIC DIGIT ONE
