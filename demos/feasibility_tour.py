@@ -7,7 +7,6 @@ only means "not refuted".
 from twodist import TwoDistParams
 from twodist.feasibility import (
     LinearParams,
-    check_oa2_quadratic,
     complementary_params,
     delsarte_form,
     gcd_screen,
@@ -28,8 +27,8 @@ print(f"  graph parameters : {srg.params}, eigen multiplicities ({srg.e1}, {srg.
       f" feasible={srg.feasible}")
 print("  gcd/valuations   :", [(v.s, v.verdict) for v in gcd_screen(lp).per_s])
 print("  complementary    :", complementary_params(lp))
-quad = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
-print(f"  quadratic screen : residual {quad.residual} (roots {quad.roots})")
+# zero for every projective code; the strength-2 quadratic is a fixed multiple of it
+print(f"  second moment    : residual {macwilliams_mu(lp).second_moment_residual}")
 
 # Shifting one weight by one breaks two screens at once: the weight gap
 # no longer divides the smaller weight, and the graph parameter counting

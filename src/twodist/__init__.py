@@ -27,7 +27,6 @@ from .bounds import (
 )
 from .feasibility import (
     LinearParams,
-    check_oa2_quadratic,
     complementary_params,
     delsarte_form,
     gcd_screen,

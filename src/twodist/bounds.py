@@ -20,6 +20,7 @@ Method tags used throughout (and printed in tables):
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -269,10 +270,9 @@ def read_external_bounds(text: str) -> dict[tuple[int, int, int], int]:
         parts = [c.strip() for c in line.split(",")]
         if len(parts) != 4:
             raise ExternalBoundsError(f"line {lineno}: expected 4 fields")
-        try:
-            q, n, d, bound = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ExternalBoundsError(f"line {lineno}: non-integer field") from exc
+        if not all(re.fullmatch("-?[0-9]+", p) for p in parts):  # int() takes "+1", "1_0"
+            raise ExternalBoundsError(f"line {lineno}: non-integer field")
+        q, n, d, bound = map(int, parts)
         if q < 2 or n < 1 or d < 1 or bound < 1:
             raise ExternalBoundsError(f"line {lineno}: values out of range")
         if (q, n, d) in rows:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NoReturn
@@ -104,17 +105,26 @@ class GeneratorMatrix:
 def _refuse_rows(rows) -> NoReturn:
     """Raise the ValueError naming the first fault of rows that fail the numpy test.
 
-    The matrix is checked for being flat (entries, not rows) or empty, then
-    ragged, then for integer entries; what passes them has an entry outside 0..q-1.
+    The matrix and its rows are read as lists where they are numpy arrays.
+    It is checked for being a sequence of rows (not a scalar, a set or flat
+    entries) or empty, then ragged, then for integer entries; what passes
+    them has an entry outside 0..q-1.
     """
-    first = rows[0] if len(rows) else ()
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    if not isinstance(rows, Sequence):
+        raise ValueError("generator matrix must be 2-D")
+    rows = [r.tolist() if isinstance(r, np.ndarray) else r for r in rows]
+    first = rows[0] if rows else ()
     if not hasattr(first, "__len__"):
         raise ValueError("generator matrix must be 2-D")
     if not len(first):
         raise ValueError("empty generator matrix")
     if any(not hasattr(r, "__len__") or len(r) != len(first) for r in rows):
         raise ValueError("ragged generator matrix")
-    array = np.asarray(rows)
+    try:
+        array = np.asarray(rows)
+    except ValueError:  # entries that are sequences of different lengths
+        raise ValueError("entries must be integers") from None
     if array.ndim != 2 or array.dtype.kind not in "iub":
         raise ValueError("entries must be integers")
     raise ValueError("entries must lie in 0..q-1")

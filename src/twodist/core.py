@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -195,16 +196,16 @@ class CodeFormatError(ValueError):
 def _checked_words(q: int, n: int, words) -> np.ndarray:
     """The words as a (size, n) array of the smallest dtype that holds q - 1.
 
-    Words that numpy reads as a 2-D integer array of width n, all symbols
-    in 0..q-1 and no row repeated (found through each row's bytes), pass
-    in one test; other input goes to `_scanned`, which names the first bad word.
+    Words that numpy reads as a non-empty 2-D integer array of width n, all
+    symbols in 0..q-1 and no row repeated (found through each row's bytes),
+    pass in one test; other input goes to `_scanned`, which names the first bad word.
     """
     dtype = np.min_scalar_type(q - 1)
     try:
         arr = np.asarray(words)
     except ValueError:  # words of different lengths, which numpy cannot stack
         arr = np.empty(0)
-    integer = arr.ndim == 2 and arr.shape[1] == n and arr.dtype.kind in "iub"
+    integer = arr.ndim == 2 and len(arr) > 0 and arr.shape[1] == n and arr.dtype.kind in "iub"
     if integer and not ((arr < 0) | (arr >= q)).any():
         array = arr.astype(dtype, order="C")
         keys = array.view(np.dtype((np.void, array.itemsize * n))).ravel().tolist()
@@ -216,13 +217,17 @@ def _checked_words(q: int, n: int, words) -> np.ndarray:
 def _scanned(q: int, n: int, words) -> list[tuple]:
     """The words as tuples; ValueError names the first bad one.
 
-    Each word is checked for its length, then for integer symbols (1.0 is
-    not one), then for symbols in 0..q-1, then for repeating an earlier
-    word.  A numpy row is named as the tuple of its entries.
+    The words must be a sequence or an array of at least one dimension (a
+    set has no word order and is refused).  Each word is checked for its
+    length, then for integer symbols (1.0 is not one), then for symbols in
+    0..q-1, then for repeating an earlier word; no words at all is refused
+    last.  A numpy row is named as the tuple of its entries.
     """
+    if not isinstance(words, (Sequence, np.ndarray)) or getattr(words, "ndim", 1) == 0:
+        what = "a 0-d array" if isinstance(words, np.ndarray) else type(words).__name__
+        raise ValueError(f"words must be a sequence or an array, not {what}")
     rows: dict[tuple, None] = {}  # the words so far, in order
-    for i in range(len(words)):  # by index: a set of words has no order and is refused
-        w = words[i]
+    for w in words:
         if isinstance(w, np.ndarray):
             w = tuple(w.tolist()) if w.ndim else w.item()
         if not hasattr(w, "__len__") or len(w) != n:
@@ -235,6 +240,8 @@ def _scanned(q: int, n: int, words) -> list[tuple]:
         if row in rows:
             raise ValueError(f"duplicate word {w}")
         rows[row] = None
+    if not rows:
+        raise ValueError("a code needs at least one word")
     return list(rows)
 
 
@@ -265,8 +272,6 @@ class Code:
             raise ValueError(f"alphabet size {q} is above the supported maximum {_MAX_Q}")
         if n < 1:
             raise ValueError("length must be at least 1")
-        if not len(words):
-            raise ValueError("a code needs at least one word")
         array = _checked_words(q, n, words)
         array.flags.writeable = False
         object.__setattr__(self, "q", q)
@@ -568,7 +573,7 @@ def _read_lines(text: str) -> tuple[int, int, np.ndarray]:
             parts = line.split()
             try:
                 kv = dict(p.split("=", 1) for p in parts)
-                if not (kv["q"].isascii() and kv["n"].isascii()):
+                if not all(re.fullmatch("[0-9]+", kv[key]) for key in "qn"):  # int() takes "+2"
                     raise ValueError("q and n must be ASCII digits")
                 q, n = int(kv["q"]), int(kv["n"])
             except (ValueError, KeyError) as exc:

@@ -56,68 +56,6 @@ class LinearParams:
     def delta(self) -> int:
         return self.w2 - self.w1
 
-    @property
-    def size(self) -> int:
-        return self.q**self.k
-
-
-def _fraction_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# quadratic length condition for strength-2 two-distance codes
-
-
-@dataclass(frozen=True)
-class QuadraticCheck:
-    """Holds when `residual` is 0; `roots` is None unless the discriminant is a square."""
-
-    residual: Fraction
-    roots: tuple[Fraction, Fraction] | None
-    roots_positive_integers: bool
-
-
-def check_oa2_quadratic(q: int, size: int, n: int, w1: int, w2: int) -> QuadraticCheck:
-    """Quadratic consistency condition for a two-distance orthogonal array.
-
-    A q-ary (n, N, {w1, w2}) code that is an orthogonal array of strength
-    at least 2 must have zero residual in
-
-        n^2 - n*(Q1*(u1+u2-1) + 1) + Q2*u1*u2,     u_i = n - w_i,
-
-    with Q1 = q(N-q)/(N-q^2) and Q2 = q^2(N-1)/(N-q^2).  The roots of the
-    companion quadratic must be positive integers with a perfect-square
-    discriminant.
-    """
-    if size % (q * q):
-        raise ValueError("strength-2 hypothesis requires N divisible by q^2")
-    if size <= q * q:
-        raise ValueError("N must exceed q^2")
-    if not (0 < w1 < w2 <= n):
-        raise ValueError("need 0 < w1 < w2 <= n")
-    q1 = Fraction(q * (size - q), size - q * q)
-    q2 = Fraction(q * q * (size - 1), size - q * q)
-    u1, u2 = n - w1, n - w2
-    b = q1 * (u1 + u2 - 1) + 1
-    c = q2 * u1 * u2
-    residual = n * n - n * b + c
-    disc = b * b - 4 * c
-    sq = _fraction_sqrt(disc)
-    roots = None
-    roots_ok = False
-    if sq is not None:
-        roots = ((b + sq) / 2, (b - sq) / 2)
-        roots_ok = all(r > 0 and r.denominator == 1 for r in roots)
-    return QuadraticCheck(residual=residual, roots=roots, roots_positive_integers=roots_ok)
-
 
 # ---------------------------------------------------------------------------
 # weight shape w1 = h p^u, w2 = (h+1) p^u
@@ -230,6 +168,9 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
       eigenvalues n(q-1) - q w1 and n(q-1) - q w2 are always rational;
     - K(K - lam - 1) - (N - K - 1) mu is q^2 times the second-moment
       residual, so the counting identity holds when the residual is 0.
+      The strength-2 orthogonal-array quadratic n^2 - n(Q1(u1+u2-1) + 1)
+      + Q2 u1 u2 (u_i = n - w_i, Q1 = q(N-q)/(N-q^2), Q2 = q^2(N-1)/(N-q^2))
+      is -q^2/(q^k - q^2) times it, so this screen covers it at k >= 3.
     """
     if lp.k < 2:
         raise ValueError("srg_analysis needs k >= 2")
@@ -406,8 +347,8 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     """Every linear screen's lines on `lp`, and whether they refute it.
 
     The candidates are the column multiplicities s that fit the
-    parameters (`complementary_params`).  `delsarte-form`, `srg-integrality`,
-    `oa2-quadratic` and the gcd clauses hold for projective codes only,
+    parameters (`complementary_params`).  `delsarte-form`,
+    `srg-integrality` and the gcd clauses hold for projective codes only,
     so they run at s = 1 alone, and only when 1 is a candidate; otherwise
     they report `skip`, saying so when s = 1 does not fit, whether it was
     given or s was left out.
@@ -470,16 +411,6 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
             (clause,) = abstains[0].clauses
             add("gcd-valuation", "abstain",
                 f"s={abstains[0].s}..{abstains[-1].s} (abstain) n/a: {clause.detail}")
-
-    if not projective:
-        add("oa2-quadratic", "skip", no_s1 or "projective screen needs s=1")
-    elif lp.k >= 3:
-        qc = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
-        detail = (f"residual={qc.residual} roots={qc.roots} integer-roots="
-                  f"{qc.roots_positive_integers} square-disc={qc.roots is not None}")
-        add("oa2-quadratic", "pass" if qc.residual == 0 else "fail", detail, 1)
-    else:
-        add("oa2-quadratic", "skip", "needs q^k divisible by q^2 and larger than q^2")
 
     if candidates:
         detail = "; ".join(

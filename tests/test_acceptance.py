@@ -24,7 +24,6 @@ from twodist.constructions import (
 from twodist.core import Code, TwoDistParams, is_antipodal, strength, verify_two_distance
 from twodist.feasibility import (
     LinearParams,
-    check_oa2_quadratic,
     delsarte_form,
     gcd_screen,
     macwilliams_mu,
@@ -160,10 +159,10 @@ def test_criterion_07_feasibility_soundness():
         assert mw.status in ("ok", "degenerate"), lp
         assert srg_analysis(lp).feasible, lp
         assert gcd_screen(lp).any_admissible, lp
-        if strength(code) >= 2 and lp.size > lp.q**2:
-            qc = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
-            assert qc.residual == 0, lp
-    _report(7, "all screens pass on every constructed code; quadratic residuals are 0")
+        if strength(code) >= 2 and lp.k >= 3:
+            # the strength-2 quadratic's residual is a nonzero multiple of this one
+            assert mw.second_moment_residual == 0, lp
+    _report(7, "all screens pass on every constructed code; second-moment residuals are 0")
 
 
 def test_criterion_08_srg_empirical():

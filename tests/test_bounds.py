@@ -448,6 +448,12 @@ class TestExternalBounds:
         with pytest.raises(ExternalBoundsError, match="^line 4: values out of range$"):
             read_external_bounds("q,n,d,bound\n2,13,8,4\n\n2,9,4,0\n")
 
+    # int() reads underscores, a sign and non-ASCII digits; a field takes -?[0-9]+ only
+    @pytest.mark.parametrize("row", ["2,12,6,1_8", "2,12,6,\u0661\u0668", "+2,12,6,18"])
+    def test_fields_are_ascii_integers(self, row):
+        with pytest.raises(ExternalBoundsError, match="^line 2: non-integer field$"):
+            read_external_bounds(f"q,n,d,bound\n{row}\n")
+
     @pytest.mark.parametrize("rows", ["2,12,6,18\n2,12,6,30\n", "2,12,6,30\n2,12,6,18\n"])
     def test_rejects_repeated_key_with_line_number(self, rows):
         # with the last row winning, row order would decide the bound

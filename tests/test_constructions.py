@@ -298,6 +298,10 @@ def test_building_twice_gives_the_same_spans():
     ([[1, 2**70]], "entries must be integers"),
     ([1, 0, 1], "generator matrix must be 2-D"),
     (np.arange(3), "generator matrix must be 2-D"),
+    (7, "generator matrix must be 2-D"),
+    ([np.array(1), np.array(0)], "generator matrix must be 2-D"),  # 0-d rows have no len()
+    ({(1, 0)}, "generator matrix must be 2-D"),
+    ((((1,), (1, 2)),), "entries must be integers"),  # ragged one level down
 ])
 def test_arrays_that_fail_the_one_test_get_the_scan_message(rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

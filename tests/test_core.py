@@ -198,7 +198,7 @@ class TestCodeValidation:
 
     def test_set_of_words_refused(self):
         # a set has no word order for the array or for the first bad word
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match="^words must be a sequence or an array, not set$"):
             Code(2, 2, {(0, 1), (1, 0)})
 
     def test_integer_object_array_accepted(self):
@@ -348,6 +348,12 @@ class TestFileFormat:
     (lambda: Code(2, 0, ((),)), "length must be at least 1"),
     (lambda: TwoDistParams(2, 5, 0, 1), "q>=2, n>=1, d>=1, delta>=1 required"),
     (lambda: read_code("q=2 n=0\n"), "line 1: n must be positive"),
+    # int() reads a sign and underscores; the header takes ASCII digits only
+    (lambda: read_code("q=+2 n=3\n001\n"), "line 1: bad header 'q=+2 n=3'"),
+    (lambda: read_code("q=2 n=0_3\n001\n"), "line 1: bad header 'q=2 n=0_3'"),
+    (lambda: Code(2, 2, 5), "words must be a sequence or an array, not int"),
+    (lambda: Code(2, 2, iter([(0, 1)])), "words must be a sequence or an array, not list_iterator"),
+    (lambda: Code(2, 2, np.array(5)), "words must be a sequence or an array, not a 0-d array"),
     (lambda: read_code("# only a comment\n"), "missing header line 'q=<int> n=<int>'"),
     (lambda: BoundStatus("bogus"), "bad status kind 'bogus'"),
     (lambda: BoundStatus("exact", 3, 4), "exact needs lo == hi"),

@@ -23,7 +23,6 @@ from twodist.core import TwoDistParams, strength
 from twodist.feasibility import (
     LinearParams,
     ScreenLine,
-    check_oa2_quadratic,
     complementary_params,
     delsarte_form,
     gcd_screen,
@@ -127,40 +126,27 @@ def _kernel_dimension(adj, rho: Fraction) -> int:
     return size - rank
 
 
+def oa2_quadratic_residual(q, k, n, w1, w2):
+    """n^2 - n(Q1(u1+u2-1) + 1) + Q2 u1 u2, zero on a strength-2 two-distance code of q^k words."""
+    big_n, u1, u2 = q**k, n - w1, n - w2
+    q1, q2 = Fraction(q * (big_n - q), big_n - q * q), Fraction(q * q * (big_n - 1), big_n - q * q)
+    return n * n - n * (q1 * (u1 + u2 - 1) + 1) + q2 * u1 * u2
+
+
 class TestQuadratic:
-    def test_su1_parameters_consistent(self):
-        r = check_oa2_quadratic(2, 16, 12, 6, 8)
-        assert r.residual == 0
-        assert r.roots == (Fraction(12), Fraction(10))
-        assert r.roots_positive_integers and r.roots is not None
-
-    def test_full_weight_closed_form(self):
-        r = check_oa2_quadratic(2, 16, 8, 4, 8)
-        assert r.residual == 0
-
-    def test_inconsistent_parameters(self):
-        r = check_oa2_quadratic(2, 8, 5, 2, 4)
-        assert r.residual == -4
-
     def test_residual_is_scaled_second_moment_residual(self):
-        # every projective set with q^k > q^2, k = 3..5 and n <= 20: wherever both run,
-        # the quadratic fails exactly when the second moment (the SRG counting test) does
+        # every projective set with q^k > q^2, k = 3..5 and n <= 20: the orthogonal-array
+        # quadratic is a fixed nonzero multiple of the second moment (the SRG counting test)
         checked = 0
         for q, k in itertools.product((2, 3, 4, 5, 7, 8, 9), range(3, 6)):
             scale = Fraction(-q * q, q**k - q * q)
             for n in range(1, min(21, (q**k - 1) // (q - 1) + 1)):
                 for w1, w2 in itertools.combinations(range(1, n + 1), 2):
                     mw = macwilliams_mu(LinearParams(q, k, n, w1, w2, s=1))
-                    qc = check_oa2_quadratic(q, q**k, n, w1, w2)
-                    assert qc.residual == scale * mw.second_moment_residual, (q, k, n, w1, w2)
+                    residual = oa2_quadratic_residual(q, k, n, w1, w2)
+                    assert residual == scale * mw.second_moment_residual, (q, k, n, w1, w2)
                     checked += 1
         assert checked == 24_920
-
-    def test_requires_divisible_size(self):
-        with pytest.raises(ValueError):
-            check_oa2_quadratic(2, 6, 5, 2, 4)
-        with pytest.raises(ValueError):
-            check_oa2_quadratic(3, 9, 5, 2, 4)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -175,7 +161,6 @@ class TestQuadratic:
     (lambda: gcd_screen(LinearParams(2, 1, 2, 1, 2)), "gcd screen needs k >= 2"),
     (lambda: delsarte_form(6, 1, 2), "q=6 is not a prime power"),
     (lambda: delsarte_form(2, 3, 3), "need 0 < w1 < w2"),
-    (lambda: check_oa2_quadratic(2, 8, 5, 3, 3), "need 0 < w1 < w2 <= n"),
 ])
 def test_input_guard_refusals(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -288,10 +273,7 @@ class TestSrg:
                     counting = big_k * (big_k - s.lam - 1) - (big_n - big_k - 1) * s.mu
                     assert counting == q * q * mw.second_moment_residual
                     assert s.counting_identity_ok == (counting == 0)
-                    residual_zero = mw.second_moment_residual == 0
                     assert (s.lam - s.mu) ** 2 + 4 * (s.degree - s.mu) == (q * lp.delta) ** 2
-                    if q**k > q * q:
-                        assert (check_oa2_quadratic(q, q**k, n, w1, w2).residual == 0) == residual_zero, lp
         assert checked == 18_815
 
     def test_negative_parameters_raise(self):
@@ -510,9 +492,9 @@ class TestScreensOnConstructions:
     def test_quadratic_zero_on_strength2_codes(self):
         for g, lp in self.CASES:
             code = g.span()
-            if strength(code) >= 2 and lp.size > lp.q**2:
-                r = check_oa2_quadratic(lp.q, lp.size, lp.n, lp.w1, lp.w2)
-                assert r.residual == 0, (lp, r.residual)
+            if strength(code) >= 2 and lp.k >= 3:
+                residual = macwilliams_mu(lp).second_moment_residual
+                assert residual == 0, (lp, residual)
 
 
 def screens_by_name(result):
@@ -538,15 +520,15 @@ class TestLinearScreens:
         assert ("macwilliams-mu", "fail") in screens_by_name(result)
 
     def test_failure_at_one_candidate_excludes_it(self):
-        # [5, 3, {2, 4}]_2 exists with s = 2; as a projective code it fails two screens
+        # [5, 3, {2, 4}]_2 exists with s = 2; as a projective code it fails the SRG screen
         result = linear_screens(LinearParams(2, 3, 5, 2, 4))
         assert not result.refuted
         lines = screens_by_name(result)
-        assert {("srg-integrality", "exclude"), ("oa2-quadratic", "exclude")} <= lines
+        assert ("srg-integrality", "exclude") in lines
         assert ("gcd-valuation", "abstain") in lines
         at_one = linear_screens(LinearParams(2, 3, 5, 2, 4, s=1))
         assert at_one.refuted
-        assert {("srg-integrality", "fail"), ("oa2-quadratic", "fail")} <= screens_by_name(at_one)
+        assert ("srg-integrality", "fail") in screens_by_name(at_one)
 
     def test_no_candidate_refutes(self):
         result = linear_screens(LinearParams(2, 4, 8, 5, 7, s=4))
@@ -556,7 +538,6 @@ class TestLinearScreens:
             ("macwilliams-mu", "fail"),
             ("srg-integrality", "skip"),
             ("gcd-valuation", "skip"),
-            ("oa2-quadratic", "skip"),
             ("complementary-params", "fail"),
         ]
 
@@ -578,7 +559,7 @@ class TestLinearScreens:
         result = linear_screens(LinearParams(2, 3, 6, 2, 6, s=1))
         assert result.refuted
         skipped = {line.screen: line.detail for line in result.lines if line.verdict == "skip"}
-        for screen in ("delsarte-form", "srg-integrality", "oa2-quadratic"):
+        for screen in ("delsarte-form", "srg-integrality"):
             assert skipped[screen] == "s=1 does not fit"
 
     def test_one_dimension(self):

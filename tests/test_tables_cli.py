@@ -582,18 +582,17 @@ class TestCli:
             assert main([str(a) for a in args + extra]) == 0, capsys.readouterr().out
 
     def test_feasible_non_projective_skips_projective_screens(self, capsys):
-        # su1_code(2, 4, 2, 1, 1, "union") has s = 2; oa2-quadratic, a projective screen, would refute it
+        # su1_code(2, 4, 2, 1, 1, "union") has s = 2; srg-integrality, a projective screen, would refute it
         assert main(["feasible", *"--q 2 --k 4 --n 18 --w1 8 --w2 10 --s 2".split()]) == 0
         out = capsys.readouterr().out
-        for screen in ("delsarte-form", "oa2-quadratic"):
-            assert f"SKIP       {screen}: projective screen needs s=1" in out
+        assert "SKIP       delsarte-form: projective screen needs s=1" in out
         assert "SKIP       srg-integrality: projective screen needs s=1 and k>=2" in out
 
     def test_feasible_omitted_s_without_s1_says_it_does_not_fit(self, capsys):
         # [17, 3, {8, 12}]_2 with s left out has candidates s = 3..9
         assert main(["feasible", *"--q 2 --k 3 --n 17 --w1 8 --w2 12".split()]) == 0
         out = capsys.readouterr().out
-        for screen in ("delsarte-form", "srg-integrality", "oa2-quadratic"):
+        for screen in ("delsarte-form", "srg-integrality"):
             assert f"SKIP       {screen}: s=1 does not fit\n" in out
         assert "projective screen needs" not in out
 
