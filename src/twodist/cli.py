@@ -17,6 +17,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import constructions, feasibility, search, tables
 from .core import (
+    MAX_ALPHABET,
     TwoDistParams,
     distance_distribution,
     is_antipodal,
@@ -186,6 +187,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_search(args) -> int:
     params = TwoDistParams(args.q, args.n, args.d, args.delta)
+    if args.output and params.q > MAX_ALPHABET:  # refused before the search, not after it
+        raise ValueError(f"file format supports q <= {MAX_ALPHABET}")
     cfg = search.SearchConfig(seed=args.seed, restarts=args.restarts, stop_at=args.stop_at)
     result = search.random_greedy(params, cfg)
     kind = "two-distance" if result.report.ok else (

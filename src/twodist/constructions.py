@@ -28,7 +28,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NoReturn
 
 import numpy as np
 
@@ -45,8 +44,9 @@ class GeneratorMatrix:
 
     `rows` is kept as one read-only array in the smallest dtype holding q - 1.
     A non-empty 2-D integer array with entries in 0..q-1 passes in one
-    numpy test; any other input is bad, and `_refuse_rows` raises the
-    ValueError that names its first fault.
+    numpy test; any other input goes to `_scanned_rows`, which takes every
+    matrix whose rows `Code` takes as words and raises the ValueError that
+    names the first fault of any other.
     """
 
     q: int
@@ -59,10 +59,12 @@ class GeneratorMatrix:
             rows = np.asarray(self.rows)
         except ValueError:  # rows of different lengths, which numpy cannot stack
             rows = np.empty(0)
-        if not (rows.ndim == 2 and rows.size and rows.dtype.kind in "iub"
+        dtype = np.min_scalar_type(self.q - 1)
+        if (rows.ndim == 2 and rows.size and rows.dtype.kind in "iub"
                 and rows.min() >= 0 and rows.max() < self.q):
-            _refuse_rows(self.rows)
-        rows = rows.astype(np.min_scalar_type(self.q - 1), order="C")
+            rows = rows.astype(dtype, order="C")
+        else:
+            rows = np.array(_scanned_rows(self.q, self.rows), dtype=dtype)
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 
@@ -102,13 +104,13 @@ class GeneratorMatrix:
         return dict(Counter(np.count_nonzero(_span(self)[1:], axis=1).tolist()))
 
 
-def _refuse_rows(rows) -> NoReturn:
-    """Raise the ValueError naming the first fault of rows that fail the numpy test.
+def _scanned_rows(q: int, rows) -> list[list]:
+    """The rows as lists, when the numpy test cannot read them; ValueError names the first fault.
 
     The matrix and its rows are read as lists where they are numpy arrays.
     It is checked for being a sequence of rows (not a scalar, a set or flat
-    entries) or empty, then ragged, then for integer entries; what passes
-    them has an entry outside 0..q-1.
+    entries) or empty, then ragged, then for integer entries (numpy or
+    Python integers, as `Code` takes them), then for entries in 0..q-1.
     """
     rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
     if not isinstance(rows, Sequence):
@@ -121,13 +123,12 @@ def _refuse_rows(rows) -> NoReturn:
         raise ValueError("empty generator matrix")
     if any(not hasattr(r, "__len__") or len(r) != len(first) for r in rows):
         raise ValueError("ragged generator matrix")
-    try:
-        array = np.asarray(rows)
-    except ValueError:  # entries that are sequences of different lengths
-        raise ValueError("entries must be integers") from None
-    if array.ndim != 2 or array.dtype.kind not in "iub":
+    entries = [x for r in rows for x in r]
+    if not all(isinstance(x, (int, np.integer, np.bool_)) for x in entries):
         raise ValueError("entries must be integers")
-    raise ValueError("entries must lie in 0..q-1")
+    if not all(0 <= x < q for x in entries):
+        raise ValueError("entries must lie in 0..q-1")
+    return rows
 
 
 def _span(g: GeneratorMatrix) -> np.ndarray:
@@ -443,7 +444,7 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
     pm = prime_power(q)
 
     if pm is not None:
-        p = pm[0]
+        p, a = pm
         # difference-matrix code: delta = mu (a power of p), d = (q-1)mu, n >= q mu
         if d == (q - 1) * delta and delta == p ** p_adic_valuation(p, delta) and n >= q * delta:
             entries.append(CatalogEntry(q * q * delta, "dm"))
@@ -453,30 +454,27 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
         # hyperoval code: q = 2^s >= 4, d = q, delta = 2
         if p == 2 and q >= 4 and d == q and delta == 2 and n >= q + 2:
             entries.append(CatalogEntry(q**3, "arc"))
-        # su1 removal / union: removal needs q^(m-1) | d + delta and union
+        # su1 at (m, r), 2 <= r < m, needs q^(r-1) | delta, i.e. r <= r0 (q = p^a),
+        # and has h = delta / q^(r-1); removal needs q^(m-1) | d + delta and union
         # q^(m-1) | d, so no m with q^(m-1) > d + delta can match
+        r0 = 1 + p_adic_valuation(p, delta) // a
         for m in range(3, 22):
             top = q ** (m - 1)
-            if q**m > _MAX_SPACE or top > d + delta:
+            if r0 < 2 or q**m > _MAX_SPACE or top > d + delta:
                 break
-            for r in range(2, m):
-                base = q ** (r - 1)
-                if delta % base:
-                    continue
-                h = delta // base  # >= 1, as delta >= 1 is a multiple of base
-                # removal: d = s q^(m-1) - delta; h <= s makes nat >= s(q^m - q^r)/(q-1) > 0
-                if (d + delta) % top == 0:
-                    s = (d + delta) // top
-                    if h <= s:
-                        nat = (s * (q**m - 1) - h * (q**r - 1)) // (q - 1)
-                        if nat <= n:
-                            entries.append(CatalogEntry(q**m, "su1"))
-                # union: d = s q^(m-1), s >= 1 as d >= 1
-                if d % top == 0 and h % p:
-                    s = d // top
-                    nat = (s * (q**m - 1) + h * (q**r - 1)) // (q - 1)
-                    if nat <= n:
-                        entries.append(CatalogEntry(q**m, "su1"))
+            r = min(r0, m - 1)
+            h = delta // q ** (r - 1)
+            # removal: d = s q^(m-1) - delta; h <= s makes nat >= s(q^m - q^r)/(q-1) > 0,
+            # and h and nat both fall as r grows, so the largest r decides
+            s = (d + delta) // top
+            removal = ((d + delta) % top == 0 and h <= s
+                       and (s * (q**m - 1) - h * (q**r - 1)) // (q - 1) <= n)
+            # union: d = s q^(m-1), s >= 1 as d >= 1, and p must not divide h, which
+            # holds at r = r0 alone, and there only when a | v_p(delta)
+            union = (d % top == 0 and r == r0 and h % p
+                     and (d // top * (q**m - 1) + h * (q**r - 1)) // (q - 1) <= n)
+            if removal or union:
+                entries.append(CatalogEntry(q**m, "su1"))
     # su2, prime q only: delta = q^(m-1) fixes m, and q^m = q delta.  m >= 2
     # (q | delta) and q >= 2 give q^m >= 4; delta | d and d >= 1 give r >= 2;
     # r = q^m + 1 degenerates to an equidistant code (the full outer point set)
@@ -498,8 +496,7 @@ def two_distance_lower_bounds(params: TwoDistParams) -> tuple[CatalogEntry, ...]
         entries.append(CatalogEntry(6, "ternary13"))
 
     entries.sort(key=lambda e: (-e.size, e.family))
-    # su1 can match at several (m, r) of one size
-    return tuple(dict.fromkeys(entries))
+    return tuple(entries)
 
 
 def equidistant_lower_bound(q: int, n: int, d: int) -> CatalogEntry | None:

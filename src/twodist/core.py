@@ -500,7 +500,7 @@ def is_antipodal(code: Code) -> bool:
 # text file format: first line "q=<int> n=<int>", then one base-q digit
 # string per line; '#' starts a comment
 
-_HEADER = re.compile(r"q=([0-9]+) n=([0-9]+)")  # the header as `write_code` writes it
+_HEADER = re.compile(r"q=([0-9]+)\s+n=([0-9]+)")  # both readers' header; int() also reads "+2"
 
 
 def write_digits(header: str, q: int, rows: np.ndarray) -> str:
@@ -538,13 +538,14 @@ def read_code(text: str) -> Code:
 def _read_canonical(text: str) -> tuple[int, int, np.ndarray] | None:
     """(q, n, symbols) when the text is exactly what `write_code` writes, else None.
 
-    q must be in 2..MAX_ALPHABET and n at least 1, and every line of the
-    body n digits below q and "\\n", so no line holds '#', a space or
-    nothing: the line scanner reads such text to the same words.
+    The header must match `_HEADER` and be printable (so the scanner reads
+    it as one line too), q be in 2..MAX_ALPHABET, n at least 1, and every
+    line of the body n digits below q and "\\n", so no line holds '#', a
+    space or nothing: the line scanner reads such text to the same words.
     """
     head, _, body = text.partition("\n")
     header = _HEADER.fullmatch(head)
-    if not (header and body and body.isascii()):
+    if not (header and head.isprintable() and body and body.isascii()):
         return None
     q, n = int(header[1]), int(header[2])
     if not (2 <= q <= MAX_ALPHABET and n >= 1 and len(body) % (n + 1) == 0):
@@ -570,14 +571,9 @@ def _read_lines(text: str) -> tuple[int, int, np.ndarray]:
         if not line:
             continue
         if not n:
-            parts = line.split()
-            try:
-                kv = dict(p.split("=", 1) for p in parts)
-                if not all(re.fullmatch("[0-9]+", kv[key]) for key in "qn"):  # int() takes "+2"
-                    raise ValueError("q and n must be ASCII digits")
-                q, n = int(kv["q"]), int(kv["n"])
-            except (ValueError, KeyError) as exc:
-                raise CodeFormatError(f"line {lineno}: bad header {line!r}") from exc
+            if not (header := _HEADER.fullmatch(line)):
+                raise CodeFormatError(f"line {lineno}: bad header {line!r}")
+            q, n = int(header[1]), int(header[2])
             if q < 2 or q > MAX_ALPHABET:
                 raise CodeFormatError(f"line {lineno}: q must be in 2..{MAX_ALPHABET}")
             if n < 1:

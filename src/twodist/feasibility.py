@@ -379,17 +379,15 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     detail = f"mu1={mw.mu1} mu2={mw.mu2} second-moment-residual={mw.second_moment_residual}"
     add("macwilliams-mu", {"ok": "pass", "infeasible": "fail"}.get(mw.status, mw.status), detail)
 
-    if projective and lp.k >= 2:
+    if projective:  # at k = 1 the one candidate is s = n > 1, so s = 1 needs k >= 2
         try:
             srg = srg_analysis(lp)
             detail = f"(N,K,lam,mu)={srg.params} e1={srg.e1} e2={srg.e2}"
             add("srg-integrality", "pass" if srg.feasible else "fail", detail, 1)
         except ValueError as exc:
             add("srg-integrality", "fail", str(exc), 1)
-    elif not projective and no_s1:
-        add("srg-integrality", "skip", no_s1)
     else:
-        add("srg-integrality", "skip", "projective screen needs s=1 and k>=2")
+        add("srg-integrality", "skip", no_s1 or "projective screen needs s=1 and k>=2")
 
     if lp.k < 2:
         add("gcd-valuation", "skip", "needs k >= 2")

@@ -123,11 +123,12 @@ class _Streams:
     A draw below m <= `top` rejects an output v unless
     v < 2^64 - (2^64 mod m), so that every residue is equally likely, and
     reads the next output instead.  As 2^64 mod m < m <= top, every output
-    at or below `line` = 2^64 - 1 - top is accepted, so a block with no
-    output above it draws v mod m straight away.  Otherwise each draw of
-    the block takes the exact test; a rejected output is dropped from its
-    restart's row and the row refilled from that restart's stream.  Each
-    draw so reads the same output as a scalar SplitMix64 stream would.
+    at or below `line` = 2^64 - 1 - top is accepted, so a draw takes such
+    an output v as v mod m straight away, and only an output above `line`
+    goes to the exact test (`_accepted`); a rejected output is dropped
+    from its restart's row and the row refilled from that restart's
+    stream.  Each draw so reads the same output as a scalar SplitMix64
+    stream would.
 
     Restarts that stop drawing never come back, so a block holds a row for
     every restart that draws from it.  It has at most `top` columns, so a
@@ -142,17 +143,15 @@ class _Streams:
         self.top, self.line = top, _MASK - top
         self.rows: list[list[int]] = [[] for _ in range(last - first)]
         self.cols = self.pos = 0  # the block's width and the next column to read
-        self.high = False  # whether the block holds an output above `line`
 
     def draw(self, restarts: list[int], counts: list[int], offsets: list[int]) -> list[int]:
         """offsets[i] plus a uniform draw below counts[i] from restarts[i]'s stream."""
         if self.pos == self.cols:
             self._block(restarts)
-        j, rows = self.pos, self.rows
+        j, rows, line = self.pos, self.rows, self.line
         self.pos += 1
-        if self.high:
-            return [s + self._accepted(r, j, m) % m for r, s, m in zip(restarts, offsets, counts)]
-        return [s + rows[r][j] % m for r, s, m in zip(restarts, offsets, counts)]
+        return [s + (v if (v := rows[r][j]) <= line else self._accepted(r, j, m)) % m
+                for r, s, m in zip(restarts, offsets, counts)]
 
     def _block(self, restarts: list[int]) -> None:
         self.cols = min(self.top, 2 * self.cols or _FIRST_BLOCK)
@@ -160,7 +159,6 @@ class _Streams:
         self.next[restarts] = steps + self.cols
         t = steps[:, None] + np.arange(self.cols, dtype=np.uint64)
         block = _mix(self.states[restarts][:, None] + t * _GOLDEN)
-        self.high = bool(block.max() > self.line)
         for r, row in zip(restarts, block.tolist()):
             self.rows[r] = row
         self.pos = 0

@@ -295,13 +295,14 @@ def test_building_twice_gives_the_same_spans():
     (np.zeros((3, 0), dtype=int), "empty generator matrix"),
     (np.array([[1, 2]], dtype=np.uint64), "entries must lie in 0..q-1"),
     ([[1, 0], [0, None]], "entries must be integers"),
-    ([[1, 2**70]], "entries must be integers"),
+    ([[1, 2**70]], "entries must lie in 0..q-1"),
     ([1, 0, 1], "generator matrix must be 2-D"),
     (np.arange(3), "generator matrix must be 2-D"),
     (7, "generator matrix must be 2-D"),
     ([np.array(1), np.array(0)], "generator matrix must be 2-D"),  # 0-d rows have no len()
     ({(1, 0)}, "generator matrix must be 2-D"),
     ((((1,), (1, 2)),), "entries must be integers"),  # ragged one level down
+    ([[1, 0], [0, 2**70]], "entries must lie in 0..q-1"),  # an integer, as Code names it
 ])
 def test_arrays_that_fail_the_one_test_get_the_scan_message(rows, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -309,7 +310,10 @@ def test_arrays_that_fail_the_one_test_get_the_scan_message(rows, message):
 
 
 @pytest.mark.parametrize("rows", [np.array([[True, False]]), np.array([[1, 0]], dtype=np.uint64),
-                                  [[np.int64(1), 0]], ((1, 0), (0, 1))])
+                                  [[np.int64(1), 0]], ((1, 0), (0, 1)),
+                                  # rows that Code takes as words but numpy reads as float64 or object
+                                  [[np.uint64(1), np.uint64(0)], [np.int64(0), np.int64(1)]],
+                                  np.array([[1, 0], [0, 1]], dtype=object)])
 def test_valid_rows_of_any_integer_kind(rows):
     g = GeneratorMatrix(2, rows)
     assert g.rows.dtype == np.uint8 and g.rows.tolist() == np.asarray(rows, dtype=int).tolist()

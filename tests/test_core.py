@@ -323,6 +323,10 @@ class TestFileFormat:
         code = read_code(text)
         assert code.words == bits("000", "111")
 
+    def test_header_keys_apart_by_any_whitespace(self):
+        code = read_code("# a tab between the keys\nq=2\tn=3\n001\n110\n")
+        assert code == read_code("q=2   n=3\n001\n110\n") == Code(2, 3, bits("001", "110"))
+
     def test_rejects_large_alphabet(self):
         with pytest.raises(CodeFormatError):
             read_code("q=10 n=2\n00\n")
@@ -351,6 +355,12 @@ class TestFileFormat:
     # int() reads a sign and underscores; the header takes ASCII digits only
     (lambda: read_code("q=+2 n=3\n001\n"), "line 1: bad header 'q=+2 n=3'"),
     (lambda: read_code("q=2 n=0_3\n001\n"), "line 1: bad header 'q=2 n=0_3'"),
+    # the header is q, then n, once each and nothing else
+    (lambda: read_code("q=5 n=3 q=2\n001\n"), "line 1: bad header 'q=5 n=3 q=2'"),
+    (lambda: read_code("n=3 q=2\n001\n"), "line 1: bad header 'n=3 q=2'"),
+    (lambda: read_code("q=2 n=3 extra=x\n001\n"), "line 1: bad header 'q=2 n=3 extra=x'"),
+    # a line break inside the first line splits the header for both readers
+    (lambda: read_code("q=2\rn=3\n001\n"), "line 1: bad header 'q=2'"),
     (lambda: Code(2, 2, 5), "words must be a sequence or an array, not int"),
     (lambda: Code(2, 2, iter([(0, 1)])), "words must be a sequence or an array, not list_iterator"),
     (lambda: Code(2, 2, np.array(5)), "words must be a sequence or an array, not a 0-d array"),

@@ -526,6 +526,20 @@ class TestCli:
         assert rc == 1
         assert "error: stop_at must be at least 1" in capsys.readouterr().err
 
+    def test_search_output_above_q9_is_refused_before_the_search(self, tmp_path, capsys, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(search, "random_greedy", no_search)
+        out = tmp_path / "x.txt"
+        rc = main([
+            "search", "--q", "17", "--n", "4", "--d", "2", "--delta", "1",
+            "--restarts", "3", "--seed", "1", "-o", str(out),
+        ])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: file format supports q <= 9\n")
+        assert not out.exists()
+
     def test_table_reversed_ranges_are_usage_errors(self, capsys):
         rc = main(["table", "--q", "2", "--delta", "2", "--n-min", "5", "--n-max", "4"])
         assert rc == 1
