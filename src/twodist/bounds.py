@@ -310,10 +310,10 @@ def best_upper_bound(
 ) -> BoundReport:
     """Aggregate all applicable upper-bound methods for one parameter set.
 
-    Exact special values and not-well-defined cases short-circuit the
-    aggregation.  The Gray-Rankin value is reported for reference but is
-    excluded from the minimum, being valid for antipodal codes only.  The
-    methods that attain the minimum are listed in `_TIE_ORDER`.
+    Exact special values and cells that no three-word code realizes (the
+    one "no code exists" rule) short-circuit the aggregation.  Gray-Rankin
+    is reported for reference but excluded from the minimum, being valid
+    for antipodal codes only.  Tied methods are listed in `_TIE_ORDER`.
     """
     special = feasibility.special_values(params)
     if special is not None:  # both exact families are realizable

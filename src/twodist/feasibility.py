@@ -350,8 +350,8 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     parameters (`complementary_params`).  `delsarte-form`,
     `srg-integrality` and the gcd clauses hold for projective codes only,
     so they run at s = 1 alone, and only when 1 is a candidate; otherwise
-    they report `skip`, saying so when s = 1 does not fit, whether it was
-    given or s was left out.
+    they `skip`: `s=1 does not fit` when s = 1 was given or s was left
+    out, else `projective screen needs s=1`.
     `gcd-valuation` reports one line per candidate, except that it
     abstains at every s > 1 and reports those candidates, a range since
     the bounds on s are an interval, in one line when there are several.
@@ -362,14 +362,14 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
     """
     candidates = complementary_params(lp)
     projective = any(c.s == 1 for c in candidates)
-    no_s1 = "s=1 does not fit" if lp.s in (None, 1) else None
+    skip = "s=1 does not fit" if lp.s in (None, 1) else "projective screen needs s=1"
     rows = []  # (screen, verdict, detail, the s a failure excludes, if any)
 
     def add(screen, verdict, detail, s=None):
         rows.append((screen, verdict, detail, s))
 
     if not projective:
-        add("delsarte-form", "skip", no_s1 or "projective screen needs s=1")
+        add("delsarte-form", "skip", skip)
     elif (form := delsarte_form(lp.q, lp.w1, lp.w2)) is None:
         add("delsarte-form", "fail", "weights are not h*p^u, (h+1)*p^u", 1)
     else:
@@ -387,7 +387,7 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
         except ValueError as exc:
             add("srg-integrality", "fail", str(exc), 1)
     else:
-        add("srg-integrality", "skip", no_s1 or "projective screen needs s=1 and k>=2")
+        add("srg-integrality", "skip", skip)
 
     if lp.k < 2:
         add("gcd-valuation", "skip", "needs k >= 2")
@@ -427,56 +427,53 @@ def linear_screens(lp: LinearParams) -> LinearScreens:
 
 
 # ---------------------------------------------------------------------------
-# exact small values, impossibility clauses, and the 3-word realizability test
+# exact small values and the three-word witness test
 
 
 def special_values(params: TwoDistParams) -> BoundStatus | None:
-    """Exact values and impossibility clauses for special parameter shapes, else None.
+    """The exact value at two special parameter shapes, else None.
 
-    Binary clauses (a)-(e) rule the pair out entirely; d odd with
-    delta = d has the exact value 1 + floor(n/d), at least 4 (below five
-    words the extremal configuration degenerates); ternary distances
-    {1, 3} pin the value at 6 once n >= 4.
+    Binary d odd with delta = d has the exact value 1 + floor(n/d), at
+    least 4 (below five words the extremal configuration degenerates);
+    ternary distances {1, 3} pin the value at 6 once n >= 4.  Codes exist
+    at both shapes: whether one exists is `two_distance_realizable`'s
+    decision alone.
     """
     q, n, d, delta = params.q, params.n, params.d, params.delta
-    e = d + delta
-    if q == 2:
-        if d % 2 and e % 2:
-            return BoundStatus.not_well_defined("both distances odd")  # (a)
-        if d % 2 and e % 2 == 0:
-            if 2 * n < 3 * d - delta:
-                return BoundStatus.not_well_defined("length below (3d-delta)/2")  # (b)
-            if d < delta:
-                return BoundStatus.not_well_defined("odd d smaller than delta")  # (c)
-        if e == n and n != 2 * d:
-            return BoundStatus.not_well_defined("full-length distance with n != 2d")  # (d)
-        if e == n - 1 and 2 * d > n + 1:
-            return BoundStatus.not_well_defined("distance n-1 with 2d > n+1")  # (e)
-        if d % 2 and delta == d:
-            return BoundStatus.exact(max(4, 1 + n // d), note="disjoint supports")
+    if q == 2 and d % 2 and delta == d:
+        return BoundStatus.exact(max(4, 1 + n // d), note="disjoint supports")
     if q == 3 and d == 1 and delta == 2 and n >= 4:
         return BoundStatus.exact(6)
     return None
 
 
 def two_distance_realizable(params: TwoDistParams) -> bool:
-    """Decide whether any code with both distances d and d+delta exists.
+    """Decide whether any code with both distances d and e = d+delta exists.
 
-    Translating a codeword to zero, a code showing both distances always
-    contains a three-word witness {0, x, y} whose pairwise distances lie
-    in {d, d+delta} and cover both.  Witness existence reduces to pure
-    arithmetic over the weights a, b of x, y, their support overlap c,
-    and (for q >= 3) the number of overlap positions where the nonzero
-    symbols differ.
+    One exists exactly when a three-word one does: translate a word of a
+    code showing both distances to 0, and 0 with two words x, y already
+    shows both.  So the test is over a = wt(x), b = wt(y) and
+    D = dist(x, y), all in {d, e} and covering both.  With c the support
+    overlap, max(0, a+b-n) <= c <= min(a, b), D = a+b-2c+t, where t <= c
+    overlap positions hold different symbols (t = 0 for q = 2).  So D occurs
+    - for q = 2, exactly when it has the parity of a+b and lies in
+      [|a-b|, min(a+b, 2n-a-b)];
+    - for q >= 3, for every D in [|a-b|, min(a+b, n)]: each c gives
+      [a+b-2c, a+b-c], and these meet from one c to the next.
+    The paper's binary impossibility clauses (a)-(e) are cases of them:
+    - (a) d and e odd: D has the parity of a+b, so it is even.
+    - (b) 2n < 3d-delta and (c) d < delta, with d odd and e even: parity
+      leaves (a, b, D) = (d, d, e) and (d, e, d), and each needs
+      delta <= d and 3d+delta <= 2n.
+    - (d) e = n with n != 2d: (e, e, d) and (d, e, e) need D <= 0 and
+      D <= n-d, and (d, d, e) and (d, e, d) need n = 2d.
+    - (e) e = n-1 with 2d > n+1, so d >= 4: (d, d, e) and (d, e, d) need
+      2d <= n+1, and (e, e, d) and (d, e, e) need d <= 2n-2e = 2.
     """
-    q, n, d, delta = params.q, params.n, params.d, params.delta
-    e = d + delta
-    for a in (d, e):
-        for b in (d, e):
-            for c in range(max(0, a + b - n), min(a, b) + 1):
-                lo = a + b - 2 * c
-                hi = lo + (c if q >= 3 else 0)
-                for dist, other in ((d, e), (e, d)):
-                    if lo <= dist <= hi and other in (a, b):
-                        return True
+    q, n, d = params.q, params.n, params.d
+    e = d + params.delta
+    for a, b, dist in ((d, d, e), (e, e, d), (d, e, d), (d, e, e)):
+        top = min(a + b, n) if q >= 3 else min(a + b, 2 * n - a - b)
+        if abs(a - b) <= dist <= top and (q >= 3 or (a + b - dist) % 2 == 0):
+            return True
     return False

@@ -70,6 +70,8 @@ class TableSpec:
             raise ValueError(f"n_min {self.n_min} is above n_max {self.n_max}")
         if not (1 <= self.n_min and self.n_max <= 64):
             raise ValueError("supported lengths are 1..64")
+        if self.d_min < 1:
+            raise ValueError("d_min must be at least 1")
         if self.d_max is not None and self.d_max < self.d_min:
             raise ValueError(f"d_max {self.d_max} is below d_min {self.d_min}")
         if self.delta < 1:

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from twodist.bounds import (
+    best_upper_bound,
     d2_bound,
     dd_refine,
     gray_rankin_bound,
@@ -214,8 +215,8 @@ def test_criterion_11_exact_small_values():
     for n in range(4, 11):
         sv = special_values(P(3, n, 1, 2))
         assert sv is not None and sv.kind == "exact" and sv.lo == 6
-    assert special_values(P(2, 9, 3, 4)).kind == "not_well_defined"
-    assert special_values(P(2, 10, 3, 7)).kind == "not_well_defined"
+    assert best_upper_bound(P(2, 9, 3, 4)).status.kind == "not_well_defined"
+    assert best_upper_bound(P(2, 10, 3, 7)).status.kind == "not_well_defined"
     sv = special_values(P(2, 15, 3, 3))
     assert sv.kind == "exact" and sv.lo == 1 + 15 // 3
     _report(11, "exact values 6 and 1+floor(n/d) plus both impossibility cases")

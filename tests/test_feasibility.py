@@ -9,6 +9,7 @@ import pytest
 from test_constructions import column_multiplicity
 from test_core import CATALOG_BUILDS, construct
 
+from twodist.bounds import best_upper_bound
 from twodist.constructions import (
     arc_code,
     complementary_code,
@@ -47,6 +48,43 @@ PROJECTIVE_BUILDS = tuple(
 
 def P(q, n, d, delta):
     return TwoDistParams(q, n, d, delta)
+
+
+NO_WITNESS = "no three-word code realizes both distances"
+
+
+def binary_clause(params):
+    """The binary impossibility clause (a)-(e) that fires on `params`, or None."""
+    q, n, d, delta = params.q, params.n, params.d, params.delta
+    e = d + delta
+    if q == 2:
+        if d % 2 and e % 2:
+            return "both distances odd"  # (a)
+        if d % 2 and e % 2 == 0:
+            if 2 * n < 3 * d - delta:
+                return "length below (3d-delta)/2"  # (b)
+            if d < delta:
+                return "odd d smaller than delta"  # (c)
+        if e == n and n != 2 * d:
+            return "full-length distance with n != 2d"  # (d)
+        if e == n - 1 and 2 * d > n + 1:
+            return "distance n-1 with 2d > n+1"  # (e)
+    return None
+
+
+def overlap_scan(params):
+    """The witness test by a scan over the support overlap c of x and y."""
+    q, n, d, delta = params.q, params.n, params.d, params.delta
+    e = d + delta
+    for a in (d, e):
+        for b in (d, e):
+            for c in range(max(0, a + b - n), min(a, b) + 1):
+                lo = a + b - 2 * c
+                hi = lo + (c if q >= 3 else 0)
+                for dist, other in ((d, e), (e, d)):
+                    if lo <= dist <= hi and other in (a, b):
+                        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -383,22 +421,6 @@ class TestComplementary:
 
 
 class TestSpecialValues:
-    def test_both_odd(self):
-        sv = special_values(P(2, 9, 3, 4))
-        assert (sv.kind, sv.note) == ("not_well_defined", "both distances odd")
-
-    def test_odd_d_smaller_than_delta(self):
-        sv = special_values(P(2, 10, 3, 7))
-        assert (sv.kind, sv.note) == ("not_well_defined", "odd d smaller than delta")
-
-    def test_full_length(self):
-        sv = special_values(P(2, 10, 6, 4))
-        assert (sv.kind, sv.note) == ("not_well_defined", "full-length distance with n != 2d")
-
-    def test_near_full_length(self):
-        sv = special_values(P(2, 9, 6, 2))
-        assert (sv.kind, sv.note) == ("not_well_defined", "distance n-1 with 2d > n+1")
-
     def test_odd_distance_pair_value(self):
         sv = special_values(P(2, 15, 3, 3))
         assert sv.kind == "exact" and sv.lo == 6
@@ -408,15 +430,15 @@ class TestSpecialValues:
         assert sv.lo == 4
 
     def test_binary_clauses_agree_with_the_witness_test(self):
-        # a clause that fired on a realizable cell would print "--" where codes exist
+        # each clause is a case of the witness ranges: every cell it fires on is "--"
         fired = 0
         for n in range(2, 41):
             for d, e in itertools.combinations(range(1, n + 1), 2):
                 params = P(2, n, d, e - d)
-                sv = special_values(params)
-                if sv is not None and sv.kind == "not_well_defined":
+                if binary_clause(params) is not None:
                     fired += 1
-                    assert not two_distance_realizable(params), params
+                    status = best_upper_bound(params).status
+                    assert (status.kind, status.note) == ("not_well_defined", NO_WITNESS), params
         assert fired == 4850
 
     def test_ternary_distances_one_three(self):
@@ -444,18 +466,30 @@ class TestRealizable:
             ((2, 18, 11, 5), False),
             ((3, 5, 1, 2), True),
             ((4, 7, 4, 2), True),
+            # one cell for each of the binary clauses (a), (c), (d) and (e)
+            ((2, 9, 3, 4), False),
+            ((2, 10, 3, 7), False),
+            ((2, 10, 6, 4), False),
+            ((2, 9, 6, 2), False),
         ],
     )
     def test_cases(self, args, expected):
         assert two_distance_realizable(P(*args)) == expected
+
+    def test_closed_form_matches_the_overlap_scan(self):
+        for q in (2, 3, 4, 5):
+            for n in range(1, 41):
+                for d in range(1, n):
+                    for delta in range(1, n - d + 1):
+                        params = P(q, n, d, delta)
+                        assert two_distance_realizable(params) == overlap_scan(params), params
 
     def test_never_contradicts_impossibility_clauses(self):
         for n in range(3, 16):
             for d in range(1, n):
                 for delta in range(1, n - d + 1):
                     params = P(2, n, d, delta)
-                    sv = special_values(params)
-                    if sv is not None and sv.kind == "not_well_defined":
+                    if binary_clause(params) is not None:
                         assert not two_distance_realizable(params), params
 
 

@@ -216,6 +216,11 @@ class TestRender:
         with pytest.raises(ValueError, match="d_max 3 is below d_min 5"):
             TableSpec(q=2, delta=2, n_min=8, n_max=9, d_min=5, d_max=3)
 
+    def test_distance_below_one_refused(self):
+        # refused by the spec itself, not by the first cell's TwoDistParams
+        with pytest.raises(ValueError, match="^d_min must be at least 1$"):
+            TableSpec(q=2, delta=1, n_min=5, n_max=6, d_min=0)
+
 
 def reference_cells_json(cells) -> str:
     """The indented layout `cells_to_json` wrote before it went one cell per line."""
@@ -406,7 +411,8 @@ class TestCli:
 
     def test_bound_not_well_defined_exits_2(self, capsys):
         assert main(["bound", "--q", "2", "--n", "9", "--d", "3", "--delta", "4"]) == 2
-        assert "not well defined" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "  not well defined: no three-word code realizes both distances\n" in out
 
     def test_bound_exact_exits_0(self, capsys):
         assert main(["bound", "--q", "2", "--n", "9", "--d", "3", "--delta", "3"]) == 0
@@ -551,6 +557,11 @@ class TestCli:
         assert rc == 1
         assert "error: d_max 3 is below d_min 5" in capsys.readouterr().err
 
+    def test_table_distance_below_one_is_a_tool_error(self, capsys):
+        rc = main(["table", *"--q 2 --delta 1 --n-min 5 --n-max 6 --d-min 0".split()])
+        assert rc == 1
+        assert capsys.readouterr() == ("", "error: d_min must be at least 1\n")
+
     def test_oracle(self, capsys):
         assert main(["oracle", "--q", "2", "--n", "5", "--d", "2", "--delta", "2"]) == 0
         assert "= 16" in capsys.readouterr().out
@@ -599,8 +610,8 @@ class TestCli:
         # su1_code(2, 4, 2, 1, 1, "union") has s = 2; srg-integrality, a projective screen, would refute it
         assert main(["feasible", *"--q 2 --k 4 --n 18 --w1 8 --w2 10 --s 2".split()]) == 0
         out = capsys.readouterr().out
-        assert "SKIP       delsarte-form: projective screen needs s=1" in out
-        assert "SKIP       srg-integrality: projective screen needs s=1 and k>=2" in out
+        for screen in ("delsarte-form", "srg-integrality"):
+            assert f"SKIP       {screen}: projective screen needs s=1\n" in out
 
     def test_feasible_omitted_s_without_s1_says_it_does_not_fit(self, capsys):
         # [17, 3, {8, 12}]_2 with s left out has candidates s = 3..9
