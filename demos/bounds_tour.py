@@ -1,21 +1,21 @@
 """A tour of the upper-bound machinery on two-distance codes.
 
-Every bound is computed in exact rational arithmetic; printed values are
-integers obtained by flooring at the very last step a rational optimum
-or closed form.
+Every bound is computed in exact arithmetic; printed values are integers
+obtained by flooring at the very last step the LP's integer vertex or a
+rational closed form.
 """
-import math
-
 from twodist import TwoDistParams, best_upper_bound, d2_bound, dd_refine, lp_optimum
 from twodist.bounds import gray_rankin_bound, sphere_bound
 
 # The full linear programming bound restricted to two distances: a
-# two-variable LP solved exactly in integer arithmetic.  These cells are
-# classics of the trade: the second one certifies that 154 binary words
-# of length 18 with distances {2, 4} are the most possible.
+# two-variable LP solved exactly in integer arithmetic.  Its optimal
+# vertex (A_d, A_e) comes back as integers (X, Y, det), so the bound is
+# 1 + (X + Y) // det.  These cells are classics of the trade: the second
+# one certifies that 154 binary words of length 18 with distances {2, 4}
+# are the most possible.
 for q, n, d, delta in [(2, 11, 2, 2), (2, 18, 2, 2), (3, 10, 3, 3)]:
-    params = TwoDistParams(q, n, d, delta)
-    print(f"lp bound   A_{q}({n}, {{{d},{d+delta}}}) <= {math.floor(lp_optimum(params)[0])}")
+    x, y, det = lp_optimum(TwoDistParams(q, n, d, delta))
+    print(f"lp bound   A_{q}({n}, {{{d},{d+delta}}}) <= {1 + (x + y) // det}")
 
 # The degree-2 closed form is much cheaper than the LP and often equals
 # it.  When its rational value is an integer and its linear coefficient

@@ -2,9 +2,11 @@
 
 All methods are exact: the restricted Delsarte linear program is solved
 in integer arithmetic by walking the boundary of its 2-variable feasible
-polygon from the origin to an optimal vertex, the closed-form bounds
-are evaluated as fractions and floored at the very end.  Identical input
-always produces a bit-identical report.
+polygon from the origin to an optimal vertex, which it returns as integer
+numerators over one determinant and `best_upper_bound` floors by one
+integer division; the closed-form bounds are evaluated as fractions and
+floored at the very end.  Identical input always produces a bit-identical
+report.
 
 Method tags used throughout (and printed in tables):
 
@@ -29,10 +31,12 @@ from .krawtchouk import kraw_eval, kraw_rows
 from . import feasibility
 
 
-def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fraction]]:
-    """Exact optimum of max 1 + A_d + A_e over the restricted Delsarte LP.
+def lp_optimum(params: TwoDistParams) -> tuple[int, int, int]:
+    """Optimal vertex of max 1 + A_d + A_e over the restricted Delsarte LP, in integers.
 
-    Returns the optimum and an attaining vertex (A_d, A_e).  The rows are
+    Returns the vertex (A_d, A_e) = (X/det, Y/det) as the integers
+    (X, Y, det), det > 0 and not reduced, so the optimum is
+    1 + (X + Y)/det and the LP bound 1 + (X + Y) // det.  The rows are
     a*A_d + b*A_e + c >= 0 with (a, b, c) = (K_i(d), K_i(e), K_i(0)) for
     i = 1..n, and c = (q-1)^i C(n, i) > 0.  The region is bounded, as
     `_lp_solve` requires: the rows satisfy sum_{i=0..n} K_i(z) = q^n [z = 0],
@@ -42,7 +46,11 @@ def lp_optimum(params: TwoDistParams) -> tuple[Fraction, tuple[Fraction, Fractio
     Along the x-axis only the distance d occurs, so the walk's first
     vertex, which `_lp_solve` finds while it reads the rows, is (x_1, 0)
     with x_1 the least K_i(0) / -K_i(d) over the i with K_i(d) < 0:
-    1 + floor(x_1) = E(d) = `equidistant_lp_bound(n, q, d)`.
+    1 + floor(x_1) = E(d) = `equidistant_lp_bound(n, q, d)`.  Likewise only
+    d + delta occurs along the y-axis, whose far end gives E(d + delta).
+    Both axis segments lie in the region, so the LP bound is at least
+    max(E(d), E(d + delta)); it equals E(d) when Y = 0 and E(d + delta)
+    when X = 0.
     """
     return _lp_solve(kraw_rows(params.n, params.q, params.d, params.d2))
 
@@ -57,13 +65,14 @@ def _lp_meet(r1, r2) -> tuple[int, int, int]:
     return (x, y, det) if det > 0 else (-x, -y, -det)
 
 
-def _lp_solve(kraw) -> tuple[Fraction, tuple[Fraction, Fraction]]:
+def _lp_solve(kraw) -> tuple[int, int, int]:
     """Maximise 1 + x + y over x, y >= 0 and the rows (a, b, c) of `kraw`, each with c > 0.
 
     The region must be bounded.  Every vertex is kept as integer
-    numerators (X, Y) over a determinant det > 0, and every comparison is
-    an integer cross-multiplication; no Fraction is built until the result
-    is returned.
+    numerators (X, Y) over a determinant det > 0, every comparison is an
+    integer cross-multiplication whose two products are formed once for
+    both its `<` and its `==` test, and the optimal vertex is returned as
+    (X, Y, det); no Fraction is built.
 
     The origin is a vertex where only the axes are tight.  From it the
     walk follows the boundary counterclockwise, starting along the x-axis:
@@ -96,9 +105,10 @@ def _lp_solve(kraw) -> tuple[Fraction, tuple[Fraction, Fraction]]:
     for row in kraw:
         a, b, c = row
         if a < 0:
-            if c * stop_rate < -a * stop_slack:
+            lhs, rhs = c * stop_rate, -a * stop_slack
+            if lhs < rhs:
                 stops, stop_slack, stop_rate = [len(rows)], c, -a
-            elif c * stop_rate == -a * stop_slack:
+            elif lhs == rhs:
                 stops.append(len(rows))
         elif b >= 0:
             continue
@@ -115,16 +125,17 @@ def _lp_solve(kraw) -> tuple[Fraction, tuple[Fraction, Fraction]]:
             )
         ar, br, _ = rows[r]
         if br < ar:
-            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
+            return x, y, det
         stops, stop_slack, stop_rate = [], 1, 0
         for k, (a, b, c) in enumerate(rows):
             rate = b * ar - a * br
             if rate <= 0:
                 continue
             slack = a * x + b * y + c * det
-            if slack * stop_rate < stop_slack * rate:
+            lhs, rhs = slack * stop_rate, stop_slack * rate
+            if lhs < rhs:
                 stops, stop_slack, stop_rate = [k], slack, rate
-            elif slack * stop_rate == stop_slack * rate:
+            elif lhs == rhs:
                 stops.append(k)
         x, y, det = _lp_meet(rows[r], rows[stops[0]])
 
@@ -322,8 +333,9 @@ def best_upper_bound(
         status = BoundStatus.not_well_defined(note="no three-word code realizes both distances")
         return BoundReport(status, ())
 
-    opt, vertex = lp_optimum(params)
-    entries = [BoundEntry("lp", math.floor(opt), certificate=(vertex,))]
+    vertex = lp_optimum(params)
+    x, y, det = vertex
+    entries = [BoundEntry("lp", 1 + (x + y) // det, certificate=vertex)]
     pk = plotkin_bound(params)
     entries.append(BoundEntry("plotkin", pk, note="" if pk is not None else "not applicable"))
     d2 = d2_bound(params)

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from twodist.bounds import (
     best_upper_bound,
     d2_bound,
     dd_refine,
+    equidistant_lp_bound,
     gray_rankin_bound,
     lp_optimum,
     plotkin_bound,
@@ -27,7 +29,8 @@ def P(q, n, d, delta):
 
 
 def lp_bound(params):
-    return math.floor(lp_optimum(params)[0])
+    x, y, det = lp_optimum(params)
+    return 1 + (x + y) // det
 
 
 def reference_rows(params):
@@ -92,7 +95,10 @@ def reference_strength2_distribution(params):
 
 
 def reference_walk(rows):
-    """The boundary walk over rows given with their two axes, every stop found by one scan."""
+    """The boundary walk over rows given with their two axes, every stop found by one scan.
+
+    Returns the optimal vertex as `_lp_solve` does, (X, Y, det) with det > 0.
+    """
     x, y, det, r = 0, 0, 1, 1
     while True:
         ar, br, _ = rows[r]
@@ -113,15 +119,15 @@ def reference_walk(rows):
             if all(rows[j][0] * rows[k][1] - rows[j][1] * rows[k][0] >= 0 for j in stops)
         )
         if rows[r][1] < rows[r][0]:
-            return Fraction(det + x + y, det), (Fraction(x, det), Fraction(y, det))
+            return x, y, det
 
 
-def assert_optimal(rows, result):
-    """`result` has reference_lp's optimum and a feasible vertex attaining it."""
-    opt, (x, y) = result
-    assert opt == reference_lp(rows)[0], rows
-    assert all(a * x + b * y + c >= 0 for a, b, c in rows), rows
-    assert opt == 1 + x + y
+def assert_optimal(rows, vertex):
+    """`vertex` (X, Y, det) is feasible and attains reference_lp's optimum at (X/det, Y/det)."""
+    x, y, det = vertex
+    assert det > 0, rows
+    assert Fraction(det + x + y, det) == reference_lp(rows)[0], rows
+    assert all(a * x + b * y + c * det >= 0 for a, b, c in rows), rows
 
 
 # every table cell of q in {2,3,4,5,7,8,9}, delta 1..6, n <= 39
@@ -175,9 +181,11 @@ class TestLpBound:
 
     def test_certificate_is_feasible_vertex(self):
         params = P(2, 9, 4, 2)
-        opt, (a_d, a_e) = lp_optimum(params)
-        assert a_d >= 0 and a_e >= 0
-        assert opt == 1 + a_d + a_e
+        x, y, det = lp_optimum(params)
+        assert det > 0 and x >= 0 and y >= 0
+        entry = best_upper_bound(params).entries[0]
+        assert entry.method == "lp" and entry.certificate == (x, y, det)
+        assert entry.value == 1 + (x + y) // det
 
     def test_matches_reference_on_short_lengths(self):
         for params in SWEEP:
@@ -217,6 +225,44 @@ class TestLpBound:
                 assert result == reference_walk(rows), rows
                 assert_optimal(rows, result)
         assert 2000 < bounded < 3000
+
+    def test_certificate_checks_in_integers(self):
+        # the `lp` entry's (X, Y, det) against rows from independent kraw_eval calls,
+        # K_i(z) for i = 1..n read once per (n, q, z)
+        column = functools.cache(lambda n, q, z: [kraw_eval(n, q, i, z) for i in range(1, n + 1)])
+        checked = 0
+        for params in SWEEP + LARGE_Q:
+            entries = best_upper_bound(params).entries
+            if not entries:  # an exact special value, or no code: no LP runs
+                continue
+            entry = entries[0]
+            assert entry.method == "lp", params
+            x, y, det = entry.certificate
+            assert all(type(v) is int for v in (x, y, det)), params
+            assert det > 0 and x >= 0 and y >= 0, params
+            n, q = params.n, params.q
+            rows = zip(column(n, q, params.d), column(n, q, params.d2), column(n, q, 0))
+            assert all(a * x + b * y + c * det >= 0 for a, b, c in rows), params
+            assert entry.value == 1 + (x + y) // det, params
+            checked += 1
+        assert checked == 26892
+
+    def test_first_vertex_is_the_equidistant_bound(self):
+        # only d occurs on the x-axis and only d + delta on the y-axis
+        on_x = on_y = 0
+        for params in SWEEP:
+            n, q = params.n, params.q
+            x, y, det = lp_optimum(params)
+            value = 1 + (x + y) // det
+            e_d, e_e = equidistant_lp_bound(n, q, params.d), equidistant_lp_bound(n, q, params.d2)
+            assert value >= max(e_d, e_e), params
+            if y == 0:
+                on_x += 1
+                assert value == e_d, params
+            if x == 0:
+                on_y += 1
+                assert value == e_e, params
+        assert (on_x, on_y) == (4276, 1977)
 
 
 class TestPlotkin:
