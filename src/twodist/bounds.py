@@ -162,7 +162,7 @@ def plotkin_bound(params: TwoDistParams) -> int | None:
     return (q * d) // excess
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class D2Bound:
     """Degree-2 bound outcome; `strict` records a strict degree-1 coefficient."""
 
@@ -242,7 +242,7 @@ def gray_rankin_bound(q: int, n: int, d: int) -> int | None:
     return (q * num) // denom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SphereBound:
     """Spherical two-distance set bound; value = 2(q-1)n + 1 when applicable, else None."""
 
@@ -292,7 +292,7 @@ def read_external_bounds(text: str) -> dict[tuple[int, int, int], int]:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundEntry:
     method: str
     value: int | None
@@ -300,7 +300,7 @@ class BoundEntry:
     certificate: tuple = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundReport:
     """Per-method upper bounds plus the aggregated best value."""
 
@@ -314,6 +314,9 @@ class BoundReport:
 
 # the order in which tied methods are listed, in reports and table tags alike
 _TIE_ORDER = ("ext", "dd", "d2", "sc", "lp", "plotkin")
+# entries are immutable, so every report shares these two
+_PLOTKIN_NOT_APPLICABLE = BoundEntry("plotkin", None, note="not applicable")
+_D2_NOT_APPLICABLE = BoundEntry("d2", None, note="not applicable")
 
 
 def best_upper_bound(
@@ -324,7 +327,10 @@ def best_upper_bound(
     Exact special values and cells that no three-word code realizes (the
     one "no code exists" rule) short-circuit the aggregation.  Gray-Rankin
     is reported for reference but excluded from the minimum, being valid
-    for antipodal codes only.  Tied methods are listed in `_TIE_ORDER`.
+    for antipodal codes only.  The aggregation is one pass: each
+    aggregated method's value goes into one dict as its entry is made,
+    and the tied methods are those of `_TIE_ORDER` whose value is the
+    least, listed in that order.
     """
     special = feasibility.special_values(params)
     if special is not None:  # both exact families are realizable
@@ -335,20 +341,30 @@ def best_upper_bound(
 
     vertex = lp_optimum(params)
     x, y, det = vertex
-    entries = [BoundEntry("lp", 1 + (x + y) // det, certificate=vertex)]
+    lp = 1 + (x + y) // det
+    values = {"lp": lp}
+    entries = [BoundEntry("lp", lp, certificate=vertex)]
     pk = plotkin_bound(params)
-    entries.append(BoundEntry("plotkin", pk, note="" if pk is not None else "not applicable"))
+    if pk is None:
+        entries.append(_PLOTKIN_NOT_APPLICABLE)
+    else:
+        values["plotkin"] = pk
+        entries.append(BoundEntry("plotkin", pk))
     d2 = d2_bound(params)
     if d2 is None:
-        entries.append(BoundEntry("d2", None, note="not applicable"))
+        entries.append(_D2_NOT_APPLICABLE)
     else:
+        values["d2"] = d2.value
         entries.append(BoundEntry("d2", d2.value, certificate=(d2.exact, d2.strict)))
         # dd_refine would find this itself; testing here spares it a second d2 on every other cell
         if d2.strict and d2.attains_integer:
             refined = dd_refine(params)
             if refined < d2.value:
+                values["dd"] = refined
                 entries.append(BoundEntry("dd", refined, note="distribution refutation"))
     sb = sphere_bound(params)
+    if sb.value is not None:
+        values["sc"] = sb.value
     entries.append(
         BoundEntry(
             "sc",
@@ -362,12 +378,9 @@ def best_upper_bound(
     if external is not None:
         ext = external.get((params.q, params.n, params.d))
         if ext is not None:
+            values["ext"] = ext
             entries.append(BoundEntry("ext", ext))
 
-    candidates = [
-        (e.value, e.method) for e in entries if e.value is not None and e.method != "gr"
-    ]
-    best = min(v for v, _ in candidates)
-    methods = tuple(sorted((m for v, m in candidates if v == best), key=_TIE_ORDER.index))
-    status = BoundStatus.range_(1, best, methods=methods)
-    return BoundReport(status, tuple(entries))
+    best = min(values.values())
+    methods = tuple([m for m in _TIE_ORDER if values.get(m) == best])
+    return BoundReport(BoundStatus("range", 1, best, methods), tuple(entries))

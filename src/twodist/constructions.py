@@ -38,7 +38,7 @@ from .fields import GF, MAX_ORDER, p_adic_valuation, prime_power
 _MAX_SPACE = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class GeneratorMatrix:
     """k x n matrix over GF(q); the code is the row space.
 
@@ -427,7 +427,7 @@ def complementary_code(g: GeneratorMatrix) -> GeneratorMatrix:
 # parameter catalog: best known construction for given (q, n, d, delta)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CatalogEntry:
     size: int
     family: str

@@ -27,8 +27,11 @@ blocks of `_half_popcounts`, and antipodality compares every word only
 with the size/q words that have symbol 0 in coordinate 0.
 
 All types are immutable after construction and all operations are pure
-functions, so values can be shared freely between threads; a lazily
-cached attribute computed twice is computed equal.
+functions, so values can be shared freely between threads and between
+results: every bound report shares one "not applicable" plotkin entry
+and one d2 entry.  A lazily cached attribute computed twice is computed
+equal.  Every frozen record in the package is a slotted dataclass, with
+no instance dict; `Code` alone keeps one, for its cached attributes.
 """
 from __future__ import annotations
 
@@ -258,7 +261,8 @@ class Code:
     smallest dtype that holds q - 1, which every numpy consumer reads.
     `words` gives them back as a tuple of tuples of ints, built on first
     read; equality, hashing and repr read (q, n, array) and mean what they
-    meant for (q, n, words).
+    meant for (q, n, words).  Unlike the package's other records it is not
+    slotted: its `cached_property` attributes live in the instance dict.
     """
 
     q: int
@@ -325,7 +329,7 @@ class Code:
         return tuple(cnt[::t].tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoDistParams:
     """Query key (q, n, d, delta) for codes with distances d and d+delta."""
 
@@ -346,7 +350,7 @@ class TwoDistParams:
         return self.d + self.delta
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DistanceDistribution:
     """Counts A_j = (#ordered pairs at distance j) / |C| for j = 0..n."""
 
@@ -361,7 +365,7 @@ class DistanceDistribution:
         return tuple(j for j in range(1, self.n + 1) if self.counts[j] > 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundStatus:
     """Outcome of a bound query: exact value, range, or a degenerate case."""
 
@@ -392,7 +396,7 @@ class BoundStatus:
         return BoundStatus("not_well_defined", note=note)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TwoDistReport:
     """Result of checking a code against a (d, d+delta) distance pair."""
 

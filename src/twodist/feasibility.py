@@ -17,7 +17,7 @@ from .core import BoundStatus, TwoDistParams
 from .fields import p_adic_valuation, prime_power
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearParams:
     """Parameters [n, k, {w1, w2}]_q of a linear two-weight code.
 
@@ -61,7 +61,7 @@ class LinearParams:
 # weight shape w1 = h p^u, w2 = (h+1) p^u
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DelsarteForm:
     p: int
     u: int
@@ -90,7 +90,7 @@ def delsarte_form(q: int, w1: int, w2: int) -> DelsarteForm | None:
 # weight multiplicities from the first MacWilliams power moments
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MacWilliamsResult:
     status: str  # "ok" | "infeasible" | "degenerate"
     mu1: Fraction
@@ -127,7 +127,7 @@ def macwilliams_mu(lp: LinearParams) -> MacWilliamsResult:
 # strongly regular graph parameters and multiplicity integrality
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SrgParams:
     """Parameters of the graph on codewords with adjacency at distance w1."""
 
@@ -200,7 +200,7 @@ def srg_analysis(lp: LinearParams) -> SrgParams:
 # complementary code parameters and the candidate column multiplicities
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ComplementaryParams:
     s: int
     n_c: int
@@ -236,7 +236,7 @@ def complementary_params(lp: LinearParams) -> tuple[ComplementaryParams, ...]:
 # gcd / valuation conditions
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClauseVerdict:
     """One clause's outcome; `passed` is None when the clause does not apply."""
 
@@ -245,7 +245,7 @@ class ClauseVerdict:
     detail: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GcdVerdict:
     s: int
     n_c: int
@@ -254,7 +254,7 @@ class GcdVerdict:
     verdict: str  # "pass" | "fail" | "abstain"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GcdScreen:
     per_s: tuple[GcdVerdict, ...]
 
@@ -330,14 +330,14 @@ def gcd_screen(lp: LinearParams) -> GcdScreen:
 # every linear screen, with one rule for the candidate column multiplicities
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScreenLine:
     screen: str
     verdict: str  # "pass" | "fail" | "exclude" | "skip" | "degenerate" | "abstain"
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearScreens:
     lines: tuple[ScreenLine, ...]
     refuted: bool

@@ -32,8 +32,13 @@ import numpy as np
 MAX_ORDER = 1 << 10  # largest q built: the q x q tables stay within 2^20 entries
 
 
+@lru_cache(maxsize=256)
 def prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, m) with q = p^m and p prime, or None."""
+    """Return (p, m) with q = p^m and p prime, or None.
+
+    Cached per q, since every catalog query and every builder asks; the
+    cache is bounded because q may come from outside the program.
+    """
     if q < 2:
         return None
     p = 2

@@ -174,7 +174,7 @@ class _Streams:
         return row[j]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchConfig:
     seed: int
     restarts: int = 1000
@@ -187,7 +187,7 @@ class SearchConfig:
             raise ValueError("stop_at must be at least 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchResult:
     code: Code
     size: int

@@ -24,13 +24,13 @@ from . import constructions, search
 from .core import TwoDistParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellBound:
     value: int
     tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableCell:
     params: TwoDistParams
     lower: CellBound | None
@@ -43,7 +43,12 @@ class TableCell:
         if (self.lower is None) != (self.upper is None):
             raise ValueError("a cell has both bounds or neither")
         if self.lower is not None and self.lower.value > self.upper.value:
-            raise ValueError("cell lower bound exceeds upper bound")
+            p = self.params
+            raise ValueError(
+                "cell lower bound exceeds upper bound at (q, n, d, delta) = "
+                f"{(p.q, p.n, p.d, p.delta)}: {self.lower.value} ({self.lower.tag}) > "
+                f"{self.upper.value} ({self.upper.tag})"
+            )
 
     @property
     def status(self) -> str:
@@ -53,7 +58,7 @@ class TableCell:
         return "value" if self.lower.value == self.upper.value else "range"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableSpec:
     q: int
     delta: int
@@ -80,7 +85,7 @@ class TableSpec:
             raise ValueError(f"unsupported format {self.fmt!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CellOptions:
     external: dict[tuple[int, int, int], int] | None = None
     search_cfg: search.SearchConfig | None = None
@@ -94,7 +99,7 @@ class CellOptions:
 def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) -> TableCell:
     """One table cell: feasibility screens, bound aggregation, lower bounds."""
     report = bounds_mod.best_upper_bound(params, options.external)
-    methods = tuple((e.method, e.value) for e in report.entries)
+    methods = tuple([(e.method, e.value) for e in report.entries])
     if report.status.kind == "not_well_defined":
         return TableCell(params, None, None, note=report.status.note)
     if report.status.kind == "exact":
@@ -117,7 +122,11 @@ def compute_cell(params: TwoDistParams, options: CellOptions = CellOptions()) ->
     if cap and search.candidate_count(params) <= cap:
         value = search.exhaustive_maximum(params, cap)
         if value > upper:
-            raise AssertionError(f"oracle value {value} exceeds upper bound {upper} for {params}")
+            # the oracle is exact, so an upper bound below it is bad input, such as an external one
+            raise ValueError(
+                f"oracle value {value} exceeds upper bound {upper} ({upper_tag}) at "
+                f"(q, n, d, delta) = {(params.q, params.n, params.d, params.delta)}"
+            )
         one_distance = (
             bounds_mod.equidistant_lp_bound(params.n, params.q, e) for e in (params.d, params.d2)
         )

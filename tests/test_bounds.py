@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from twodist.bounds import (
+    _TIE_ORDER,
+    BoundEntry,
     ExternalBoundsError,
     _lp_meet,
     _lp_solve,
@@ -423,6 +425,29 @@ class TestSphere:
 
 
 class TestAggregator:
+    def test_one_pass_ties_match_the_sorted_reference(self):
+        # the tie list against a sort of every aggregated entry at the best value, without
+        # external bounds and with an ext value one below, equal to or one above the best
+        fresh = {m: BoundEntry(m, None, note="not applicable") for m in ("plotkin", "d2")}
+        shared = ext_ties = 0
+        for i, params in enumerate(SWEEP + LARGE_Q):
+            plain = best_upper_bound(params)
+            if plain.status.kind != "range":
+                continue
+            ext = {(params.q, params.n, params.d): max(1, plain.best + i % 3 - 1)}
+            for report in (plain, best_upper_bound(params, ext)):
+                aggregated = [e for e in report.entries if e.method != "gr" and e.value is not None]
+                best = min(e.value for e in aggregated)
+                ties = [e.method for e in aggregated if e.value == best]
+                assert report.best == best, params
+                assert report.status.methods == tuple(sorted(ties, key=_TIE_ORDER.index)), params
+                ext_ties += "ext" in ties and len(ties) > 1
+                for e in report.entries:
+                    if e.method in fresh and e.value is None:
+                        assert e == fresh[e.method], params
+                        shared += 1
+        assert (shared, ext_ties) == (93612, 8976)
+
     def test_dd_wins(self):
         report = best_upper_bound(P(2, 12, 6, 4))
         assert report.best == 19 and report.status.methods == ("dd",)

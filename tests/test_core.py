@@ -1,6 +1,9 @@
 import dataclasses
+import importlib
+import inspect
 import itertools
 import math
+import pkgutil
 import re
 import tracemalloc
 from fractions import Fraction
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import twodist
 from twodist import constructions
 from twodist.constructions import GeneratorMatrix, dm_code, seed_code
 from twodist.core import (
@@ -1048,3 +1052,18 @@ class TestAsciiDigits:
             read_code("q=2 n=2\n0x\n000\n")
         with pytest.raises(CodeFormatError, match="line 3: expected 2 digits, got 3"):
             read_code("q=2 n=2\n01\n000\n0x\n")
+
+
+def test_every_frozen_record_but_code_is_slotted():
+    # a record added without slots=True would quietly bring back an instance dict;
+    # `Code` keeps its dict for its cached_property attributes
+    records = []
+    for info in pkgutil.iter_modules(twodist.__path__):
+        module = importlib.import_module(f"twodist.{info.name}")
+        for cls in vars(module).values():
+            if (inspect.isclass(cls) and cls.__module__ == module.__name__
+                    and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen):
+                records.append(cls)
+    assert Code in records and len(records) >= 27  # the walk reaches every module
+    for cls in records:
+        assert ("__slots__" in vars(cls)) == (cls is not Code), cls.__qualname__

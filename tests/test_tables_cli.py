@@ -788,6 +788,29 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "error: line 3: repeated (q, n, d) = (2, 12, 6)\n"
 
+    @pytest.mark.parametrize("row,oracle,message", [
+        # the exact oracle finds 10 words at (2, 8, {4, 6}), above an external 5
+        ("2,8,4,5", ["--oracle-max", "300"],
+         "error: oracle value 10 exceeds upper bound 5 (ext) at (q, n, d, delta) = (2, 8, 4, 2)\n"),
+        # the weight-2 code has 29 words at (2, 8, {2, 4}), above an external 3
+        ("2,8,2,3", [],
+         "error: cell lower bound exceeds upper bound at (q, n, d, delta) = (2, 8, 2, 2): "
+         "29 (construction) > 3 (ext)\n"),
+    ], ids=["oracle", "lower"])
+    def test_external_bound_below_a_lower_bound_is_tool_error(
+        self, tmp_path, capsys, row, oracle, message
+    ):
+        csv = tmp_path / "low.csv"
+        csv.write_text(f"q,n,d,bound\n{row}\n")
+        rc = main([
+            "table", "--q", "2", "--delta", "2", "--n-min", "8", "--n-max", "8",
+            *oracle, "--external-bounds", str(csv),
+        ])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message and "Traceback" not in captured.err
+
     def test_search_output_into_missing_directory_is_tool_error(self, tmp_path, capsys):
         rc = main([
             "search", "--q", "2", "--n", "8", "--d", "4", "--delta", "4",
